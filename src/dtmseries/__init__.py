@@ -26,6 +26,7 @@ from .bratu import (
     boundary_residual,
     bratu_coeffs,
     bratu_coeffs_exp,
+    bratu_plan,
     compare,
     shoot,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "AnalyticBratu",
     "bratu_coeffs",
     "bratu_coeffs_exp",
+    "bratu_plan",
     "boundary_residual",
     "shoot",
     "analytic_theta_roots",

@@ -3,20 +3,23 @@
     u'' + lambda * e^u = 0 on [0, 1],   u(0) = u(1) = 0
 
 With U(k) the Taylor coefficients of u about 0, U(0) = 0 and U(1) = gamma
-(the unknown initial slope), the equation turns into a recurrence. Carrying
-the exponential explicitly ("exp path"):
+(the unknown initial slope), the equation turns into a recurrence. The
+explicit-exponential form is the DSL equation D(u,2) = -lambda * exp(u);
+:func:`bratu_plan` lowers it, and stepping the plan carries W = e^u:
 
     W(0) = e^{U(0)}
     W(k) = (1/k) * sum_{j=1}^{k} j * U(j) * W(k-j)
     U(k+2) = -lambda * W(k) / ((k+1)(k+2))
 
-Substituting W(k) = -(k+1)(k+2) U(k+2) / lambda eliminates W:
+Substituting W(k) = -(k+1)(k+2) U(k+2) / lambda eliminates W (the
+simplified form, :func:`bratu_coeffs`):
 
     U(2)   = -(lambda/2) * e^{U(0)}
     U(k+2) = 1/(k(k+1)(k+2)) * sum_{j=1}^{k} j (k-j+1)(k-j+2) U(j) U(k-j+2),  k >= 1
 
-The two paths are algebraically identical; both are implemented and checked
-against each other. First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
+The two forms are algebraically identical. Shooting steps the lowered exp
+plan; the simplified recurrence is kept as the independent cross-check.
+First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 
 gamma is fixed by the x = 1 boundary: the truncated residual
 sum_{k=0}^{N} U(k) is driven to zero by a bracketing scan over gamma
@@ -35,14 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchNotFoundError
-from .powers import exp_step
+from .errors import BranchNotFoundError, NonFiniteCoefficientError
+from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
 from .series import Series, evaluate
 
 __all__ = [
     "BratuProblem",
     "BratuSolution",
     "AnalyticBratu",
+    "bratu_plan",
     "bratu_coeffs",
     "bratu_coeffs_exp",
     "boundary_residual",
@@ -68,28 +72,9 @@ THETA_STEP = 0.05
 _BRANCHES = ("lower", "upper")
 
 
-@dataclass(frozen=True)
-class BratuProblem:
-    """Problem parameters: positivity of lam and a usable order are enforced."""
-
-    lam: float
-    order: int
-
-    def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError("lambda must be positive and finite")
-        if self.order < 3:
-            raise ValueError("order must be at least 3")
-
-
-@dataclass(frozen=True)
-class BratuSolution:
-    """A shot solution: slope gamma, coefficients, boundary residual, branch."""
-
-    gamma: float
-    coeffs: Series
-    residual: float
-    branch: str
+def _require_lambda(lam: float) -> None:
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be positive and finite")
 
 
 def _require_order(order: int) -> None:
@@ -102,8 +87,39 @@ def _require_branch(branch: str) -> None:
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
+@dataclass(frozen=True)
+class BratuProblem:
+    """Problem parameters: positivity of lam and a usable order are enforced."""
+
+    lam: float
+    order: int
+
+    def __post_init__(self):
+        _require_lambda(self.lam)
+        _require_order(self.order)
+
+
+@dataclass(frozen=True)
+class BratuSolution:
+    """A shot solution: slope gamma, coefficients, boundary residual, branch."""
+
+    gamma: float
+    coeffs: Series
+    residual: float
+    branch: str
+
+
+def bratu_plan(lam: float, order: int) -> RecurrencePlan:
+    """The exp form D(u,2) = -lam * exp(u), lowered; run it from (0.0, gamma)."""
+    _require_order(order)
+    return lower(Equation(2, Scale(-lam, Exp(U()))), order)
+
+
 def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
-    """Coefficients by the simplified recurrence (exponential eliminated)."""
+    """Coefficients by the simplified recurrence (exponential eliminated).
+
+    Raises :class:`NonFiniteCoefficientError` naming the order that overflows.
+    """
     _require_order(order)
     u = [0.0] * (order + 1)
     u[1] = float(gamma)
@@ -113,43 +129,30 @@ def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
         for j in range(1, k + 1):
             acc += (j * (k - j + 1) * (k - j + 2)) * (u[j] * u[k - j + 2])
         u[k + 2] = acc / (k * (k + 1) * (k + 2))
+        if not math.isfinite(u[k + 2]):
+            raise NonFiniteCoefficientError(k + 2)
     return Series(u)
 
 
 def bratu_coeffs_exp(lam: float, gamma: float, order: int) -> Series:
-    """Coefficients by the exp path; internal consistency oracle for
-    :func:`bratu_coeffs`.
-
-    Steps the exponential recurrence for W alongside U, exactly as the
-    lowered equation "D(u,2) = -lambda * exp(u)" executes it, so a DSL
-    solve of the same equation reproduces these coefficients bitwise.
-    """
-    _require_order(order)
-    u = [0.0] * (order + 1)
-    u[1] = float(gamma)
-    w = [0.0] * (order - 1)
-    w[0] = math.exp(u[0])
-    u[2] = (-lam * w[0]) / 2
-    for k in range(1, order - 1):
-        w[k] = exp_step(u, w, k)
-        u[k + 2] = (-lam * w[k]) / ((k + 1) * (k + 2))
-    return Series(u)
+    """Coefficients by the exp form: one run of :func:`bratu_plan`."""
+    return run(bratu_plan(lam, order), (0.0, gamma))
 
 
-def boundary_residual(lam: float, gamma: float, order: int) -> float:
-    """Truncated boundary value sum_{k=0}^{N} U(k), i.e. the series at x = 1."""
-    return evaluate(bratu_coeffs(lam, gamma, order), 1.0)
+def boundary_residual(plan: RecurrencePlan, gamma: float) -> float:
+    """Series value at x = 1 of the :func:`bratu_plan` run from (0.0, gamma)."""
+    return evaluate(run(plan, (0.0, gamma)), 1.0)
 
 
 def _bisect_residual(
-    lam: float, order: int, lo: float, hi: float, f_lo: float
+    plan: RecurrencePlan, lo: float, hi: float, f_lo: float
 ) -> tuple[float, float]:
     best_g = lo
     best_r = f_lo
     a, b, fa = lo, hi, f_lo
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
-        fm = boundary_residual(lam, mid, order)
+        fm = boundary_residual(plan, mid)
         if abs(fm) < abs(best_r):
             best_g, best_r = mid, fm
         if abs(fm) <= RESIDUAL_TOL:
@@ -164,18 +167,20 @@ def _bisect_residual(
 def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     """Find gamma so the truncated boundary residual vanishes.
 
+    Lowers :func:`bratu_plan` once, then steps it for every trial gamma.
     Scans gamma over [0, GAMMA_MAX] in GAMMA_STEP increments for sign
     changes of the residual, then bisects to |residual| <= RESIDUAL_TOL
     (or MAX_BISECTIONS halvings). The lower branch takes the
     smallest-gamma root, the upper branch the largest. Raises
     :class:`BranchNotFoundError` when no sign change exists, e.g. for
-    lambda beyond the critical value.
+    lambda beyond the critical value, and
+    :class:`NonFiniteCoefficientError` when a trial gamma overflows.
     """
-    _require_order(order)
     _require_branch(branch)
+    plan = bratu_plan(lam, order)
     steps = int(round(GAMMA_MAX / GAMMA_STEP))
     gammas = [i * GAMMA_STEP for i in range(steps + 1)]
-    residuals = [boundary_residual(lam, g, order) for g in gammas]
+    residuals = [boundary_residual(plan, g) for g in gammas]
     brackets: list[tuple[float, float, float]] = []
     for i in range(steps):
         if residuals[i] == 0.0:
@@ -193,10 +198,10 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     if lo == hi:
         gamma, residual = lo, 0.0
     else:
-        gamma, residual = _bisect_residual(lam, order, lo, hi, f_lo)
+        gamma, residual = _bisect_residual(plan, lo, hi, f_lo)
     return BratuSolution(
         gamma=gamma,
-        coeffs=bratu_coeffs(lam, gamma, order),
+        coeffs=run(plan, (0.0, gamma)),
         residual=residual,
         branch=branch,
     )
@@ -208,8 +213,7 @@ def analytic_theta_roots(lam: float) -> list[float]:
     Sign-change scan in THETA_STEP increments, bisected to an interval
     width of 1e-14; returns 0, 1 or 2 roots in ascending order.
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
+    _require_lambda(lam)
     s = math.sqrt(2.0 * lam)
 
     def g(t: float) -> float:
@@ -271,6 +275,19 @@ class AnalyticBratu:
         return analytic_u(self.theta, x)
 
 
+def _grid_rows(
+    coeffs: Series, ref: AnalyticBratu, grid_points: int
+) -> list[tuple[float, float, float, float]]:
+    """Rows (x, u_dtm, u_analytic, abs_err) on the grid {i/(grid_points-1)}."""
+    rows = []
+    for i in range(grid_points):
+        x = i / (grid_points - 1)
+        u_dtm = evaluate(coeffs, x)
+        u_ref = ref.u(x)
+        rows.append((x, u_dtm, u_ref, abs(u_dtm - u_ref)))
+    return rows
+
+
 def compare(lam: float, order: int, grid_points: int, branch: str) -> float:
     """Max absolute gap between the shot series and the analytic branch.
 
@@ -282,11 +299,4 @@ def compare(lam: float, order: int, grid_points: int, branch: str) -> float:
         raise ValueError("grid must have at least 2 points")
     sol = shoot(lam, order, branch)
     ref = AnalyticBratu.for_branch(lam, branch)
-    denom = grid_points - 1
-    max_err = 0.0
-    for i in range(grid_points):
-        x = i / denom
-        err = abs(evaluate(sol.coeffs, x) - ref.u(x))
-        if err > max_err:
-            max_err = err
-    return max_err
+    return max(row[3] for row in _grid_rows(sol.coeffs, ref, grid_points))

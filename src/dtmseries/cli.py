@@ -23,7 +23,7 @@ import json
 import sys
 import time
 
-from .bratu import AnalyticBratu, BratuProblem, shoot
+from .bratu import AnalyticBratu, BratuProblem, _grid_rows, shoot
 from .errors import (
     BranchNotFoundError,
     DomainError,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lang import lower, parse, run
 from .powers import OpCount, exp_naive, exp_series, pow_int, pow_naive
-from .series import Series, dump_series, evaluate, load_series
+from .series import Series, format_series, load_series
 
 __all__ = ["main", "main_entry", "build_parser"]
 
@@ -124,14 +124,6 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_series(a: Series, path: str | None) -> None:
-    if path is None:
-        dump_series(a, sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            dump_series(a, fh)
-
-
 def _cmd_ops(args: argparse.Namespace) -> int:
     if args.op == "pow":
         if args.m is None:
@@ -154,7 +146,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             result, count = exp_series(series)
     if args.count:
         print(f"multiplies: {count.multiplies}", file=sys.stderr)
-    _write_series(result, args.outfile)
+    _write_text(format_series(result) + "\n", args.outfile)
     return EXIT_OK
 
 
@@ -173,7 +165,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _UsageError(f"--order must be at least {m - 1} for an order-{m} equation")
     plan = lower(equation, args.order)
     solution = run(plan, initial, args.order)
-    _write_series(solution, args.outfile)
+    _write_text(format_series(solution) + "\n", args.outfile)
     return EXIT_OK
 
 
@@ -191,17 +183,9 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
     reference = AnalyticBratu.for_branch(problem.lam, args.branch)
     solution = shoot(problem.lam, problem.order, args.branch)
 
+    rows = _grid_rows(solution.coeffs, reference, args.grid)
     lines = ["x,u_dtm,u_analytic,abs_err"]
-    denom = args.grid - 1
-    max_err = 0.0
-    for i in range(args.grid):
-        x = i / denom
-        u_dtm = evaluate(solution.coeffs, x)
-        u_ref = reference.u(x)
-        err = abs(u_dtm - u_ref)
-        if err > max_err:
-            max_err = err
-        lines.append(f"{x!r},{u_dtm!r},{u_ref!r},{err!r}")
+    lines.extend(",".join(map(repr, row)) for row in rows)
     _write_text("\n".join(lines) + "\n", args.out_csv)
 
     summary = {
@@ -209,7 +193,7 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
         "gamma": solution.gamma,
         "theta": reference.theta,
         "residual": solution.residual,
-        "max_abs_err": max_err,
+        "max_abs_err": max(row[3] for row in rows),
         "order": problem.order,
     }
     text = json.dumps(summary) + "\n"
@@ -279,10 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (EquationError, SeriesFormatError) as exc:
+    except (_UsageError, EquationError, SeriesFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DomainError, NonFiniteCoefficientError) as exc:

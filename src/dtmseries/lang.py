@@ -256,7 +256,12 @@ class _Parser:
         tail = self._peek()
         if tail.kind != "END":
             raise EquationSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
-        _reject_implicit(rhs, m)
+        offset = _u_offset(rhs)
+        if offset >= m:
+            raise ImplicitFormError(
+                f"implicit form: right-hand side contains D(u,{offset}) but the "
+                f"left-hand side isolates order {m}"
+            )
         return Equation(m, rhs)
 
     def expr(self) -> Expr:
@@ -338,20 +343,6 @@ def _fold_mul(a: Expr, b: Expr) -> Expr:
     if isinstance(b, Const):
         return Scale(b.value, a)
     return Mul(a, b)
-
-
-def _reject_implicit(expr: Expr, m: int) -> None:
-    if isinstance(expr, Deriv):
-        if expr.order >= m:
-            raise ImplicitFormError(
-                f"implicit form: right-hand side contains D(u,{expr.order}) but the "
-                f"left-hand side isolates order {m}"
-            )
-    elif isinstance(expr, (Add, Sub, Mul)):
-        _reject_implicit(expr.left, m)
-        _reject_implicit(expr.right, m)
-    elif isinstance(expr, (Scale, Pow, Exp)):
-        _reject_implicit(expr.child, m)
 
 
 def parse(text: str) -> Equation:
@@ -466,43 +457,34 @@ class _DerivNode(_Node):
         self.order = order
 
     def step(self, k, u):
-        f = 1
-        for i in range(1, self.order + 1):
-            f *= k + i
-        self.coeffs.append(f * u[k + self.order])
+        self.coeffs.append(math.perm(k + self.order, self.order) * u[k + self.order])
 
 
-class _AddNode(_Node):
+class _BinaryNode(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left: _Node, right: _Node):
         super().__init__()
         self.left = left
         self.right = right
+
+
+class _AddNode(_BinaryNode):
+    __slots__ = ()
 
     def step(self, k, u):
         self.coeffs.append(self.left.coeffs[k] + self.right.coeffs[k])
 
 
-class _SubNode(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Node, right: _Node):
-        super().__init__()
-        self.left = left
-        self.right = right
+class _SubNode(_BinaryNode):
+    __slots__ = ()
 
     def step(self, k, u):
         self.coeffs.append(self.left.coeffs[k] - self.right.coeffs[k])
 
 
-class _MulNode(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Node, right: _Node):
-        super().__init__()
-        self.left = left
-        self.right = right
+class _MulNode(_BinaryNode):
+    __slots__ = ()
 
     def step(self, k, u):
         lc = self.left.coeffs
@@ -673,9 +655,7 @@ def _build_node(expr: Expr, nodes: list[_Node]) -> _Node:
 
 
 def _u_offset(expr: Expr) -> int:
-    """Highest solution index read relative to k when emitting R(k)."""
-    if isinstance(expr, U):
-        return 0
+    """Highest solution index read relative to k when emitting R(k); u reads U(k)."""
     if isinstance(expr, Deriv):
         return expr.order
     if isinstance(expr, (Add, Sub, Mul)):
@@ -685,15 +665,19 @@ def _u_offset(expr: Expr) -> int:
     return 0
 
 
+def _require_room(order: int, m: int) -> None:
+    if order < m - 1:
+        raise ValueError(
+            f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
+        )
+
+
 def lower(equation: Equation, order: int) -> RecurrencePlan:
     """Lower an equation to a recurrence plan for the given truncation order."""
     m = equation.lhs_order
     if m < 1:
         raise ValueError("equation must isolate a derivative of order >= 1")
-    if order < m - 1:
-        raise ValueError(
-            f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
-        )
+    _require_room(order, m)
     offset = _u_offset(equation.rhs)
     if offset > m - 1:
         raise CausalityError(
@@ -714,10 +698,7 @@ def run(plan: RecurrencePlan, initial: Sequence[float], order: int | None = None
     m = plan.lhs_order
     if order is None:
         order = plan.order
-    if order < m - 1:
-        raise ValueError(
-            f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
-        )
+    _require_room(order, m)
     if len(initial) != m:
         raise ValueError(f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}")
     u = [float(c) for c in initial]
@@ -733,10 +714,7 @@ def run(plan: RecurrencePlan, initial: Sequence[float], order: int | None = None
                 node.step(k, u)
         except OverflowError:
             raise NonFiniteCoefficientError(k + m) from None
-        denom = 1
-        for i in range(1, m + 1):
-            denom *= k + i
-        value = plan._root.coeffs[k] / denom
+        value = plan._root.coeffs[k] / math.perm(k + m, m)
         if not math.isfinite(value):
             raise NonFiniteCoefficientError(k + m)
         u[k + m] = value

@@ -116,13 +116,6 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
         return monomial(0, n), count
     if m == 1:
         return a, count
-    if v == 0:
-        w = [0.0] * (n + 1)
-        w[0] = _int_pow(a.coeffs[0], m, count)
-        y = a.coeffs
-        for k in range(1, n + 1):
-            w[k] = miller_step(y, w, k, m, count)
-        return Series(w), count
     shift = v * m
     if shift > n:
         return zeros(n), count

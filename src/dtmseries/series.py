@@ -180,9 +180,8 @@ def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:
 def derivative_transform(a: Series, m: int) -> Series:
     """Coefficients of the m-th derivative: W(k) = (k+1)...(k+m) * Y(k+m).
 
-    The result has order N - m. The factorial ratio (k+m)!/k! is built as a
-    running integer product, never from two factorials, so large orders do
-    not overflow.
+    The result has order N - m. The factorial ratio (k+m)!/k! is the exact
+    integer ``math.perm(k + m, m)``, so large orders do not overflow.
     """
     if m < 0:
         raise ValueError("derivative order must be non-negative")
@@ -193,13 +192,7 @@ def derivative_transform(a: Series, m: int) -> Series:
     if m == 0:
         return a
     cs = a.coeffs
-    out = []
-    for k in range(a.order - m + 1):
-        f = 1
-        for i in range(1, m + 1):
-            f *= k + i
-        out.append(f * cs[k + m])
-    return Series(out)
+    return Series(math.perm(k + m, m) * cs[k + m] for k in range(a.order - m + 1))
 
 
 def evaluate(a: Series, x: float) -> float:

@@ -8,13 +8,16 @@ from dtmseries import (
     AnalyticBratu,
     BranchNotFoundError,
     BratuProblem,
+    NonFiniteCoefficientError,
     analytic_theta_roots,
     analytic_u,
     boundary_residual,
     bratu_coeffs,
     bratu_coeffs_exp,
+    bratu_plan,
     compare,
     evaluate,
+    run,
     shoot,
 )
 from util import relgap
@@ -66,29 +69,52 @@ class TestCoefficients:
             bratu_coeffs(lam, gamma, 60), bratu_coeffs_exp(lam, gamma, 60)
         ) <= 1e-12
 
+    def test_overflow_names_the_order(self):
+        # gamma = 1e200 makes U(4) overflow in both forms.
+        for coeffs in (bratu_coeffs, bratu_coeffs_exp):
+            with pytest.raises(NonFiniteCoefficientError) as err:
+                coeffs(1.0, 1e200, 30)
+            assert err.value.order == 4
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             bratu_coeffs(1.0, 0.5, 2)
         with pytest.raises(ValueError):
             bratu_coeffs_exp(1.0, 0.5, 2)
+        with pytest.raises(ValueError):
+            bratu_plan(1.0, 2)
+
+
+class TestPlan:
+    def test_reuse_matches_fresh_plans(self):
+        # shoot steps one plan for every trial gamma, an overflowing one
+        # included; each run must not see the state of the one before.
+        plan = bratu_plan(1.3, 30)
+        assert run(plan, (0.0, 0.5)) == run(bratu_plan(1.3, 30), (0.0, 0.5))
+        assert run(plan, (0.0, 2.0)) == run(bratu_plan(1.3, 30), (0.0, 2.0))
+        with pytest.raises(NonFiniteCoefficientError):
+            run(plan, (0.0, 1e200))
+        assert run(plan, (0.0, 0.5)) == run(bratu_plan(1.3, 30), (0.0, 0.5))
 
 
 class TestBoundaryResidual:
     def test_no_lift_is_negative(self):
-        assert boundary_residual(1.0, 0.0, 30) < 0.0
+        assert boundary_residual(bratu_plan(1.0, 30), 0.0) < 0.0
 
     def test_zero_lambda_residual_is_gamma(self):
+        plan = bratu_plan(0.0, 12)
         for gamma in (0.0, 0.5, 2.5):
-            assert boundary_residual(0.0, gamma, 12) == gamma
+            assert boundary_residual(plan, gamma) == gamma
 
     def test_sign_change_within_ten(self):
         # Establishes the shooting bracket for lambda = 1.
-        previous = boundary_residual(1.0, 0.0, 30)
+        plan = bratu_plan(1.0, 30)
+        previous = boundary_residual(plan, 0.0)
         assert previous < 0.0
         crossed = False
         g = 0.25
         while g <= 10.0:
-            current = boundary_residual(1.0, g, 30)
+            current = boundary_residual(plan, g)
             if previous * current < 0.0:
                 crossed = True
                 break
@@ -106,6 +132,11 @@ class TestShooting:
         assert sol.coeffs[1] == sol.gamma
         want = THETA_LOWER_L1 * math.tanh(THETA_LOWER_L1 / 4.0)
         assert abs(sol.gamma - want) <= 1e-6
+
+    @pytest.mark.parametrize("lam,order", [(0.1, 30), (1.0, 30), (1.7, 30), (2.3, 60)])
+    def test_series_matches_simplified_form(self, lam, order):
+        sol = shoot(lam, order, "lower")
+        assert relgap(sol.coeffs, bratu_coeffs(lam, sol.gamma, order)) <= 1e-12
 
     def test_small_lambda_limit(self):
         sol = shoot(1e-3, 20, "lower")

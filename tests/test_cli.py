@@ -235,6 +235,17 @@ class TestBratu:
         assert code == 4
         assert "no" in err
 
+    def test_overflow_exits_3(self, capsys):
+        # The gamma scan overflows the order-600 series long before it ends.
+        code, out, err = run_cli(
+            ["bratu", "--lambda", "1", "--order", "600", "--grid", "11", "--branch", "lower"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: non-finite coefficient produced at order ")
+        assert "Traceback" not in err
+
     def test_lambda_range(self, capsys):
         for bad in ("0.0005", "11"):
             code, _, _ = run_cli(
