@@ -19,7 +19,6 @@ coefficients. This package provides:
 
 from .bratu import (
     AnalyticBratu,
-    BratuProblem,
     BratuSolution,
     analytic_theta_roots,
     analytic_u,
@@ -124,7 +123,6 @@ __all__ = [
     "lower",
     "run",
     # bratu
-    "BratuProblem",
     "BratuSolution",
     "AnalyticBratu",
     "bratu_coeffs",

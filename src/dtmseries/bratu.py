@@ -43,7 +43,6 @@ from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
 from .series import Series, evaluate
 
 __all__ = [
-    "BratuProblem",
     "BratuSolution",
     "AnalyticBratu",
     "bratu_plan",
@@ -85,18 +84,6 @@ def _require_order(order: int) -> None:
 def _require_branch(branch: str) -> None:
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
-
-
-@dataclass(frozen=True)
-class BratuProblem:
-    """Problem parameters: positivity of lam and a usable order are enforced."""
-
-    lam: float
-    order: int
-
-    def __post_init__(self):
-        _require_lambda(self.lam)
-        _require_order(self.order)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
-from .bratu import AnalyticBratu, BratuProblem, _grid_rows, shoot
+from .bratu import AnalyticBratu, _grid_rows, shoot
 from .errors import (
     BranchNotFoundError,
     DomainError,
@@ -153,18 +154,22 @@ def _cmd_ops(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     equation = parse(args.eq)
     m = equation.lhs_order
+    bad_ic = _UsageError(
+        f"--ic must be a comma-separated list of finite numbers, got {args.ic!r}"
+    )
     try:
         initial = [float(tok) for tok in args.ic.split(",")]
     except ValueError:
-        raise _UsageError(f"--ic must be a comma-separated list of numbers, got {args.ic!r}")
+        raise bad_ic from None
+    if not all(map(math.isfinite, initial)):
+        raise bad_ic
     if len(initial) != m:
         raise _UsageError(
             f"equation of order {m} needs {m} initial coefficients, got {len(initial)}"
         )
     if args.order < m - 1:
         raise _UsageError(f"--order must be at least {m - 1} for an order-{m} equation")
-    plan = lower(equation, args.order)
-    solution = run(plan, initial, args.order)
+    solution = run(lower(equation, args.order), initial)
     _write_text(format_series(solution) + "\n", args.outfile)
     return EXIT_OK
 
@@ -178,10 +183,8 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
         raise _UsageError("--order must be at least 3")
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2")
-    problem = BratuProblem(lam=args.lam, order=args.order)
-
-    reference = AnalyticBratu.for_branch(problem.lam, args.branch)
-    solution = shoot(problem.lam, problem.order, args.branch)
+    reference = AnalyticBratu.for_branch(args.lam, args.branch)
+    solution = shoot(args.lam, args.order, args.branch)
 
     rows = _grid_rows(solution.coeffs, reference, args.grid)
     lines = ["x,u_dtm,u_analytic,abs_err"]
@@ -189,12 +192,12 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
     _write_text("\n".join(lines) + "\n", args.out_csv)
 
     summary = {
-        "lambda": problem.lam,
+        "lambda": args.lam,
         "gamma": solution.gamma,
         "theta": reference.theta,
         "residual": solution.residual,
         "max_abs_err": max(row[3] for row in rows),
-        "order": problem.order,
+        "order": args.order,
     }
     text = json.dumps(summary) + "\n"
     if args.out_json is None:

@@ -23,32 +23,33 @@ x^k of the right-hand side, then
 
     U(k+m) = R(k) / ((k+1)(k+2)...(k+m))
 
-Each AST node becomes a plan node holding its own coefficient buffer,
-filled once per order k in topological order. Products accumulate partial
-Cauchy sums from cached child coefficients; pow and exp nodes advance
-their single-sum recurrences one step per order, which keeps a whole solve
-at O(N^2). A pow node whose child has a zero constant coefficient at run
-time is handled by the valuation shift only when that child is literally
-u; for composite children the run fails instead of guessing an evaluation
-order for a mid-plan shift.
+Lowering only validates the tree; the plan it returns holds no state.
+Each run walks the tree once and gives every non-leaf node a buffer and a
+stepper, then advances the steppers once per order k in topological
+order. A product appends one Cauchy coefficient of its operands' buffers
+(``series.mul_step``); pow and exp nodes drive the single-sum recurrences
+of :mod:`dtmseries.powers` (``pow_steps``, ``exp_steps``), which keeps a
+whole solve at O(N^2). Every stepper reads only coefficients 0..k of its
+operands at step k, so a pow of any operand, u or composite, finds its
+valuation and shifts as the operand's coefficients are produced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     CausalityError,
-    DomainError,
     EquationSyntaxError,
     ImplicitFormError,
     NonFiniteCoefficientError,
 )
-from .powers import _int_pow, exp_step, miller_step
-from .series import Series
+from .powers import exp_steps, pow_steps
+from .series import Series, monomial, mul_step
 
 __all__ = [
     "Const",
@@ -401,275 +402,52 @@ def format_equation(eq: Equation) -> str:
 
 
 # ----------------------------------------------------------------------
-# Plan nodes
-# ----------------------------------------------------------------------
-
-
-class _Node:
-    """One evaluation node; ``coeffs[k]`` is its transform coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self):
-        self.coeffs: list[float] = []
-
-    def reset(self) -> None:
-        self.coeffs.clear()
-
-    def step(self, k: int, u: Sequence[float]) -> None:
-        raise NotImplementedError
-
-
-class _ConstNode(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        super().__init__()
-        self.value = value
-
-    def step(self, k, u):
-        self.coeffs.append(self.value if k == 0 else 0.0)
-
-
-class _XPowNode(_Node):
-    __slots__ = ("power",)
-
-    def __init__(self, power: int):
-        super().__init__()
-        self.power = power
-
-    def step(self, k, u):
-        self.coeffs.append(1.0 if k == self.power else 0.0)
-
-
-class _UNode(_Node):
-    __slots__ = ()
-
-    def step(self, k, u):
-        self.coeffs.append(u[k])
-
-
-class _DerivNode(_Node):
-    __slots__ = ("order",)
-
-    def __init__(self, order: int):
-        super().__init__()
-        self.order = order
-
-    def step(self, k, u):
-        self.coeffs.append(math.perm(k + self.order, self.order) * u[k + self.order])
-
-
-class _BinaryNode(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Node, right: _Node):
-        super().__init__()
-        self.left = left
-        self.right = right
-
-
-class _AddNode(_BinaryNode):
-    __slots__ = ()
-
-    def step(self, k, u):
-        self.coeffs.append(self.left.coeffs[k] + self.right.coeffs[k])
-
-
-class _SubNode(_BinaryNode):
-    __slots__ = ()
-
-    def step(self, k, u):
-        self.coeffs.append(self.left.coeffs[k] - self.right.coeffs[k])
-
-
-class _MulNode(_BinaryNode):
-    __slots__ = ()
-
-    def step(self, k, u):
-        lc = self.left.coeffs
-        rc = self.right.coeffs
-        s = 0.0
-        for l in range(k + 1):
-            s += lc[l] * rc[k - l]
-        self.coeffs.append(s)
-
-
-class _ScaleNode(_Node):
-    __slots__ = ("factor", "child")
-
-    def __init__(self, factor: float, child: _Node):
-        super().__init__()
-        self.factor = factor
-        self.child = child
-
-    def step(self, k, u):
-        self.coeffs.append(self.factor * self.child.coeffs[k])
-
-
-class _ExpNode(_Node):
-    __slots__ = ("child",)
-
-    def __init__(self, child: _Node):
-        super().__init__()
-        self.child = child
-
-    def step(self, k, u):
-        if k == 0:
-            self.coeffs.append(math.exp(self.child.coeffs[0]))
-        else:
-            self.coeffs.append(exp_step(self.child.coeffs, self.coeffs, k))
-
-
-class _PowNode(_Node):
-    """Integer power of a subexpression via the single-sum recurrence.
-
-    When the child's constant coefficient is zero at run time, the shifted
-    recurrence is applied only if the child is literally u: the node then
-    discovers the valuation v of the solution lazily, builds the shifted
-    stream ubar[j] = u[v+j], and emits zeros below index v*m.
-    """
-
-    __slots__ = ("child", "power", "child_is_u", "direct", "v", "scan", "ubar", "cbuf")
-
-    def __init__(self, child: _Node, power: int, child_is_u: bool):
-        super().__init__()
-        self.child = child
-        self.power = power
-        self.child_is_u = child_is_u
-        self.direct = True
-        self.v: int | None = None
-        self.scan = 0
-        self.ubar: list[float] = []
-        self.cbuf: list[float] = []
-
-    def reset(self):
-        super().reset()
-        self.direct = True
-        self.v = None
-        self.scan = 0
-        self.ubar.clear()
-        self.cbuf.clear()
-
-    def step(self, k, u):
-        if k == 0:
-            a0 = self.child.coeffs[0]
-            if a0 != 0.0:
-                self.direct = True
-                self.coeffs.append(_int_pow(a0, self.power))
-                return
-            if not self.child_is_u:
-                raise DomainError(
-                    "pow of zero-constant subexpression: the valuation shift is "
-                    "only applied when the pow operand is exactly u"
-                )
-            self.direct = False
-            self.coeffs.append(self._shifted(0, u))
-            return
-        if self.direct:
-            self.coeffs.append(miller_step(self.child.coeffs, self.coeffs, k, self.power))
-        else:
-            self.coeffs.append(self._shifted(k, u))
-
-    def _shifted(self, k, u):
-        if self.v is None:
-            while self.scan <= k:
-                if u[self.scan] != 0.0:
-                    self.v = self.scan
-                    break
-                self.scan += 1
-            if self.v is None:
-                return 0.0
-        i = k - self.v * self.power
-        if i < 0:
-            return 0.0
-        while len(self.ubar) <= i:
-            self.ubar.append(u[self.v + len(self.ubar)])
-        if i == 0:
-            value = _int_pow(self.ubar[0], self.power)
-        else:
-            value = miller_step(self.ubar, self.cbuf, i, self.power)
-        self.cbuf.append(value)
-        return value
-
-
-# ----------------------------------------------------------------------
 # Lowering and stepping
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class RecurrencePlan:
-    """Topologically ordered evaluation nodes for one equation.
+    """A validated equation and the truncation order it is solved to.
 
     ``max_u_offset`` is the causality certificate: emitting the right-hand
     coefficient R(k) reads solution coefficients of index at most
     k + max_u_offset, which lowering guarantees is below the k + lhs_order
     coefficient being produced.
 
-    Plan nodes hold mutable per-order buffers while stepping, so a single
-    plan must not be run concurrently; distinct plans are independent.
+    A plan holds no stepping state: :func:`run` builds its buffers afresh
+    on every call, so one plan may be shared and run concurrently.
     """
 
-    def __init__(self, equation: Equation, order: int, nodes: list[_Node], root: _Node, max_u_offset: int):
-        self.equation = equation
-        self.lhs_order = equation.lhs_order
-        self.order = order
-        self.max_u_offset = max_u_offset
-        self._nodes = nodes
-        self._root = root
+    equation: Equation
+    order: int
+    max_u_offset: int
 
-
-def _build_node(expr: Expr, nodes: list[_Node]) -> _Node:
-    if isinstance(expr, Const):
-        node: _Node = _ConstNode(expr.value)
-    elif isinstance(expr, Var):
-        node = _XPowNode(1)
-    elif isinstance(expr, XPow):
-        if expr.power < 0:
-            raise ValueError("x power must be non-negative")
-        node = _XPowNode(expr.power)
-    elif isinstance(expr, U):
-        node = _UNode()
-    elif isinstance(expr, Deriv):
-        if expr.order < 1:
-            raise ValueError("derivative order must be positive")
-        node = _DerivNode(expr.order)
-    elif isinstance(expr, Add):
-        node = _AddNode(_build_node(expr.left, nodes), _build_node(expr.right, nodes))
-    elif isinstance(expr, Sub):
-        node = _SubNode(_build_node(expr.left, nodes), _build_node(expr.right, nodes))
-    elif isinstance(expr, Mul):
-        node = _MulNode(_build_node(expr.left, nodes), _build_node(expr.right, nodes))
-    elif isinstance(expr, Scale):
-        node = _ScaleNode(expr.factor, _build_node(expr.child, nodes))
-    elif isinstance(expr, Pow):
-        if expr.power < 1:
-            raise ValueError("pow exponent must be positive")
-        node = _PowNode(_build_node(expr.child, nodes), expr.power, isinstance(expr.child, U))
-    elif isinstance(expr, Exp):
-        node = _ExpNode(_build_node(expr.child, nodes))
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    nodes.append(node)
-    return node
+    @property
+    def lhs_order(self) -> int:
+        return self.equation.lhs_order
 
 
 def _u_offset(expr: Expr) -> int:
-    """Highest solution index read relative to k when emitting R(k); u reads U(k)."""
+    """Highest solution index read relative to k when emitting R(k); u reads U(k).
+
+    Also rejects hand-built nodes that the parser never produces.
+    """
     if isinstance(expr, Deriv):
+        if expr.order < 1:
+            raise ValueError("derivative order must be positive")
         return expr.order
     if isinstance(expr, (Add, Sub, Mul)):
         return max(_u_offset(expr.left), _u_offset(expr.right))
+    if isinstance(expr, Pow) and expr.power < 1:
+        raise ValueError("pow exponent must be positive")
     if isinstance(expr, (Scale, Pow, Exp)):
         return _u_offset(expr.child)
-    return 0
-
-
-def _require_room(order: int, m: int) -> None:
-    if order < m - 1:
-        raise ValueError(
-            f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
-        )
+    if isinstance(expr, XPow) and expr.power < 0:
+        raise ValueError("x power must be non-negative")
+    if isinstance(expr, (Const, Var, XPow, U)):
+        return 0
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def lower(equation: Equation, order: int) -> RecurrencePlan:
@@ -677,44 +455,85 @@ def lower(equation: Equation, order: int) -> RecurrencePlan:
     m = equation.lhs_order
     if m < 1:
         raise ValueError("equation must isolate a derivative of order >= 1")
-    _require_room(order, m)
+    if order < m - 1:
+        raise ValueError(
+            f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
+        )
     offset = _u_offset(equation.rhs)
     if offset > m - 1:
         raise CausalityError(
             f"emitting R(k) would read U(k+{offset}) before it is produced"
         )
-    nodes: list[_Node] = []
-    root = _build_node(equation.rhs, nodes)
-    return RecurrencePlan(equation, order, nodes, root, offset)
+    return RecurrencePlan(equation, order, offset)
 
 
-def run(plan: RecurrencePlan, initial: Sequence[float], order: int | None = None) -> Series:
-    """Step the plan from the initial coefficients U(0..m-1).
+_Stepped = list[tuple[list[float], Iterator[float]]]
 
-    ``order`` defaults to the order the plan was lowered for. Raises
-    :class:`NonFiniteCoefficientError` naming the first order at which a
-    coefficient stops being finite.
+
+def _buffer(expr: Expr, u: list[float], nodes: _Stepped) -> Sequence[float]:
+    """The coefficient buffer of ``expr`` for one run.
+
+    Leaves are filled in full; u's buffer is the solution list itself.
+    Every other node gets an empty buffer and a stepper that yields one
+    coefficient per order; the pair is appended to ``nodes`` after the
+    pairs of its operands.
+    """
+    n = len(u) - 1
+    if isinstance(expr, U):
+        return u
+    if isinstance(expr, Const):
+        return (expr.value,) + (0.0,) * n
+    if isinstance(expr, (Var, XPow)):
+        return monomial(expr.power if isinstance(expr, XPow) else 1, n).coeffs
+    ks = itertools.count()
+    if isinstance(expr, Deriv):
+        j = expr.order
+        steps = (math.perm(k + j, j) * u[k + j] for k in ks)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        a = _buffer(expr.left, u, nodes)
+        b = _buffer(expr.right, u, nodes)
+        if isinstance(expr, Add):
+            steps = (a[k] + b[k] for k in ks)
+        elif isinstance(expr, Sub):
+            steps = (a[k] - b[k] for k in ks)
+        else:
+            steps = (mul_step(a, b, k) for k in ks)
+    elif isinstance(expr, Scale):
+        c = _buffer(expr.child, u, nodes)
+        f = expr.factor
+        steps = (f * c[k] for k in ks)
+    elif isinstance(expr, Pow):
+        steps = pow_steps(_buffer(expr.child, u, nodes), expr.power)
+    else:
+        steps = exp_steps(_buffer(expr.child, u, nodes))
+    buf: list[float] = []
+    nodes.append((buf, steps))
+    return buf
+
+
+def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
+    """Step the plan from the initial coefficients U(0..m-1) to its order.
+
+    Raises :class:`NonFiniteCoefficientError` naming the first order at
+    which a coefficient stops being finite.
     """
     m = plan.lhs_order
-    if order is None:
-        order = plan.order
-    _require_room(order, m)
     if len(initial) != m:
         raise ValueError(f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}")
     u = [float(c) for c in initial]
     for k, c in enumerate(u):
         if not math.isfinite(c):
             raise ValueError(f"initial coefficient U({k}) is not finite")
-    u.extend(0.0 for _ in range(order + 1 - m))
-    for node in plan._nodes:
-        node.reset()
-    for k in range(order - m + 1):
+    u.extend(0.0 for _ in range(plan.order + 1 - m))
+    nodes: _Stepped = []
+    root = _buffer(plan.equation.rhs, u, nodes)
+    for k in range(plan.order - m + 1):
         try:
-            for node in plan._nodes:
-                node.step(k, u)
+            for buf, steps in nodes:
+                buf.append(next(steps))
         except OverflowError:
             raise NonFiniteCoefficientError(k + m) from None
-        value = plan._root.coeffs[k] / math.perm(k + m, m)
+        value = root[k] / math.perm(k + m, m)
         if not math.isfinite(value):
             raise NonFiniteCoefficientError(k + m)
         u[k + m] = value

@@ -20,6 +20,13 @@ float comparison); near-zero leading coefficients are the caller's problem,
 because the 1/(k*Y(0)) prefactor amplifies their noise and a hidden
 magnitude threshold would silently change answers.
 
+Each recurrence is written once, as a stepper (:func:`pow_steps`,
+:func:`exp_steps`) that yields one coefficient per step and reads only the
+operand's coefficients 0..k at step k. :func:`pow_int` and
+:func:`exp_series` drive a stepper over a whole series; the plans of
+:mod:`dtmseries.lang` drive the same steppers over buffers that grow as
+the solution is produced.
+
 ``pow_naive`` and ``exp_naive`` build the same objects by brute force
 (repeated convolution; summed Taylor terms of exp) and serve as the
 independent oracles for the recurrences.
@@ -27,11 +34,12 @@ independent oracles for the recurrences.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .series import OpCount, Series, monomial, mul, zeros
+from .series import OpCount, Series, collect, monomial, mul
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
 
@@ -86,12 +94,45 @@ def exp_step(
     return acc / k
 
 
-def _valuation(a: Series) -> int | None:
-    """Smallest index with an exactly nonzero coefficient, or None if a == 0."""
-    for k, c in enumerate(a.coeffs):
-        if c != 0.0:
-            return k
-    return None
+def pow_steps(
+    y: Sequence[float], m: int, count: OpCount | None = None
+) -> Iterator[float]:
+    """Yield W(0), W(1), ... of y(x)^m for m >= 1, one coefficient per step.
+
+    Step k reads y[0..k] only, so ``y`` may be a buffer that grows by one
+    coefficient per step. The valuation v is found as y grows; Miller's
+    recurrence then runs on ybar(j) = y(v+j) and its output is shifted up
+    by v*m. v = 0 is the same path with no shift.
+    """
+    v = 0
+    while y[v] == 0.0:
+        yield 0.0
+        v += 1
+    for _ in range(v * (m - 1)):
+        yield 0.0
+    ybar = [y[v]]
+    w = [_int_pow(ybar[0], m, count)]
+    yield w[0]
+    for i in itertools.count(1):
+        ybar.append(y[v + i])
+        w.append(miller_step(ybar, w, i, m, count))
+        yield w[i]
+
+
+def exp_steps(y: Sequence[float], count: OpCount | None = None) -> Iterator[float]:
+    """Yield W(0), W(1), ... of e^{y(x)}; step k reads y[0..k] only."""
+    w = [math.exp(y[0])]
+    yield w[0]
+    for k in itertools.count(1):
+        w.append(exp_step(y, w, k, count))
+        yield w[k]
+
+
+def _power_zero(a: Series) -> Series:
+    # a^0 is the constant one, except for the zero series.
+    if not any(a.coeffs):
+        raise DomainError("0^0 undefined: zero series raised to power zero")
+    return monomial(0, a.order)
 
 
 def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
@@ -101,33 +142,17 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     identically zero, in which case 0^0 raises :class:`DomainError`. m = 1
     returns ``a`` unchanged. A zero constant term triggers the valuation
     shift described in the module docstring; if v*m exceeds the truncation
-    order the result is the zero series.
+    order the result is the zero series. Raises
+    :class:`NonFiniteCoefficientError` naming the first index that overflows.
     """
     if m < 0:
         raise ValueError("pow_int exponent must be a non-negative integer")
     count = OpCount()
-    n = a.order
-    v = _valuation(a)
-    if v is None:
-        if m == 0:
-            raise DomainError("0^0 undefined: zero series raised to power zero")
-        return zeros(n), count
     if m == 0:
-        return monomial(0, n), count
+        return _power_zero(a), count
     if m == 1:
         return a, count
-    shift = v * m
-    if shift > n:
-        return zeros(n), count
-    ybar = a.coeffs[v:]
-    target = n - shift
-    w = [0.0] * (target + 1)
-    w[0] = _int_pow(ybar[0], m, count)
-    for k in range(1, target + 1):
-        w[k] = miller_step(ybar, w, k, m, count)
-    out = [0.0] * (n + 1)
-    out[shift : shift + target + 1] = w
-    return Series(out), count
+    return collect(itertools.islice(pow_steps(a.coeffs, m, count), len(a))), count
 
 
 def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
@@ -140,9 +165,7 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
         raise ValueError("pow_naive exponent must be a non-negative integer")
     count = OpCount()
     if m == 0:
-        if _valuation(a) is None:
-            raise DomainError("0^0 undefined: zero series raised to power zero")
-        return monomial(0, a.order), count
+        return _power_zero(a), count
     acc = a
     for _ in range(m - 1):
         acc = mul(acc, a, count)
@@ -150,15 +173,13 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
 
 
 def exp_series(a: Series) -> tuple[Series, OpCount]:
-    """Coefficients of e^{a(x)} truncated at order(a), via the single-sum recurrence."""
+    """Coefficients of e^{a(x)} truncated at order(a), via the single-sum recurrence.
+
+    Raises :class:`NonFiniteCoefficientError` naming the first index that
+    overflows.
+    """
     count = OpCount()
-    n = a.order
-    w = [0.0] * (n + 1)
-    w[0] = math.exp(a.coeffs[0])
-    y = a.coeffs
-    for k in range(1, n + 1):
-        w[k] = exp_step(y, w, k, count)
-    return Series(w), count
+    return collect(itertools.islice(exp_steps(a.coeffs, count), len(a))), count
 
 
 def exp_naive(a: Series, count: OpCount | None = None) -> Series:
@@ -187,5 +208,5 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
             pc = power.coeffs
             for k in range(m, n + 1):
                 total[k] += pc[k] * inv
-    lead = math.exp(a.coeffs[0])
-    return Series(lead * t for t in total)
+    # The generator evaluates exp, so collect also reports its overflow.
+    return collect(math.exp(a.coeffs[0]) * t for t in total)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
-from .errors import OrderMismatchError, SeriesFormatError
+from .errors import NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
 
 __all__ = [
     "Series",
@@ -155,26 +155,46 @@ def scale(factor: float, a: Series) -> Series:
     return Series(factor * c for c in a.coeffs)
 
 
+def collect(values: Iterable[float]) -> Series:
+    """The series of ``values``, in order, checked once for overflow.
+
+    Raises :class:`~dtmseries.errors.NonFiniteCoefficientError` naming the
+    index of the first value that is not finite, or that raised
+    ``OverflowError`` while being produced.
+    """
+    out: list[float] = []
+    try:
+        for c in values:
+            if not math.isfinite(c):
+                raise NonFiniteCoefficientError(len(out))
+            out.append(c)
+    except OverflowError:
+        raise NonFiniteCoefficientError(len(out)) from None
+    return Series(out)
+
+
+def mul_step(
+    a: Sequence[float], b: Sequence[float], k: int, count: OpCount | None = None
+) -> float:
+    """One Cauchy coefficient W(k) = sum_{l=0}^{k} A(l) * B(k-l); k + 1 multiplies."""
+    s = 0.0
+    for l in range(k + 1):
+        s += a[l] * b[k - l]
+    if count is not None:
+        count.multiplies += k + 1
+    return s
+
+
 def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:
     """Cauchy product truncated at the common order.
 
     W(k) = sum_{l=0}^{k} Y(l) * Z(k-l). The full convolution performs
     exactly (N+1)(N+2)/2 scalar multiplies, accumulated into ``count``
-    when one is supplied.
+    when one is supplied. Raises
+    :class:`~dtmseries.errors.NonFiniteCoefficientError` on overflow.
     """
     _require_same_order(a, b, "mul")
-    n = a.order
-    ac = a.coeffs
-    bc = b.coeffs
-    out = []
-    for k in range(n + 1):
-        s = 0.0
-        for l in range(k + 1):
-            s += ac[l] * bc[k - l]
-        out.append(s)
-    if count is not None:
-        count.multiplies += (n + 1) * (n + 2) // 2
-    return Series(out)
+    return collect(mul_step(a.coeffs, b.coeffs, k, count) for k in range(len(a)))
 
 
 def derivative_transform(a: Series, m: int) -> Series:

@@ -7,7 +7,6 @@ import pytest
 from dtmseries import (
     AnalyticBratu,
     BranchNotFoundError,
-    BratuProblem,
     NonFiniteCoefficientError,
     analytic_theta_roots,
     analytic_u,
@@ -276,12 +275,3 @@ class TestCompare:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             compare(1.0, 30, 1, "lower")
-
-
-class TestProblemType:
-    def test_validation(self):
-        BratuProblem(lam=1.0, order=30)
-        with pytest.raises(ValueError):
-            BratuProblem(lam=0.0, order=30)
-        with pytest.raises(ValueError):
-            BratuProblem(lam=1.0, order=2)

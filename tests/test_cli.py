@@ -116,6 +116,22 @@ class TestOps:
         code, _, _ = run_cli(["ops", "exp", "--m", "2"], capsys, SQ_INPUT, monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,series",
+        [
+            (["exp"], [800, 1, 0, 0]),
+            (["exp", "--naive"], [800, 1, 0, 0]),
+            (["pow", "--m", "3"], [1e200, 1, 0, 0]),
+            (["pow", "--m", "3", "--naive"], [1e200, 1, 0, 0]),
+        ],
+    )
+    def test_overflow_is_domain_error(self, capsys, monkeypatch, argv, series):
+        text = json.dumps({"order": 3, "coeffs": series})
+        code, out, err = run_cli(["ops"] + argv, capsys, text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert err == "error: non-finite coefficient produced at order 0\n"
+
 
 class TestSolve:
     def test_exponential(self, capsys):
@@ -156,10 +172,12 @@ class TestSolve:
         assert code == 2
 
     def test_bad_ic_literal(self, capsys):
-        code, _, _ = run_cli(
-            ["solve", "--eq", "D(u,1) = u", "--ic", "1;2", "--order", "5"], capsys
-        )
-        assert code == 2
+        for ic in ("1;2", "nan", "inf"):
+            code, _, err = run_cli(
+                ["solve", "--eq", "D(u,1) = u", "--ic", ic, "--order", "5"], capsys
+            )
+            assert code == 2
+            assert err.startswith("error: ")
 
     def test_order_too_small(self, capsys):
         code, _, _ = run_cli(
