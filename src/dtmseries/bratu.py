@@ -22,8 +22,9 @@ plan; the simplified recurrence is kept as the independent cross-check.
 First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 
 gamma is fixed by the x = 1 boundary: the truncated residual
-sum_{k=0}^{N} U(k) is driven to zero by a bracketing scan over gamma
-followed by bisection (shooting). The closed-form reference solution is
+sum_{k=0}^{N} U(k) is driven to zero by shooting: a scan over the gamma
+grid that ends at the branch's first sign change, followed by a bracketed
+secant (Illinois regula falsi). The closed-form reference solution is
 
     u(x) = -2 ln[ cosh((x - 1/2) theta/2) / cosh(theta/4) ]
 
@@ -131,61 +132,96 @@ def boundary_residual(plan: RecurrencePlan, gamma: float) -> float:
     return evaluate(run(plan, (0.0, gamma)), 1.0)
 
 
-def _bisect_residual(
-    plan: RecurrencePlan, lo: float, hi: float, f_lo: float
+def _scan(
+    plan: RecurrencePlan, branch: str
+) -> tuple[float, float, float, float] | None:
+    """The branch's first zero or sign change on the gamma grid, as (a, fa, b, fb).
+
+    Walks gamma = i * GAMMA_STEP upward from 0 for the lower branch and
+    downward from GAMMA_MAX for the upper one. Stops at the first grid point
+    whose residual is exactly 0 (returned with a == b) or at the first pair
+    of neighbours whose residuals differ in sign. Returns None when the walk
+    reaches the far end without either.
+    """
+    steps = int(round(GAMMA_MAX / GAMMA_STEP))
+    walk = range(steps + 1) if branch == "lower" else range(steps, -1, -1)
+    prev: tuple[float, float] | None = None
+    for i in walk:
+        g = i * GAMMA_STEP
+        r = boundary_residual(plan, g)
+        if r == 0.0:
+            return g, 0.0, g, 0.0
+        if prev is not None and prev[1] * r < 0.0:
+            return prev[0], prev[1], g, r
+        prev = (g, r)
+    return None
+
+
+def _regula_falsi(
+    plan: RecurrencePlan, a: float, fa: float, b: float, fb: float
 ) -> tuple[float, float]:
-    best_g = lo
-    best_r = f_lo
-    a, b, fa = lo, hi, f_lo
+    """Illinois regula falsi on a bracket whose residuals fa, fb differ in sign.
+
+    Dowell & Jarratt, BIT 11 (1971). Each step tries the secant point and
+    falls back to the midpoint when that is not strictly inside the bracket;
+    the step keeps the sign change, and an end kept twice in a row has its
+    residual halved. Returns the first point with |residual| <= RESIDUAL_TOL;
+    once the bracket cannot shrink, or after MAX_BISECTIONS steps, the point
+    of smallest |residual| seen.
+    """
+    best = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    kept = None
     for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (a + b)
-        fm = boundary_residual(plan, mid)
-        if abs(fm) < abs(best_r):
-            best_g, best_r = mid, fm
-        if abs(fm) <= RESIDUAL_TOL:
-            return mid, fm
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
+        x = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+            if x == a or x == b:
+                break
+        fx = boundary_residual(plan, x)
+        if abs(fx) < abs(best[1]):
+            best = (x, fx)
+        if abs(fx) <= RESIDUAL_TOL:
+            return x, fx
+        if (fx < 0.0) == (fb < 0.0):
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
         else:
-            b = mid
-    return best_g, best_r
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+    return best
 
 
 def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     """Find gamma so the truncated boundary residual vanishes.
 
     Lowers :func:`bratu_plan` once, then steps it for every trial gamma.
-    Scans gamma over [0, GAMMA_MAX] in GAMMA_STEP increments for sign
-    changes of the residual, then bisects to |residual| <= RESIDUAL_TOL
-    (or MAX_BISECTIONS halvings). The lower branch takes the
-    smallest-gamma root, the upper branch the largest. Raises
-    :class:`BranchNotFoundError` when no sign change exists, e.g. for
-    lambda beyond the critical value, and
-    :class:`NonFiniteCoefficientError` when a trial gamma overflows.
+    Scans the gamma grid [0, GAMMA_MAX] (step GAMMA_STEP) from the branch's
+    end, upward for the lower branch and downward for the upper, and stops
+    at the first sign change of the residual (or exact zero): the lower
+    branch takes the smallest-gamma root, the upper branch the largest. A
+    bracketed secant (Illinois regula falsi) then refines it to
+    |residual| <= RESIDUAL_TOL. Raises :class:`BranchNotFoundError` when no
+    sign change exists, e.g. for lambda beyond the critical value, and
+    :class:`NonFiniteCoefficientError` when a gamma the scan visits
+    overflows.
     """
     _require_branch(branch)
     plan = bratu_plan(lam, order)
-    steps = int(round(GAMMA_MAX / GAMMA_STEP))
-    gammas = [i * GAMMA_STEP for i in range(steps + 1)]
-    residuals = [boundary_residual(plan, g) for g in gammas]
-    brackets: list[tuple[float, float, float]] = []
-    for i in range(steps):
-        if residuals[i] == 0.0:
-            brackets.append((gammas[i], gammas[i], 0.0))
-        elif residuals[i] * residuals[i + 1] < 0.0:
-            brackets.append((gammas[i], gammas[i + 1], residuals[i]))
-    if residuals[steps] == 0.0:
-        brackets.append((gammas[steps], gammas[steps], 0.0))
-    if not brackets:
+    bracket = _scan(plan, branch)
+    if bracket is None:
         raise BranchNotFoundError(
             f"no sign change found: boundary residual never crosses zero for "
             f"gamma in [0, {GAMMA_MAX:g}] at lambda={lam:g}, order={order}"
         )
-    lo, hi, f_lo = brackets[0] if branch == "lower" else brackets[-1]
-    if lo == hi:
-        gamma, residual = lo, 0.0
+    a, fa, b, fb = bracket
+    if a == b:
+        gamma, residual = a, fa
     else:
-        gamma, residual = _bisect_residual(plan, lo, hi, f_lo)
+        gamma, residual = _regula_falsi(plan, a, fa, b, fb)
     return BratuSolution(
         gamma=gamma,
         coeffs=run(plan, (0.0, gamma)),

@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="compare recurrence vs naive operation cost")
     p_bench.add_argument("--op", required=True, choices=("pow", "exp"))
     p_bench.add_argument("--order", required=True, type=int)
-    p_bench.add_argument("--m", type=int, default=8, help="exponent (pow only)")
+    p_bench.add_argument("--m", type=int, default=None,
+                         help="exponent (pow only, default 8)")
     p_bench.add_argument("--reps", type=int, default=1,
                          help="timing repetitions; fastest is reported")
     p_bench.set_defaults(func=_cmd_bench)
@@ -228,13 +229,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise _UsageError("--order must be non-negative")
     if args.reps < 1:
         raise _UsageError("--reps must be at least 1")
-    if args.op == "exp" and args.m != 8:
+    if args.op == "exp" and args.m is not None:
         raise _UsageError("--m is only meaningful for bench --op pow")
-    if args.op == "pow" and args.m < 0:
+    if args.op == "pow" and args.m is not None and args.m < 0:
         raise _UsageError("--m must be a non-negative integer")
     series = _bench_series(args.order)
     if args.op == "pow":
-        m: int | None = args.m
+        m: int | None = 8 if args.m is None else args.m
         count_rec = pow_int(series, m)[1].multiplies
         count_naive = pow_naive(series, m)[1].multiplies
         time_rec = _time_best(lambda: pow_int(series, m), args.reps)

@@ -16,7 +16,9 @@ operator table of the differential transformation method:
 
 Binary operations require equal truncation orders and raise
 :class:`~dtmseries.errors.OrderMismatchError` otherwise: mixing orders
-silently is the classic way series code goes wrong.
+silently is the classic way series code goes wrong. Every operator raises
+:class:`~dtmseries.errors.NonFiniteCoefficientError`, naming the index,
+when a coefficient overflows.
 """
 
 from __future__ import annotations
@@ -141,18 +143,18 @@ def _require_same_order(a: Series, b: Series, op: str) -> None:
 def add(a: Series, b: Series) -> Series:
     """Pointwise sum: W(k) = Y(k) + Z(k)."""
     _require_same_order(a, b, "add")
-    return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
+    return collect(x + y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def sub(a: Series, b: Series) -> Series:
     """Pointwise difference: W(k) = Y(k) - Z(k)."""
     _require_same_order(a, b, "sub")
-    return Series(x - y for x, y in zip(a.coeffs, b.coeffs))
+    return collect(x - y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def scale(factor: float, a: Series) -> Series:
     """Scalar multiple: W(k) = factor * Y(k)."""
-    return Series(factor * c for c in a.coeffs)
+    return collect(factor * c for c in a.coeffs)
 
 
 def collect(values: Iterable[float]) -> Series:
@@ -212,7 +214,7 @@ def derivative_transform(a: Series, m: int) -> Series:
     if m == 0:
         return a
     cs = a.coeffs
-    return Series(math.perm(k + m, m) * cs[k + m] for k in range(a.order - m + 1))
+    return collect(math.perm(k + m, m) * cs[k + m] for k in range(a.order - m + 1))
 
 
 def evaluate(a: Series, x: float) -> float:

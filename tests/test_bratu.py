@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import dtmseries.bratu as bratu_module
 from dtmseries import (
     AnalyticBratu,
     BranchNotFoundError,
@@ -153,6 +154,43 @@ class TestShooting:
         # negative across the whole scan range.
         with pytest.raises(BranchNotFoundError, match="no sign change"):
             shoot(4.0, 4, "lower")
+
+    def test_evaluation_budget(self, monkeypatch):
+        calls = []
+        real = bratu_module.boundary_residual
+
+        def counted(plan, gamma):
+            calls.append(gamma)
+            return real(plan, gamma)
+
+        monkeypatch.setattr(bratu_module, "boundary_residual", counted)
+        sol = shoot(1.0, 30, "lower")
+        assert abs(sol.residual) <= 1e-12
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    @pytest.mark.parametrize("order", [10, 30])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0, 3.0])
+    def test_gamma_inside_full_scan_bracket(self, lam, order, branch):
+        # Oracle: residuals on the whole gamma grid; the lower branch owns
+        # the first zero or sign change, the upper branch the last.
+        plan = bratu_plan(lam, order)
+        step = bratu_module.GAMMA_STEP
+        steps = int(round(bratu_module.GAMMA_MAX / step))
+        gammas = [i * step for i in range(steps + 1)]
+        residuals = [boundary_residual(plan, g) for g in gammas]
+        brackets = []
+        for i, r in enumerate(residuals):
+            if r == 0.0:
+                brackets.append((gammas[i], gammas[i]))
+            elif i < steps and r * residuals[i + 1] < 0.0:
+                brackets.append((gammas[i], gammas[i + 1]))
+        if not brackets:
+            with pytest.raises(BranchNotFoundError):
+                shoot(lam, order, branch)
+            return
+        lo, hi = brackets[0] if branch == "lower" else brackets[-1]
+        assert lo <= shoot(lam, order, branch).gamma <= hi
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

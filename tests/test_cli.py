@@ -254,15 +254,29 @@ class TestBratu:
         assert "no" in err
 
     def test_overflow_exits_3(self, capsys):
-        # The gamma scan overflows the order-600 series long before it ends.
+        # The upper-branch scan starts at gamma = 50, which overflows the
+        # order-600 series.
         code, out, err = run_cli(
-            ["bratu", "--lambda", "1", "--order", "600", "--grid", "11", "--branch", "lower"],
+            ["bratu", "--lambda", "1", "--order", "600", "--grid", "11", "--branch", "upper"],
             capsys,
         )
         assert code == 3
         assert out == ""
         assert err.startswith("error: non-finite coefficient produced at order ")
         assert "Traceback" not in err
+
+    def test_lower_branch_at_order_600(self, capsys, tmp_path):
+        # The lower-branch scan stops at its first sign change, long before
+        # the gamma that overflows this order.
+        json_path = tmp_path / "summary.json"
+        code, _, err = run_cli(
+            ["bratu", "--lambda", "1", "--order", "600", "--grid", "11", "--branch", "lower",
+             "--out-csv", str(tmp_path / "cmp.csv"), "--out-json", str(json_path)],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        summary = json.loads(json_path.read_text())
+        assert abs(summary["gamma"] - summary["theta"] * math.tanh(summary["theta"] / 4)) <= 1e-6
 
     def test_lambda_range(self, capsys):
         for bad in ("0.0005", "11"):
@@ -311,6 +325,16 @@ class TestBench:
         report = json.loads(out)
         assert report["m"] is None
         assert report["count_recurrence"] <= report["count_naive"]
+
+    def test_pow_defaults_to_m8(self, capsys):
+        code, out, _ = run_cli(["bench", "--op", "pow", "--order", "64"], capsys)
+        assert code == 0
+        assert json.loads(out)["m"] == 8
+
+    def test_exp_rejects_m_equal_to_pow_default(self, capsys):
+        code, _, err = run_cli(["bench", "--op", "exp", "--order", "4", "--m", "8"], capsys)
+        assert code == 2
+        assert "--m is only meaningful for bench --op pow" in err
 
     def test_validation(self, capsys):
         assert run_cli(["bench", "--op", "pow", "--order", "-1"], capsys)[0] == 2

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dtmseries import (
+    NonFiniteCoefficientError,
     OpCount,
     OrderMismatchError,
     Series,
@@ -145,6 +146,24 @@ class TestDerivativeTransform:
         assert all(math.isfinite(c) for c in out)
         k = 200
         assert out[k] == float((k + 1) * (k + 2) * (k + 3))
+
+
+@pytest.mark.parametrize(
+    "op,index",
+    [
+        (lambda: add(Series([1.0, 1e308]), Series([1.0, 1e308])), 1),
+        (lambda: sub(Series([0.0, -1e308]), Series([0.0, 1e308])), 1),
+        (lambda: scale(1e300, Series([1.0, 1e300])), 1),
+        (lambda: derivative_transform(Series([0.0, 0.0, 1.0, 1e308]), 2), 1),
+        # 200! exceeds the float range: the int-to-float product overflows.
+        (lambda: derivative_transform(Series([1.0] * 201), 200), 0),
+    ],
+    ids=["add", "sub", "scale", "derivative_transform", "derivative_factorial"],
+)
+def test_linear_overflow_names_the_index(op, index):
+    with pytest.raises(NonFiniteCoefficientError) as info:
+        op()
+    assert info.value.order == index
 
 
 class TestEvaluate:
