@@ -19,6 +19,7 @@ error, 4 requested solution branch does not exist.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -262,9 +263,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process; ``main`` only parses with it and never changes it.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, EquationError, SeriesFormatError) as exc:

@@ -7,10 +7,14 @@ produces the same coefficients with one inner sum per output coefficient:
     W(0) = Y(0)^m
     W(k) = 1/(k*Y(0)) * sum_{j=1}^{k} [(m+1)*j - k] * Y(j) * W(k-j)
 
-A companion recurrence handles the exponential of a series:
+A companion recurrence handles the exponential of a series. With
+dY(j) = j * Y(j), the coefficients of x*y'(x),
 
     W(0) = e^Y(0)
-    W(k) = 1/k * sum_{j=1}^{k} j * Y(j) * W(k-j)
+    W(k) = 1/k * sum_{j=1}^{k} dY(j) * W(k-j)
+
+so each step is one dot product of dY(1..k) with W(k-1..0), plus the one
+multiply that forms dY(k): k + 1 multiplies, N(N+3)/2 to order N.
 
 Miller's recurrence needs Y(0) != 0. When the constant term vanishes the
 series is factored as y(x) = x^v * ybar(x) with v the valuation (smallest
@@ -19,6 +23,13 @@ result shifts back up by v*m. "Nonzero" means exactly nonzero (0.0 under
 float comparison); near-zero leading coefficients are the caller's problem,
 because the 1/(k*Y(0)) prefactor amplifies their noise and a hidden
 magnitude threshold would silently change answers.
+
+Each inner sum is one C-level dot product, ``sum(map(operator.mul, ...),
+0.0)``, which adds the terms left to right in one double, as a Python loop
+would; on CPython 3.11 the coefficients are bitwise those of the loop.
+Miller's integer weights (m+1)*j - k are read as floats, exact while
+m*k < 2^53, from a strided slice of a table owned by the stepper, and
+each term is ``weight * (Y(j) * W(k-j))``.
 
 Each recurrence is written once, as a stepper (:func:`pow_steps`,
 :func:`exp_steps`) that yields one coefficient per step and reads only the
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -56,41 +68,59 @@ def _int_pow(base: float, m: int, count: OpCount | None = None) -> float:
     return r
 
 
+def miller_weights(m: int, bound: int) -> list[float]:
+    """The weight table of :func:`miller_step` for exponent m and steps k <= bound.
+
+    Entry ``bound + n`` is ``float(n)`` for n = -bound .. m*bound, which
+    covers every weight (m+1)*j - k with 1 <= j <= k <= bound.
+    """
+    return list(map(float, range(-bound, m * bound + 1)))
+
+
 def miller_step(
     y: Sequence[float],
     w: Sequence[float],
     k: int,
     m: int,
     count: OpCount | None = None,
+    *,
+    weights: Sequence[float],
 ) -> float:
     """One step of Miller's recurrence: W(k) from Y(0..k) and W(0..k-1).
 
     The inner sum runs j = 1..min(k, len(y)-1); terms beyond the length of
-    y would reference undefined coefficients and are absent. Requires
-    y[0] != 0 and k >= 1.
+    y would reference undefined coefficients and are absent. ``weights``
+    is a table from :func:`miller_weights` for this m and a bound >= k.
+    Requires y[0] != 0 and k >= 1.
     """
     top = len(y) - 1
     jmax = k if k < top else top
-    acc = 0.0
-    for j in range(1, jmax + 1):
-        acc += ((m + 1) * j - k) * (y[j] * w[k - j])
+    step = m + 1
+    base = (len(weights) - 1) // step - k
+    if base < 0:
+        raise ValueError(f"weight table too short for step {k}")
+    first = base + step
+    products = map(operator.mul, y[1:jmax + 1], reversed(w[k - jmax:k]))
+    acc = sum(map(operator.mul, weights[first:first + step * jmax:step], products), 0.0)
     if count is not None:
         count.multiplies += 2 * jmax + 1
     return acc / (k * y[0])
 
 
 def exp_step(
-    y: Sequence[float],
+    dy: Sequence[float],
     w: Sequence[float],
     k: int,
     count: OpCount | None = None,
 ) -> float:
-    """One step of the exponential recurrence: W(k) from Y(1..k), W(0..k-1)."""
-    acc = 0.0
-    for j in range(1, k + 1):
-        acc += (j * y[j]) * w[k - j]
+    """One step of the exponential recurrence: W(k) from dY(1..k), W(0..k-1).
+
+    ``dy[j]`` is j * Y(j). The count is k + 1: k for the dot product and
+    one for the multiply that formed dY(k) for this step.
+    """
+    acc = sum(map(operator.mul, dy[1:k + 1], reversed(w[:k])), 0.0)
     if count is not None:
-        count.multiplies += 2 * k
+        count.multiplies += k + 1
     return acc / k
 
 
@@ -102,7 +132,9 @@ def pow_steps(
     Step k reads y[0..k] only, so ``y`` may be a buffer that grows by one
     coefficient per step. The valuation v is found as y grows; Miller's
     recurrence then runs on ybar(j) = y(v+j) and its output is shifted up
-    by v*m. v = 0 is the same path with no shift.
+    by v*m. v = 0 is the same path with no shift. The weight table covers
+    every step that the length of ``y`` allows; when a growing buffer
+    outruns it, it is rebuilt for twice the step.
     """
     v = 0
     while y[v] == 0.0:
@@ -113,18 +145,27 @@ def pow_steps(
     ybar = [y[v]]
     w = [_int_pow(ybar[0], m, count)]
     yield w[0]
+    bound = 0
     for i in itertools.count(1):
+        if i > bound:
+            bound = max(2 * i, len(y) - 1 - v)
+            weights = miller_weights(m, bound)
         ybar.append(y[v + i])
-        w.append(miller_step(ybar, w, i, m, count))
+        w.append(miller_step(ybar, w, i, m, count, weights=weights))
         yield w[i]
 
 
 def exp_steps(y: Sequence[float], count: OpCount | None = None) -> Iterator[float]:
-    """Yield W(0), W(1), ... of e^{y(x)}; step k reads y[0..k] only."""
+    """Yield W(0), W(1), ... of e^{y(x)}; step k reads y[0..k] only.
+
+    The stepper keeps dY, the coefficients of x*y'(x), one entry per step.
+    """
     w = [math.exp(y[0])]
+    dy = [0.0]
     yield w[0]
     for k in itertools.count(1):
-        w.append(exp_step(y, w, k, count))
+        dy.append(k * y[k])
+        w.append(exp_step(dy, w, k, count))
         yield w[k]
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -178,13 +179,14 @@ def collect(values: Iterable[float]) -> Series:
 def mul_step(
     a: Sequence[float], b: Sequence[float], k: int, count: OpCount | None = None
 ) -> float:
-    """One Cauchy coefficient W(k) = sum_{l=0}^{k} A(l) * B(k-l); k + 1 multiplies."""
-    s = 0.0
-    for l in range(k + 1):
-        s += a[l] * b[k - l]
+    """One Cauchy coefficient W(k) = sum_{l=0}^{k} A(l) * B(k-l); k + 1 multiplies.
+
+    The inner sum is one C-level dot product, added left to right from 0.0;
+    it stops with B(0), so ``a`` may be longer than k + 1.
+    """
     if count is not None:
         count.multiplies += k + 1
-    return s
+    return sum(map(operator.mul, a, reversed(b[:k + 1])), 0.0)
 
 
 def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:

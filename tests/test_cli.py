@@ -7,7 +7,7 @@ import math
 import pytest
 
 from dtmseries import load_series
-from dtmseries.cli import main
+from dtmseries.cli import build_parser, main
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -340,6 +340,18 @@ class TestBench:
         assert run_cli(["bench", "--op", "pow", "--order", "-1"], capsys)[0] == 2
         assert run_cli(["bench", "--op", "pow", "--order", "8", "--reps", "0"], capsys)[0] == 2
         assert run_cli(["bench", "--op", "exp", "--order", "8", "--m", "3"], capsys)[0] == 2
+
+
+class TestParser:
+    def test_main_is_unaffected_by_changes_to_a_built_parser(self, capsys):
+        parser = build_parser()
+        assert parser is not build_parser()
+        parser.prog = "changed"
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["bratu", "--lambda", "1", "--order", "30", "--grid", "11"])
+            assert err.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: dtmseries bratu")
 
 
 class TestDeterminism:

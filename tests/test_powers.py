@@ -33,6 +33,11 @@ class TestPowInt:
         assert got is a
         assert count.multiplies == 0
 
+    def test_multiply_count(self):
+        # m - 1 for W(0), then 2k + 1 at step k: N(N+2) + m - 1 to order N.
+        _, count = pow_int(oracle_series(random.Random(0), order=64), 8)
+        assert count.multiplies == 64 * 66 + 7
+
     def test_valuation_shift(self):
         # (x + x^2)^2 = x^2 (1 + x)^2; exercises v = 1.
         got, _ = pow_int(Series([0, 1, 1, 0, 0]), 2)
@@ -99,6 +104,12 @@ class TestExpSeries:
         got, _ = exp_series(Series([0, 0, 1, 0, 0]))
         assert relgap(got, Series([1, 0, 1, 0, 0.5])) <= 1e-15
         assert relgap(got, exp_naive(Series([0, 0, 1, 0, 0]))) <= 1e-15
+
+    @pytest.mark.parametrize("n", (0, 1, 3, 64))
+    def test_multiply_count(self, n):
+        # k for the dot product and one for dY(k) = k*Y(k) at step k.
+        _, count = exp_series(oracle_series(random.Random(n), order=n))
+        assert count.multiplies == n * (n + 3) // 2
 
     def test_constant_exponent(self):
         got, _ = exp_series(Series([2.0, 0.0]))
