@@ -27,9 +27,11 @@ magnitude threshold would silently change answers.
 Each inner sum is one C-level dot product, ``sum(map(operator.mul, ...),
 0.0)``, which adds the terms left to right in one double, as a Python loop
 would; on CPython 3.11 the coefficients are bitwise those of the loop.
-Miller's integer weights (m+1)*j - k are read as floats, exact while
-m*k < 2^53, from a strided slice of a table owned by the stepper, and
-each term is ``weight * (Y(j) * W(k-j))``.
+Miller's integer weights (m+1)*j - k are the float progression
+m+1-k, 2(m+1)-k, ... built by repeated addition (``itertools.count``),
+so they cost O(1) memory whatever m is. Every partial value is an integer,
+so the weights are exact while (m+1)*k <= 2^53; each term is
+``weight * (Y(j) * W(k-j))``, in that order, as in the loop.
 
 Each recurrence is written once, as a stepper (:func:`pow_steps`,
 :func:`exp_steps`) that yields one coefficient per step and reads only the
@@ -68,40 +70,24 @@ def _int_pow(base: float, m: int, count: OpCount | None = None) -> float:
     return r
 
 
-def miller_weights(m: int, bound: int) -> list[float]:
-    """The weight table of :func:`miller_step` for exponent m and steps k <= bound.
-
-    Entry ``bound + n`` is ``float(n)`` for n = -bound .. m*bound, which
-    covers every weight (m+1)*j - k with 1 <= j <= k <= bound.
-    """
-    return list(map(float, range(-bound, m * bound + 1)))
-
-
 def miller_step(
     y: Sequence[float],
     w: Sequence[float],
     k: int,
     m: int,
     count: OpCount | None = None,
-    *,
-    weights: Sequence[float],
 ) -> float:
     """One step of Miller's recurrence: W(k) from Y(0..k) and W(0..k-1).
 
     The inner sum runs j = 1..min(k, len(y)-1); terms beyond the length of
-    y would reference undefined coefficients and are absent. ``weights``
-    is a table from :func:`miller_weights` for this m and a bound >= k.
-    Requires y[0] != 0 and k >= 1.
+    y would reference undefined coefficients and are absent. Requires
+    y[0] != 0 and k >= 1.
     """
     top = len(y) - 1
     jmax = k if k < top else top
-    step = m + 1
-    base = (len(weights) - 1) // step - k
-    if base < 0:
-        raise ValueError(f"weight table too short for step {k}")
-    first = base + step
+    weights = itertools.count(float(m + 1 - k), float(m + 1))
     products = map(operator.mul, y[1:jmax + 1], reversed(w[k - jmax:k]))
-    acc = sum(map(operator.mul, weights[first:first + step * jmax:step], products), 0.0)
+    acc = sum(map(operator.mul, weights, products), 0.0)
     if count is not None:
         count.multiplies += 2 * jmax + 1
     return acc / (k * y[0])
@@ -132,9 +118,7 @@ def pow_steps(
     Step k reads y[0..k] only, so ``y`` may be a buffer that grows by one
     coefficient per step. The valuation v is found as y grows; Miller's
     recurrence then runs on ybar(j) = y(v+j) and its output is shifted up
-    by v*m. v = 0 is the same path with no shift. The weight table covers
-    every step that the length of ``y`` allows; when a growing buffer
-    outruns it, it is rebuilt for twice the step.
+    by v*m. v = 0 is the same path with no shift.
     """
     v = 0
     while y[v] == 0.0:
@@ -145,13 +129,9 @@ def pow_steps(
     ybar = [y[v]]
     w = [_int_pow(ybar[0], m, count)]
     yield w[0]
-    bound = 0
     for i in itertools.count(1):
-        if i > bound:
-            bound = max(2 * i, len(y) - 1 - v)
-            weights = miller_weights(m, bound)
         ybar.append(y[v + i])
-        w.append(miller_step(ybar, w, i, m, count, weights=weights))
+        w.append(miller_step(ybar, w, i, m, count))
         yield w[i]
 
 

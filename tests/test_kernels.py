@@ -19,8 +19,8 @@ import sys
 import pytest
 
 from dtmseries import OpCount
-from dtmseries.powers import exp_steps, miller_step, miller_weights, pow_steps
-from dtmseries.series import mul_step
+from dtmseries.powers import exp_steps, miller_step, pow_int, pow_steps
+from dtmseries.series import Series, mul_step
 
 EPS = sys.float_info.epsilon
 ORDER = 12
@@ -117,7 +117,7 @@ class TestMillerStep:
         w = [rng.uniform(-1.0, 1.0) for _ in range(10)]
         k = 9
         count = OpCount()
-        got = miller_step(y, w, k, m, count, weights=miller_weights(m, k))
+        got = miller_step(y, w, k, m, count)
         terms = miller_terms(y, w, k, m)
         assert len(terms) == 3
         divisor = k * y[0]
@@ -126,13 +126,31 @@ class TestMillerStep:
 
     def test_first_step(self):
         y, w = [2.0, -0.0], [4.0]
-        got = miller_step(y, w, 1, 2, weights=miller_weights(2, 1))
+        got = miller_step(y, w, 1, 2)
         assert got.hex() == (loop_sum(miller_terms(y, w, 1, 2)) / 2.0).hex()
 
-    def test_weight_table_must_cover_the_step(self):
-        y, w = [1.0, 0.5, 0.25], [1.0, 1.0]
-        with pytest.raises(ValueError, match="step 2"):
-            miller_step(y, w, 2, 3, weights=miller_weights(3, 1))
+    def test_large_exponent(self):
+        # The weights run up to (m+1)*k - k; a large m costs no extra memory
+        # or time, and the weights stay exact integers below 2^53.
+        m = 10**6
+        y = [1.0, 1e-7, -2e-8, 0.0, 3e-9, -0.0]
+        got, count = pow_int(Series(y), m)
+        w = got.coeffs
+        assert w[0] == 1.0
+        for k in range(1, len(w)):
+            terms = miller_terms(y, w, k, m)
+            assert_matches_loop(w[k], loop_sum(terms) / k, terms, k)
+        assert count.multiplies == m - 1 + sum(2 * k + 1 for k in range(1, len(y)))
+
+    def test_weights_near_two_to_the_53(self):
+        m, k = 2**40, 4000
+        rng = random.Random(m)
+        y = coeffs(rng, k + 1)
+        w = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+        terms = miller_terms(y, w, k, m)
+        assert max(map(abs, terms)) > 0.0 and (m + 1) * k < 2**53
+        divisor = k * y[0]
+        assert_matches_loop(miller_step(y, w, k, m), loop_sum(terms) / divisor, terms, divisor)
 
 
 class TestExpStep:
