@@ -31,12 +31,14 @@ secant (Illinois regula falsi). The closed-form reference solution is
 where theta solves theta = sqrt(2 lambda) cosh(theta/4). That condition has
 zero, one or two roots depending on lambda, which is what gives the problem
 its lower/upper solution branches; u'(0) = theta * tanh(theta/4) links each
-theta to its shooting slope.
+theta to its shooting slope. The same regula falsi finds theta, with no
+grid, on two brackets split at the condition's closed-form maximum.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import BranchNotFoundError, NonFiniteCoefficientError
@@ -64,10 +66,9 @@ GAMMA_STEP = 0.25
 RESIDUAL_TOL = 1e-12
 MAX_BISECTIONS = 200
 
-#: Root scan ceiling for the theta condition. Beyond 60, cosh(theta/4)
-#: exceeds 1e6 and no further root exists for lambda >= 1e-3.
+#: Upper end of the theta search. Beyond 60, cosh(theta/4) exceeds 1e6 and
+#: no further root exists for lambda >= 1e-3.
 THETA_MAX = 60.0
-THETA_STEP = 0.05
 
 _BRANCHES = ("lower", "upper")
 
@@ -158,18 +159,20 @@ def _scan(
 
 
 def _regula_falsi(
-    plan: RecurrencePlan, a: float, fa: float, b: float, fb: float
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, tol: float
 ) -> tuple[float, float]:
-    """Illinois regula falsi on a bracket whose residuals fa, fb differ in sign.
+    """Illinois regula falsi for f on a bracket whose values fa, fb differ in sign.
 
     Dowell & Jarratt, BIT 11 (1971). Each step tries the secant point and
     falls back to the midpoint when that is not strictly inside the bracket;
     the step keeps the sign change, and an end kept twice in a row has its
-    residual halved. Returns the first point with |residual| <= RESIDUAL_TOL;
-    once the bracket cannot shrink, or after MAX_BISECTIONS steps, the point
-    of smallest |residual| seen.
+    value halved. Returns (x, f(x)) for the first point, an end included,
+    with |f(x)| <= tol; once the bracket cannot shrink, or after
+    MAX_BISECTIONS steps, the point of smallest |f| seen.
     """
     best = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    if abs(best[1]) <= tol:
+        return best
     kept = None
     for _ in range(MAX_BISECTIONS):
         x = b - fb * (b - a) / (fb - fa)
@@ -177,10 +180,10 @@ def _regula_falsi(
             x = 0.5 * (a + b)
             if x == a or x == b:
                 break
-        fx = boundary_residual(plan, x)
+        fx = f(x)
         if abs(fx) < abs(best[1]):
             best = (x, fx)
-        if abs(fx) <= RESIDUAL_TOL:
+        if abs(fx) <= tol:
             return x, fx
         if (fx < 0.0) == (fb < 0.0):
             b, fb = x, fx
@@ -215,13 +218,11 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     if bracket is None:
         raise BranchNotFoundError(
             f"no sign change found: boundary residual never crosses zero for "
-            f"gamma in [0, {GAMMA_MAX:g}] at lambda={lam:g}, order={order}"
+            f"gamma in [0, {GAMMA_MAX:g}] at lambda={lam!r}, order={order}"
         )
-    a, fa, b, fb = bracket
-    if a == b:
-        gamma, residual = a, fa
-    else:
-        gamma, residual = _regula_falsi(plan, a, fa, b, fb)
+    gamma, residual = _regula_falsi(
+        lambda g: boundary_residual(plan, g), *bracket, RESIDUAL_TOL
+    )
     return BratuSolution(
         gamma=gamma,
         coeffs=run(plan, (0.0, gamma)),
@@ -233,8 +234,11 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
 def analytic_theta_roots(lam: float) -> list[float]:
     """All roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
 
-    Sign-change scan in THETA_STEP increments, bisected to an interval
-    width of 1e-14; returns 0, 1 or 2 roots in ascending order.
+    g(t) = t - s cosh(t/4), s = sqrt(2 lambda), is concave with g(0) < 0 and
+    its maximum at t* = 4 asinh(4/s), so it has no root if g(t*) < 0 and
+    else one on each side of t*. :func:`_regula_falsi` with tol = 0.0 solves
+    [0, t*] and, if g(THETA_MAX) < 0, [t*, THETA_MAX] (t* capped at
+    THETA_MAX). Returns 0, 1 or 2 roots in ascending order.
     """
     _require_lambda(lam)
     s = math.sqrt(2.0 * lam)
@@ -242,29 +246,14 @@ def analytic_theta_roots(lam: float) -> list[float]:
     def g(t: float) -> float:
         return t - s * math.cosh(t / 4.0)
 
-    roots: list[float] = []
-    steps = int(round(THETA_MAX / THETA_STEP))
-    prev_t = 0.0
-    prev_g = g(0.0)
-    for i in range(1, steps + 1):
-        t = i * THETA_STEP
-        gt = g(t)
-        if gt == 0.0:
-            roots.append(t)
-        elif prev_g * gt < 0.0:
-            a, b, ga = prev_t, t, prev_g
-            while b - a > 1e-14:
-                mid = 0.5 * (a + b)
-                gm = g(mid)
-                if gm == 0.0:
-                    a = b = mid
-                    break
-                if (gm < 0.0) == (ga < 0.0):
-                    a, ga = mid, gm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
-        prev_t, prev_g = t, gt
+    top = min(4.0 * math.asinh(4.0 / s), THETA_MAX)
+    g_top = g(top)
+    if g_top < 0.0:
+        return []
+    roots = [_regula_falsi(g, 0.0, -s, top, g_top, 0.0)[0]]
+    g_max = g(THETA_MAX)
+    if g_max < 0.0:
+        roots.append(_regula_falsi(g, top, g_top, THETA_MAX, g_max, 0.0)[0])
     return roots
 
 
@@ -289,7 +278,7 @@ class AnalyticBratu:
         roots = analytic_theta_roots(lam)
         if not roots:
             raise BranchNotFoundError(
-                f"theta condition has no roots at lambda={lam:g}; "
+                f"theta condition has no roots at lambda={lam!r}; "
                 "no analytic branch exists"
             )
         return cls(theta=roots[0] if branch == "lower" else roots[-1], lam=lam)

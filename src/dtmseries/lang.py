@@ -12,7 +12,8 @@ Grammar (whitespace insignificant):
     factor   := NUMBER | "x" | "x^" INT | "u" | "D(u," INT ")"
               | "pow(" expr "," INT ")" | "exp(" expr ")" | "(" expr ")"
 
-NUMBER is a decimal literal with an optional exponent; a sign is recognized
+NUMBER is a decimal literal with an optional exponent, rejected when it
+overflows to an infinite float (e.g. "1e999"); a sign is recognized
 only immediately in front of a literal, so write "-1 * u" rather than "-u".
 INT is an unsigned decimal integer. Anything else (e.g. "sin(u)") is
 rejected as an unsupported operator, and a right-hand side referencing
@@ -282,15 +283,17 @@ class _Parser:
 
     def factor(self) -> Expr:
         tok = self._peek()
-        if tok.kind in ("PLUS", "MINUS"):
+        if tok.kind in ("PLUS", "MINUS", "NUMBER"):
             # A sign belongs to a numeric literal only.
-            self._advance()
+            if tok.kind != "NUMBER":
+                self._advance()
             num = self._expect("NUMBER", "a numeric literal after the sign")
             value = float(num.text)
+            if not math.isfinite(value):
+                raise EquationSyntaxError(
+                    f"numeric literal {num.text!r} is not a finite float", num.pos
+                )
             return Const(-value if tok.kind == "MINUS" else value)
-        if tok.kind == "NUMBER":
-            self._advance()
-            return Const(float(tok.text))
         if tok.kind == "LPAREN":
             self._advance()
             node = self.expr()

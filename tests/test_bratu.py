@@ -251,12 +251,57 @@ class TestThetaRoots:
         assert abs(lam_c - LAMBDA_CRITICAL) <= 1e-8
         assert len(analytic_theta_roots(lam_c - 0.01)) == 2
         assert len(analytic_theta_roots(lam_c + 0.01)) == 0
+        # Just below the fold both roots lie within 1e-3 of each other.
+        lam = LAMBDA_CRITICAL - 1e-8
+        roots = analytic_theta_roots(lam)
+        assert len(roots) == 2
+        s = math.sqrt(2.0 * lam)
+        for theta in roots:
+            assert abs(theta - s * math.cosh(theta / 4.0)) <= 1e-12
+        AnalyticBratu.for_branch(lam, "lower")
+
+    def test_no_branch_message_prints_lambda_exactly(self):
+        with pytest.raises(BranchNotFoundError, match=r"lambda=3\.5138308;"):
+            AnalyticBratu.for_branch(3.5138308, "lower")
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 2.0, 3.5])
+    def test_evaluation_budget(self, monkeypatch, lam):
+        calls = []
+        real = math.cosh
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(math, "cosh", counted)
+        roots = analytic_theta_roots(lam)
+        monkeypatch.undo()
+        assert len(roots) == 2
+        assert len(calls) <= 64
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             analytic_theta_roots(0.0)
         with pytest.raises(ValueError):
             analytic_theta_roots(-1.0)
+
+
+class TestRegulaFalsi:
+    def test_lands_within_one_ulp_of_sqrt2(self):
+        x, fx = bratu_module._regula_falsi(lambda t: t * t - 2.0, 0.0, -2.0, 2.0, 2.0, 0.0)
+        assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+        assert fx == x * x - 2.0
+
+    def test_end_meeting_tol_costs_no_evaluation(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 1.0
+
+        assert bratu_module._regula_falsi(f, 1.0, 0.0, 3.0, 2.0, 0.0) == (1.0, 0.0)
+        assert bratu_module._regula_falsi(f, 0.0, -1e-13, 3.0, 2.0, 1e-12) == (0.0, -1e-13)
+        assert calls == []
 
 
 class TestAnalyticSolution:

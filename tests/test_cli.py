@@ -165,6 +165,14 @@ class TestSolve:
         assert code == 2
         assert "position" in err
 
+    def test_non_finite_literal_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["solve", "--eq", "D(u,1) = 1e999*u", "--ic", "0", "--order", "2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "1e999" in err and "position 9" in err
+
     def test_wrong_ic_count(self, capsys):
         code, _, _ = run_cli(
             ["solve", "--eq", "D(u,2) = u", "--ic", "1", "--order", "5"], capsys

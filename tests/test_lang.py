@@ -155,6 +155,14 @@ class TestParseErrors:
         with pytest.raises(EquationSyntaxError, match="unexpected character"):
             parse("D(u,1) = u & x")
 
+    @pytest.mark.parametrize(
+        "text,position", [("D(u,1) = 1e999 * u", 9), ("D(u,1) = u - -1E400", 14)]
+    )
+    def test_non_finite_literal_rejected(self, text, position):
+        with pytest.raises(EquationSyntaxError, match="not a finite float") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_error_carries_position(self):
         with pytest.raises(EquationSyntaxError) as err:
             parse("D(u,1) = sin(u)")
