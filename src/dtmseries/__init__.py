@@ -37,6 +37,7 @@ from .errors import (
     EquationError,
     EquationSyntaxError,
     ImplicitFormError,
+    InvalidArgumentError,
     NonFiniteCoefficientError,
     OrderMismatchError,
     SeriesFormatError,
@@ -135,6 +136,7 @@ __all__ = [
     "compare",
     # errors
     "DtmError",
+    "InvalidArgumentError",
     "OrderMismatchError",
     "SeriesFormatError",
     "DomainError",

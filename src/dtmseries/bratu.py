@@ -41,7 +41,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import BranchNotFoundError, NonFiniteCoefficientError
+from .errors import BranchNotFoundError, InvalidArgumentError, NonFiniteCoefficientError
 from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
 from .series import Series, evaluate
 
@@ -58,34 +58,39 @@ __all__ = [
     "compare",
 ]
 
+#: Supported lambda range, closed; :func:`shoot` and
+#: :func:`analytic_theta_roots` reject anything else, NaN included.
+LAMBDA_MIN = 1e-3
+LAMBDA_MAX = 10.0
+
 #: Shooting scan covers gamma in [0, GAMMA_MAX] with step GAMMA_STEP; the
-#: upper-branch slope grows with theta, so the range is generous for the
-#: supported lambda range [1e-3, 10].
+#: upper-branch slope grows with theta, so the range is generous for
+#: lambda in [LAMBDA_MIN, LAMBDA_MAX].
 GAMMA_MAX = 50.0
 GAMMA_STEP = 0.25
 RESIDUAL_TOL = 1e-12
 MAX_BISECTIONS = 200
 
 #: Upper end of the theta search. Beyond 60, cosh(theta/4) exceeds 1e6 and
-#: no further root exists for lambda >= 1e-3.
+#: no further root exists for lambda >= LAMBDA_MIN.
 THETA_MAX = 60.0
 
 _BRANCHES = ("lower", "upper")
 
 
 def _require_lambda(lam: float) -> None:
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
+    if not LAMBDA_MIN <= lam <= LAMBDA_MAX:
+        raise InvalidArgumentError(f"lambda must lie in [{LAMBDA_MIN:g}, {LAMBDA_MAX:g}]")
 
 
 def _require_order(order: int) -> None:
     if order < 3:
-        raise ValueError("order must be at least 3")
+        raise InvalidArgumentError("order must be at least 3")
 
 
 def _require_branch(branch: str) -> None:
     if branch not in _BRANCHES:
-        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
+        raise InvalidArgumentError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
 @dataclass(frozen=True)
@@ -207,12 +212,15 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     at the first sign change of the residual (or exact zero): the lower
     branch takes the smallest-gamma root, the upper branch the largest. A
     bracketed secant (Illinois regula falsi) then refines it to
-    |residual| <= RESIDUAL_TOL. Raises :class:`BranchNotFoundError` when no
-    sign change exists, e.g. for lambda beyond the critical value, and
+    |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for a
+    branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does not
+    support, :class:`BranchNotFoundError` when no sign change exists, e.g.
+    for lambda beyond the critical value, and
     :class:`NonFiniteCoefficientError` when a gamma the scan visits
     overflows.
     """
     _require_branch(branch)
+    _require_lambda(lam)
     plan = bratu_plan(lam, order)
     bracket = _scan(plan, branch)
     if bracket is None:
@@ -238,7 +246,8 @@ def analytic_theta_roots(lam: float) -> list[float]:
     its maximum at t* = 4 asinh(4/s), so it has no root if g(t*) < 0 and
     else one on each side of t*. :func:`_regula_falsi` with tol = 0.0 solves
     [0, t*] and, if g(THETA_MAX) < 0, [t*, THETA_MAX] (t* capped at
-    THETA_MAX). Returns 0, 1 or 2 roots in ascending order.
+    THETA_MAX). Returns 0, 1 or 2 roots in ascending order. Raises
+    :class:`InvalidArgumentError` for lambda outside [LAMBDA_MIN, LAMBDA_MAX].
     """
     _require_lambda(lam)
     s = math.sqrt(2.0 * lam)
@@ -287,17 +296,22 @@ class AnalyticBratu:
         return analytic_u(self.theta, x)
 
 
-def _grid_rows(
-    coeffs: Series, ref: AnalyticBratu, grid_points: int
-) -> list[tuple[float, float, float, float]]:
-    """Rows (x, u_dtm, u_analytic, abs_err) on the grid {i/(grid_points-1)}."""
+def _comparison(
+    lam: float, order: int, grid_points: int, branch: str
+) -> tuple[BratuSolution, AnalyticBratu, list[tuple[float, float, float, float]]]:
+    """Shot solution, analytic branch, and rows (x, u_dtm, u_analytic, abs_err)
+    on the grid {i/(grid_points-1)}; checks the grid before either solve."""
+    if grid_points < 2:
+        raise InvalidArgumentError("grid must have at least 2 points")
+    ref = AnalyticBratu.for_branch(lam, branch)
+    sol = shoot(lam, order, branch)
     rows = []
     for i in range(grid_points):
         x = i / (grid_points - 1)
-        u_dtm = evaluate(coeffs, x)
+        u_dtm = evaluate(sol.coeffs, x)
         u_ref = ref.u(x)
         rows.append((x, u_dtm, u_ref, abs(u_dtm - u_ref)))
-    return rows
+    return sol, ref, rows
 
 
 def compare(lam: float, order: int, grid_points: int, branch: str) -> float:
@@ -307,8 +321,4 @@ def compare(lam: float, order: int, grid_points: int, branch: str) -> float:
     series converges on [0, 1]; the upper-branch series may not, so the
     returned error is reported without any implied bound there.
     """
-    if grid_points < 2:
-        raise ValueError("grid must have at least 2 points")
-    sol = shoot(lam, order, branch)
-    ref = AnalyticBratu.for_branch(lam, branch)
-    return max(row[3] for row in _grid_rows(sol.coeffs, ref, grid_points))
+    return max(row[3] for row in _comparison(lam, order, grid_points, branch)[2])

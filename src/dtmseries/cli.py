@@ -13,7 +13,10 @@ Data goes to standard output (or the --out file); diagnostics and
 summaries go to standard error. Floating-point output uses shortest
 round-trip formatting, so identical invocations produce byte-identical
 data files. Exit codes: 0 success, 2 malformed input or usage, 3 domain
-error, 4 requested solution branch does not exist.
+error, 4 requested solution branch does not exist. Argument values are
+checked once, by the library call that uses them; its
+:class:`InvalidArgumentError` exits 2, as do the CLI's own checks (flag
+combinations, ``--reps``, ``--ic`` syntax, unwritable output files).
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
-from .bratu import AnalyticBratu, _grid_rows, shoot
+from .bratu import _comparison
 from .errors import (
     BranchNotFoundError,
     DomainError,
     EquationError,
+    InvalidArgumentError,
     NonFiniteCoefficientError,
     SeriesFormatError,
 )
@@ -43,13 +46,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_NO_SOLUTION = 4
-
-BRATU_LAMBDA_MIN = 1e-3
-BRATU_LAMBDA_MAX = 10.0
-
-
-class _UsageError(Exception):
-    """Invalid flag combination or value; maps to exit code 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,18 +119,19 @@ def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_ops(args: argparse.Namespace) -> int:
     if args.op == "pow":
         if args.m is None:
-            raise _UsageError("ops pow requires --m")
-        if args.m < 0:
-            raise _UsageError("--m must be a non-negative integer")
+            raise InvalidArgumentError("ops pow requires --m")
     elif args.m is not None:
-        raise _UsageError("--m is only meaningful for ops pow")
+        raise InvalidArgumentError("--m is only meaningful for ops pow")
     series = _read_series(args.infile)
     if args.op == "pow":
         if args.naive:
@@ -155,40 +152,19 @@ def _cmd_ops(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     equation = parse(args.eq)
-    m = equation.lhs_order
-    bad_ic = _UsageError(
-        f"--ic must be a comma-separated list of finite numbers, got {args.ic!r}"
-    )
     try:
         initial = [float(tok) for tok in args.ic.split(",")]
     except ValueError:
-        raise bad_ic from None
-    if not all(map(math.isfinite, initial)):
-        raise bad_ic
-    if len(initial) != m:
-        raise _UsageError(
-            f"equation of order {m} needs {m} initial coefficients, got {len(initial)}"
-        )
-    if args.order < m - 1:
-        raise _UsageError(f"--order must be at least {m - 1} for an order-{m} equation")
+        raise InvalidArgumentError(
+            f"--ic must be a comma-separated list of numbers, got {args.ic!r}"
+        ) from None
     solution = run(lower(equation, args.order), initial)
     _write_text(format_series(solution) + "\n", args.outfile)
     return EXIT_OK
 
 
 def _cmd_bratu(args: argparse.Namespace) -> int:
-    if not (BRATU_LAMBDA_MIN <= args.lam <= BRATU_LAMBDA_MAX):
-        raise _UsageError(
-            f"--lambda must lie in [{BRATU_LAMBDA_MIN:g}, {BRATU_LAMBDA_MAX:g}]"
-        )
-    if args.order < 3:
-        raise _UsageError("--order must be at least 3")
-    if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
-    reference = AnalyticBratu.for_branch(args.lam, args.branch)
-    solution = shoot(args.lam, args.order, args.branch)
-
-    rows = _grid_rows(solution.coeffs, reference, args.grid)
+    solution, reference, rows = _comparison(args.lam, args.order, args.grid, args.branch)
     lines = ["x,u_dtm,u_analytic,abs_err"]
     lines.extend(",".join(map(repr, row)) for row in rows)
     _write_text("\n".join(lines) + "\n", args.out_csv)
@@ -226,14 +202,10 @@ def _time_best(fn, reps: int) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise _UsageError("--order must be non-negative")
     if args.reps < 1:
-        raise _UsageError("--reps must be at least 1")
+        raise InvalidArgumentError("--reps must be at least 1")
     if args.op == "exp" and args.m is not None:
-        raise _UsageError("--m is only meaningful for bench --op pow")
-    if args.op == "pow" and args.m is not None and args.m < 0:
-        raise _UsageError("--m must be a non-negative integer")
+        raise InvalidArgumentError("--m is only meaningful for bench --op pow")
     series = _bench_series(args.order)
     if args.op == "pow":
         m: int | None = 8 if args.m is None else args.m
@@ -273,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, EquationError, SeriesFormatError) as exc:
+    except (InvalidArgumentError, EquationError, SeriesFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DomainError, NonFiniteCoefficientError) as exc:

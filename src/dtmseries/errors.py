@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes: input/parse problems exit 2,
-mathematical domain errors exit 3, and a missing solution branch exits 4.
+The CLI maps these onto stable exit codes: invalid arguments
+(:class:`InvalidArgumentError`), malformed equations and malformed series
+files exit 2, mathematical domain errors exit 3, and a missing solution
+branch exits 4.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 
 class DtmError(Exception):
     """Base class for all errors raised by dtmseries."""
+
+
+class InvalidArgumentError(DtmError, ValueError):
+    """Argument outside its documented range (negative order, NaN, ...); exit 2."""
 
 
 class OrderMismatchError(DtmError):

@@ -47,6 +47,7 @@ from .errors import (
     CausalityError,
     EquationSyntaxError,
     ImplicitFormError,
+    InvalidArgumentError,
     NonFiniteCoefficientError,
 )
 from .powers import exp_steps, pow_steps
@@ -438,16 +439,16 @@ def _u_offset(expr: Expr) -> int:
     """
     if isinstance(expr, Deriv):
         if expr.order < 1:
-            raise ValueError("derivative order must be positive")
+            raise InvalidArgumentError("derivative order must be positive")
         return expr.order
     if isinstance(expr, (Add, Sub, Mul)):
         return max(_u_offset(expr.left), _u_offset(expr.right))
     if isinstance(expr, Pow) and expr.power < 1:
-        raise ValueError("pow exponent must be positive")
+        raise InvalidArgumentError("pow exponent must be positive")
     if isinstance(expr, (Scale, Pow, Exp)):
         return _u_offset(expr.child)
     if isinstance(expr, XPow) and expr.power < 0:
-        raise ValueError("x power must be non-negative")
+        raise InvalidArgumentError("x power must be non-negative")
     if isinstance(expr, (Const, Var, XPow, U)):
         return 0
     raise TypeError(f"not an expression node: {expr!r}")
@@ -457,9 +458,9 @@ def lower(equation: Equation, order: int) -> RecurrencePlan:
     """Lower an equation to a recurrence plan for the given truncation order."""
     m = equation.lhs_order
     if m < 1:
-        raise ValueError("equation must isolate a derivative of order >= 1")
+        raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
     if order < m - 1:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
         )
     offset = _u_offset(equation.rhs)
@@ -522,11 +523,13 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     """
     m = plan.lhs_order
     if len(initial) != m:
-        raise ValueError(f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}")
+        raise InvalidArgumentError(
+            f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}"
+        )
     u = [float(c) for c in initial]
     for k, c in enumerate(u):
         if not math.isfinite(c):
-            raise ValueError(f"initial coefficient U({k}) is not finite")
+            raise InvalidArgumentError(f"initial coefficient U({k}) is not finite")
     u.extend(0.0 for _ in range(plan.order + 1 - m))
     nodes: _Stepped = []
     root = _buffer(plan.equation.rhs, u, nodes)

@@ -52,7 +52,7 @@ import math
 import operator
 from typing import Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InvalidArgumentError
 from .series import OpCount, Series, collect, monomial, mul
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
@@ -167,7 +167,7 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     :class:`NonFiniteCoefficientError` naming the first index that overflows.
     """
     if m < 0:
-        raise ValueError("pow_int exponent must be a non-negative integer")
+        raise InvalidArgumentError("pow_int exponent must be a non-negative integer")
     count = OpCount()
     if m == 0:
         return _power_zero(a), count
@@ -183,7 +183,7 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
     Same 0^0 error contract as :func:`pow_int`.
     """
     if m < 0:
-        raise ValueError("pow_naive exponent must be a non-negative integer")
+        raise InvalidArgumentError("pow_naive exponent must be a non-negative integer")
     count = OpCount()
     if m == 0:
         return _power_zero(a), count

@@ -29,7 +29,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .errors import NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
+from .errors import (
+    InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
+)
 
 __all__ = [
     "Series",
@@ -66,7 +68,7 @@ class Series:
     ``coeffs[k]`` holds the coefficient of x^k; the order N is the highest
     retained index, so there are exactly N + 1 coefficients. Every stored
     coefficient is a finite float; constructing a series from NaN or
-    infinity raises ``ValueError``.
+    infinity raises :class:`~dtmseries.errors.InvalidArgumentError`.
     """
 
     __slots__ = ("_coeffs",)
@@ -74,10 +76,12 @@ class Series:
     def __init__(self, coeffs: Iterable[float]):
         cs = tuple(float(c) for c in coeffs)
         if not cs:
-            raise ValueError("a series needs at least one coefficient (order >= 0)")
+            raise InvalidArgumentError(
+                "a series needs at least one coefficient (order >= 0)"
+            )
         for k, c in enumerate(cs):
             if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r} at index {k}")
+                raise InvalidArgumentError(f"non-finite coefficient {c!r} at index {k}")
         self._coeffs = cs
 
     @property
@@ -113,7 +117,7 @@ class Series:
 def zeros(order: int) -> Series:
     """The zero series of the given order."""
     if order < 0:
-        raise ValueError("order must be non-negative")
+        raise InvalidArgumentError("order must be non-negative")
     return Series([0.0] * (order + 1))
 
 
@@ -124,9 +128,9 @@ def monomial(m: int, order: int) -> Series:
     monomial truncates to the zero series; that is not an error.
     """
     if m < 0:
-        raise ValueError("monomial power must be non-negative")
+        raise InvalidArgumentError("monomial power must be non-negative")
     if order < 0:
-        raise ValueError("order must be non-negative")
+        raise InvalidArgumentError("order must be non-negative")
     cs = [0.0] * (order + 1)
     if m <= order:
         cs[m] = 1.0
@@ -208,7 +212,7 @@ def derivative_transform(a: Series, m: int) -> Series:
     integer ``math.perm(k + m, m)``, so large orders do not overflow.
     """
     if m < 0:
-        raise ValueError("derivative order must be non-negative")
+        raise InvalidArgumentError("derivative order must be non-negative")
     if m > a.order:
         raise OrderMismatchError(
             f"derivative order {m} exceeds series order {a.order}"

@@ -8,6 +8,7 @@ import dtmseries.bratu as bratu_module
 from dtmseries import (
     AnalyticBratu,
     BranchNotFoundError,
+    InvalidArgumentError,
     NonFiniteCoefficientError,
     analytic_theta_roots,
     analytic_u,
@@ -197,6 +198,11 @@ class TestShooting:
             shoot(1.0, 2, "lower")
         with pytest.raises(ValueError):
             shoot(1.0, 30, "middle")
+        # Checked up front: no NonFiniteCoefficientError from a NaN plan, and
+        # no BranchNotFoundError from a scan that cannot cross zero.
+        for lam in (math.nan, -1.0):
+            with pytest.raises(InvalidArgumentError, match="lambda must lie in"):
+                shoot(lam, 30, "lower")
 
 
 class TestThetaRoots:
@@ -284,6 +290,11 @@ class TestThetaRoots:
             analytic_theta_roots(0.0)
         with pytest.raises(ValueError):
             analytic_theta_roots(-1.0)
+        # Outside [LAMBDA_MIN, LAMBDA_MAX] the theta search range is too
+        # short: at 1e-12 the upper root 73.86 lies beyond THETA_MAX.
+        for lam in (1e-12, math.nan, 10.5):
+            with pytest.raises(InvalidArgumentError, match=r"lambda must lie in \[0\.001, 10\]"):
+                analytic_theta_roots(lam)
 
 
 class TestRegulaFalsi:

@@ -111,6 +111,17 @@ class TestOps:
     def test_negative_m_rejected(self, capsys, monkeypatch):
         code, _, _ = run_cli(["ops", "pow", "--m", "-2"], capsys, SQ_INPUT, monkeypatch)
         assert code == 2
+        code, out, err = run_cli(
+            ["ops", "pow", "--m", "-1", "--naive"], capsys, SQ_INPUT, monkeypatch
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_out_is_a_directory(self, capsys, monkeypatch, tmp_path):
+        code, out, err = run_cli(
+            ["ops", "exp", "--out", str(tmp_path)], capsys, SQ_INPUT, monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
 
     def test_m_meaningless_for_exp(self, capsys, monkeypatch):
         code, _, _ = run_cli(["ops", "exp", "--m", "2"], capsys, SQ_INPUT, monkeypatch)
@@ -192,6 +203,20 @@ class TestSolve:
             ["solve", "--eq", "D(u,2) = u", "--ic", "0,1", "--order", "0"], capsys
         )
         assert code == 2
+        code, out, err = run_cli(
+            ["solve", "--eq", "D(u,2) = u", "--ic", "0,1", "--order", "-3"], capsys
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            ["solve", "--eq", "D(u,1) = u", "--ic", "1", "--order", "5", "--out", str(path)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
 
     def test_overflow_is_domain_error(self, capsys):
         code, _, err = run_cli(
@@ -287,12 +312,13 @@ class TestBratu:
         assert abs(summary["gamma"] - summary["theta"] * math.tanh(summary["theta"] / 4)) <= 1e-6
 
     def test_lambda_range(self, capsys):
-        for bad in ("0.0005", "11"):
-            code, _, _ = run_cli(
+        for bad in ("0.0005", "11", "nan", "inf", "-1"):
+            code, out, err = run_cli(
                 ["bratu", "--lambda", bad, "--order", "30", "--grid", "11", "--branch", "lower"],
                 capsys,
             )
             assert code == 2
+            assert out == "" and err.startswith("error: ")
 
     def test_grid_and_order_validation(self, capsys):
         code, _, _ = run_cli(
@@ -305,6 +331,21 @@ class TestBratu:
             capsys,
         )
         assert code == 2
+        code, out, err = run_cli(
+            ["bratu", "--lambda", "1", "--order", "30", "--grid", "0", "--branch", "upper"],
+            capsys,
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_out_json_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "summary.json"
+        code, out, err = run_cli(
+            ["bratu", "--lambda", "1", "--order", "10", "--grid", "3", "--branch", "lower",
+             "--out-csv", str(tmp_path / "cmp.csv"), "--out-json", str(path)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
 
     def test_invalid_branch_choice(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -348,6 +389,8 @@ class TestBench:
         assert run_cli(["bench", "--op", "pow", "--order", "-1"], capsys)[0] == 2
         assert run_cli(["bench", "--op", "pow", "--order", "8", "--reps", "0"], capsys)[0] == 2
         assert run_cli(["bench", "--op", "exp", "--order", "8", "--m", "3"], capsys)[0] == 2
+        code, out, err = run_cli(["bench", "--op", "pow", "--order", "8", "--m", "-2"], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestParser:
