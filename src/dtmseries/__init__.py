@@ -31,7 +31,6 @@ from .bratu import (
 )
 from .errors import (
     BranchNotFoundError,
-    CausalityError,
     DomainError,
     DtmError,
     EquationError,
@@ -143,7 +142,6 @@ __all__ = [
     "EquationError",
     "EquationSyntaxError",
     "ImplicitFormError",
-    "CausalityError",
     "NonFiniteCoefficientError",
     "BranchNotFoundError",
 ]

@@ -22,10 +22,12 @@ combinations, ``--reps``, ``--ic`` syntax, unwritable output files).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 import time
+from typing import Iterator, TextIO
 
 from .bratu import _comparison
 from .errors import (
@@ -115,15 +117,36 @@ def _read_series(path: str | None) -> Series:
     return load_series(text)
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    # Failing to open, write or close the named file is an input error (exit 2).
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
+
+
+def _write_outputs(*outputs: tuple[str, str | None, TextIO]) -> None:
+    """Write each ``(text, path, stream)`` to the file at ``path``, else to ``stream``.
+
+    Every named file is opened before any text is written, and written
+    before any stream is, so a file that cannot be opened leaves no output
+    anywhere, and one that cannot be written leaves none on the streams.
+    """
+    with contextlib.ExitStack() as stack:
+        files = []
+        for text, path, _ in outputs:
+            if path is not None:
+                with _writing(path):
+                    fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+                files.append((text, path, fh))
+        for text, path, fh in files:
+            with _writing(path):
                 fh.write(text)
-        except OSError as exc:
-            raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
+                fh.close()
+    for text, path, stream in outputs:
+        if path is None:
+            stream.write(text)
 
 
 def _cmd_ops(args: argparse.Namespace) -> int:
@@ -146,7 +169,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             result, count = exp_series(series)
     if args.count:
         print(f"multiplies: {count.multiplies}", file=sys.stderr)
-    _write_text(format_series(result) + "\n", args.outfile)
+    _write_outputs((format_series(result) + "\n", args.outfile, sys.stdout))
     return EXIT_OK
 
 
@@ -159,7 +182,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"--ic must be a comma-separated list of numbers, got {args.ic!r}"
         ) from None
     solution = run(lower(equation, args.order), initial)
-    _write_text(format_series(solution) + "\n", args.outfile)
+    _write_outputs((format_series(solution) + "\n", args.outfile, sys.stdout))
     return EXIT_OK
 
 
@@ -167,8 +190,6 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
     solution, reference, rows = _comparison(args.lam, args.order, args.grid, args.branch)
     lines = ["x,u_dtm,u_analytic,abs_err"]
     lines.extend(",".join(map(repr, row)) for row in rows)
-    _write_text("\n".join(lines) + "\n", args.out_csv)
-
     summary = {
         "lambda": args.lam,
         "gamma": solution.gamma,
@@ -177,11 +198,10 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
         "max_abs_err": max(row[3] for row in rows),
         "order": args.order,
     }
-    text = json.dumps(summary) + "\n"
-    if args.out_json is None:
-        sys.stderr.write(text)
-    else:
-        _write_text(text, args.out_json)
+    _write_outputs(
+        ("\n".join(lines) + "\n", args.out_csv, sys.stdout),
+        (json.dumps(summary) + "\n", args.out_json, sys.stderr),
+    )
     return EXIT_OK
 
 
@@ -258,3 +278,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -34,7 +34,7 @@ class DomainError(DtmError):
 
 
 class EquationError(DtmError):
-    """Base class for equation parsing and lowering failures."""
+    """Base class for malformed equations."""
 
 
 class EquationSyntaxError(EquationError):
@@ -47,13 +47,6 @@ class EquationSyntaxError(EquationError):
 
 class ImplicitFormError(EquationError):
     """Right-hand side references a derivative of order >= the isolated one."""
-
-
-class CausalityError(EquationError):
-    """Lowered plan would consume a coefficient before it is produced.
-
-    Cannot occur for a well-formed explicit equation; guarded regardless.
-    """
 
 
 class NonFiniteCoefficientError(DtmError):

@@ -24,10 +24,11 @@ x^k of the right-hand side, then
 
     U(k+m) = R(k) / ((k+1)(k+2)...(k+m))
 
-Lowering only validates the tree; the plan it returns holds no state.
-Each run walks the tree once and gives every non-leaf node a buffer and a
-stepper, then advances the steppers once per order k in topological
-order. A product appends one Cauchy coefficient of its operands' buffers
+An :class:`Equation` checks itself when it is built, whether parsed or
+built by hand; :func:`lower` pairs it with a truncation order, and the
+plan it returns holds no state. Each run walks the tree once and gives
+every non-leaf node a buffer and a stepper, then advances the steppers
+once per order k in topological order. A product appends one Cauchy coefficient of its operands' buffers
 (``series.mul_step``); pow and exp nodes drive the single-sum recurrences
 of :mod:`dtmseries.powers` (``pow_steps``, ``exp_steps``), which keeps a
 whole solve at O(N^2). Every stepper reads only coefficients 0..k of its
@@ -41,10 +42,9 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
-    CausalityError,
     EquationSyntaxError,
     ImplicitFormError,
     InvalidArgumentError,
@@ -143,64 +143,81 @@ class Exp:
 Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 
 
+def _u_offset(expr: Expr) -> int:
+    """Highest solution index read relative to k when emitting R(k); u reads U(k).
+
+    Also rejects hand-built nodes that the parser never produces.
+    """
+    if isinstance(expr, Deriv):
+        if expr.order < 1:
+            raise InvalidArgumentError("derivative order must be positive")
+        return expr.order
+    if isinstance(expr, (Add, Sub, Mul)):
+        return max(_u_offset(expr.left), _u_offset(expr.right))
+    if isinstance(expr, Pow) and expr.power < 1:
+        raise InvalidArgumentError("pow exponent must be positive")
+    if isinstance(expr, (Scale, Pow, Exp)):
+        return _u_offset(expr.child)
+    if isinstance(expr, XPow) and expr.power < 0:
+        raise InvalidArgumentError("x power must be non-negative")
+    if isinstance(expr, (Const, Var, XPow, U)):
+        return 0
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 @dataclass(frozen=True)
 class Equation:
-    """Explicit equation D(u, lhs_order) = rhs."""
+    """Explicit equation D(u, lhs_order) = rhs, checked when it is built.
+
+    Raises :class:`InvalidArgumentError` for ``lhs_order < 1`` or a node
+    the parser never produces (``Deriv(0)``, ``Pow(e, 0)``, a negative
+    ``XPow``), and :class:`ImplicitFormError` when the right-hand side
+    reads D(u,j) with j >= lhs_order. So emitting R(k) reads solution
+    coefficients of index below k + lhs_order, the one being produced.
+    """
 
     lhs_order: int
     rhs: Expr
+
+    def __post_init__(self) -> None:
+        m = self.lhs_order
+        if m < 1:
+            raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
+        offset = _u_offset(self.rhs)
+        if offset >= m:
+            raise ImplicitFormError(
+                f"implicit form: right-hand side contains D(u,{offset}) but the "
+                f"left-hand side isolates order {m}"
+            )
 
 
 # ----------------------------------------------------------------------
 # Lexer / parser
 # ----------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    "^": "CARET",
-    "*": "STAR",
-    "+": "PLUS",
-    "-": "MINUS",
-    "=": "EQUALS",
-}
+# A number, a name, or any other non-space character; finditer skips the
+# spaces between tokens, since no alternative matches one.
+_TOKEN_RE = re.compile(
+    r"(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|\S"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
+class _Token(NamedTuple):
+    kind: str  # "NUMBER", "NAME", "END", or the punctuation character itself
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(), i))
-            i = m.end()
-            continue
-        kind = _PUNCT.get(ch)
-        if kind is None:
-            raise EquationSyntaxError(f"unexpected character {ch!r}", i)
-        tokens.append(_Token(kind, ch, i))
-        i += 1
-    tokens.append(_Token("END", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup or m.group()
+        if len(kind) == 1 and kind not in "(),^*+-=":
+            raise EquationSyntaxError(f"unexpected character {kind!r}", m.start())
+        tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 
@@ -218,123 +235,115 @@ class _Parser:
             self._i += 1
         return tok
 
-    def _expect(self, kind: str, what: str) -> _Token:
+    def _error(self, what: str) -> EquationSyntaxError:
         tok = self._peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise EquationSyntaxError(f"expected {what}, got {got!r}", tok.pos)
-        return self._advance()
+        got = tok.text or "end of input"
+        return EquationSyntaxError(f"expected {what}, got {got!r}", tok.pos)
 
-    def _expect_name(self, name: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != "NAME" or tok.text != name:
-            got = tok.text or "end of input"
-            raise EquationSyntaxError(f"expected '{name}', got {got!r}", tok.pos)
-        return self._advance()
+    def _expect(self, text: str) -> None:
+        # Only a NAME token can spell a name, and a punctuation token's
+        # text is its kind, so the text alone identifies the token.
+        if self._peek().text != text:
+            raise self._error(repr(text))
+        self._advance()
 
     def _int(self, what: str) -> int:
         tok = self._peek()
         if tok.kind != "NUMBER" or not tok.text.isdigit():
-            got = tok.text or "end of input"
-            raise EquationSyntaxError(
-                f"expected a non-negative integer for {what}, got {got!r}", tok.pos
-            )
+            raise self._error(f"a non-negative integer for {what}")
         self._advance()
         return int(tok.text)
 
+    def _u_order(self, what: str) -> tuple[int, int]:
+        """Parse ``(u, INT)`` after a D; return INT and its position."""
+        self._expect("(")
+        self._expect("u")
+        self._expect(",")
+        pos = self._peek().pos
+        j = self._int(what)
+        self._expect(")")
+        return j, pos
+
     def parse_equation(self) -> Equation:
-        self._expect_name("D")
-        self._expect("LPAREN", "'('")
-        self._expect_name("u")
-        self._expect("COMMA", "','")
-        m_pos = self._peek().pos
-        m = self._int("the left-hand derivative order")
-        self._expect("RPAREN", "')'")
+        self._expect("D")
+        m, m_pos = self._u_order("the left-hand derivative order")
         if m < 1:
             raise EquationSyntaxError(
                 "left-hand derivative order must be at least 1", m_pos
             )
-        self._expect("EQUALS", "'='")
+        self._expect("=")
         rhs = self.expr()
         tail = self._peek()
         if tail.kind != "END":
             raise EquationSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
-        offset = _u_offset(rhs)
-        if offset >= m:
-            raise ImplicitFormError(
-                f"implicit form: right-hand side contains D(u,{offset}) but the "
-                f"left-hand side isolates order {m}"
-            )
         return Equation(m, rhs)
 
     def expr(self) -> Expr:
         node = self.term()
-        while self._peek().kind in ("PLUS", "MINUS"):
+        while self._peek().kind in ("+", "-"):
             op = self._advance()
             rhs = self.term()
-            node = Add(node, rhs) if op.kind == "PLUS" else Sub(node, rhs)
+            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self._peek().kind == "STAR":
+        while self._peek().kind == "*":
             self._advance()
             node = _fold_mul(node, self.factor())
         return node
 
     def factor(self) -> Expr:
         tok = self._peek()
-        if tok.kind in ("PLUS", "MINUS", "NUMBER"):
+        if tok.kind in ("+", "-", "NUMBER"):
             # A sign belongs to a numeric literal only.
             if tok.kind != "NUMBER":
                 self._advance()
-            num = self._expect("NUMBER", "a numeric literal after the sign")
+            num = self._peek()
+            if num.kind != "NUMBER":
+                raise self._error("a numeric literal after the sign")
+            self._advance()
             value = float(num.text)
             if not math.isfinite(value):
                 raise EquationSyntaxError(
                     f"numeric literal {num.text!r} is not a finite float", num.pos
                 )
-            return Const(-value if tok.kind == "MINUS" else value)
-        if tok.kind == "LPAREN":
+            return Const(-value if tok.kind == "-" else value)
+        if tok.kind == "(":
             self._advance()
             node = self.expr()
-            self._expect("RPAREN", "')'")
+            self._expect(")")
             return node
         if tok.kind == "NAME":
             return self._named_factor()
-        got = tok.text or "end of input"
-        raise EquationSyntaxError(f"expected a factor, got {got!r}", tok.pos)
+        raise self._error("a factor")
 
     def _named_factor(self) -> Expr:
         tok = self._advance()
         name = tok.text
         if name == "x":
-            if self._peek().kind == "CARET":
+            if self._peek().kind == "^":
                 self._advance()
                 return XPow(self._int("the power of x"))
             return Var()
         if name == "u":
             return U()
         if name == "D":
-            self._expect("LPAREN", "'('")
-            self._expect_name("u")
-            self._expect("COMMA", "','")
-            j = self._int("the derivative order")
-            self._expect("RPAREN", "')'")
+            j, _ = self._u_order("the derivative order")
             # The 0th derivative is the function itself.
             return U() if j == 0 else Deriv(j)
         if name == "pow":
-            self._expect("LPAREN", "'('")
+            self._expect("(")
             child = self.expr()
-            self._expect("COMMA", "','")
+            self._expect(",")
             p = self._int("the exponent")
-            self._expect("RPAREN", "')'")
+            self._expect(")")
             # pow(e, 0) folds to the constant one by the algebraic convention.
             return Const(1.0) if p == 0 else Pow(child, p)
         if name == "exp":
-            self._expect("LPAREN", "'('")
+            self._expect("(")
             child = self.expr()
-            self._expect("RPAREN", "')'")
+            self._expect(")")
             return Exp(child)
         raise EquationSyntaxError(f"unsupported operator {name!r}", tok.pos)
 
@@ -412,63 +421,30 @@ def format_equation(eq: Equation) -> str:
 
 @dataclass(frozen=True)
 class RecurrencePlan:
-    """A validated equation and the truncation order it is solved to.
+    """An equation and the truncation order it is solved to.
 
-    ``max_u_offset`` is the causality certificate: emitting the right-hand
-    coefficient R(k) reads solution coefficients of index at most
-    k + max_u_offset, which lowering guarantees is below the k + lhs_order
-    coefficient being produced.
-
+    The equation checked itself when it was built, so every plan is
+    causal: emitting R(k) never reads a coefficient before it is produced.
     A plan holds no stepping state: :func:`run` builds its buffers afresh
     on every call, so one plan may be shared and run concurrently.
     """
 
     equation: Equation
     order: int
-    max_u_offset: int
 
     @property
     def lhs_order(self) -> int:
         return self.equation.lhs_order
 
 
-def _u_offset(expr: Expr) -> int:
-    """Highest solution index read relative to k when emitting R(k); u reads U(k).
-
-    Also rejects hand-built nodes that the parser never produces.
-    """
-    if isinstance(expr, Deriv):
-        if expr.order < 1:
-            raise InvalidArgumentError("derivative order must be positive")
-        return expr.order
-    if isinstance(expr, (Add, Sub, Mul)):
-        return max(_u_offset(expr.left), _u_offset(expr.right))
-    if isinstance(expr, Pow) and expr.power < 1:
-        raise InvalidArgumentError("pow exponent must be positive")
-    if isinstance(expr, (Scale, Pow, Exp)):
-        return _u_offset(expr.child)
-    if isinstance(expr, XPow) and expr.power < 0:
-        raise InvalidArgumentError("x power must be non-negative")
-    if isinstance(expr, (Const, Var, XPow, U)):
-        return 0
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def lower(equation: Equation, order: int) -> RecurrencePlan:
     """Lower an equation to a recurrence plan for the given truncation order."""
     m = equation.lhs_order
-    if m < 1:
-        raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
     if order < m - 1:
         raise InvalidArgumentError(
             f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
         )
-    offset = _u_offset(equation.rhs)
-    if offset > m - 1:
-        raise CausalityError(
-            f"emitting R(k) would read U(k+{offset}) before it is produced"
-        )
-    return RecurrencePlan(equation, order, offset)
+    return RecurrencePlan(equation, order)
 
 
 _Stepped = list[tuple[list[float], Iterator[float]]]

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,18 @@ class TestSolve:
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
 
+    def test_runs_as_module(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        for eq, code in (("D(u,1) = u", 0), ("D(u,1) = sin(u)", 2)):
+            argv = ["solve", "--eq", eq, "--ic", "1", "--order", "3"]
+            done = subprocess.run(
+                [sys.executable, "-m", "dtmseries.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == code
+            assert done.stdout == run_cli(argv, capsys)[1]
+            assert (done.stdout != "") == (code == 0)
+
     def test_overflow_is_domain_error(self, capsys):
         code, _, err = run_cli(
             ["solve", "--eq", "D(u,1) = exp(u)", "--ic", "710", "--order", "4"], capsys
@@ -339,13 +355,26 @@ class TestBratu:
 
     def test_out_json_in_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "missing" / "summary.json"
+        csv_path = tmp_path / "cmp.csv"
+        argv = ["bratu", "--lambda", "1", "--order", "10", "--grid", "3", "--branch", "lower",
+                "--out-json", str(path)]
+        # No output is written, to stdout or to --out-csv, when one cannot be.
+        for extra in ([], ["--out-csv", str(csv_path)]):
+            code, out, err = run_cli(argv + extra, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write {path}: ")
+            assert not csv_path.exists() or csv_path.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_json_on_full_device(self, capsys):
+        # The file opens but its write fails: the CSV must not reach stdout.
         code, out, err = run_cli(
             ["bratu", "--lambda", "1", "--order", "10", "--grid", "3", "--branch", "lower",
-             "--out-csv", str(tmp_path / "cmp.csv"), "--out-json", str(path)],
+             "--out-json", "/dev/full"],
             capsys,
         )
         assert code == 2 and out == ""
-        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.startswith("error: cannot write /dev/full: ")
 
     def test_invalid_branch_choice(self, capsys):
         with pytest.raises(SystemExit) as err:

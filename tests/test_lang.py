@@ -6,7 +6,6 @@ import pytest
 
 from dtmseries import (
     Add,
-    CausalityError,
     Const,
     Deriv,
     Equation,
@@ -96,6 +95,7 @@ class TestParseGolden:
 
     def test_whitespace_insignificant(self):
         assert parse("D(u,1)=u*x") == parse("  D( u , 1 )  =  u * x  ")
+        assert parse("D(u,1)=u*x") == parse("D(u,1)\u00a0=\u2003u*x")
 
     def test_precedence(self):
         assert parse("D(u,1) = u + x * u").rhs == Add(U(), Mul(Var(), U()))
@@ -163,11 +163,24 @@ class TestParseErrors:
             parse(text)
         assert err.value.position == position
 
-    def test_error_carries_position(self):
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("D(u,1) = sin(u)", 9),
+            ("D(u,1) =   u & x", 13),
+            ("D(u,1) =", 8),
+            ("D(u,1) = pow(u,   x)", 18),
+            ("  D(u,0) = u", 6),
+        ],
+        ids=["operator", "character", "end", "exponent", "lhs-order"],
+    )
+    def test_error_carries_position(self, text, position):
         with pytest.raises(EquationSyntaxError) as err:
-            parse("D(u,1) = sin(u)")
-        assert err.value.position == 9
-        assert "position 9" in str(err.value)
+            parse(text)
+        assert err.value.position == position
+        assert f"position {position}" in str(err.value)
+        if position == len(text):
+            assert "'end of input'" in str(err.value)
 
 
 ROUND_TRIP_BATTERY = [
@@ -207,13 +220,12 @@ class TestPrinter:
 
 
 class TestLower:
-    def test_causality_certificate(self):
-        assert lower(parse("D(u,2) = exp(u)"), 10).max_u_offset == 0
-        assert lower(parse("D(u,3) = D(u,2) + D(u,1)"), 10).max_u_offset == 2
-
     def test_causality_guard_on_hand_built_ast(self):
-        with pytest.raises(CausalityError):
+        with pytest.raises(ImplicitFormError):
             lower(Equation(1, Deriv(1)), 10)
+        with pytest.raises(ImplicitFormError):
+            lower(Equation(3, Deriv(3)), 10)
+        assert lower(Equation(3, Deriv(2)), 10).order == 10
 
     def test_hand_built_validation(self):
         with pytest.raises(ValueError):
@@ -280,6 +292,13 @@ class TestRunBasics:
         assert first.coeffs == second.coeffs
         fresh = run(lower(parse("D(u,2) = -1 * exp(u)"), 25), [0.0, 0.5])
         assert first.coeffs == fresh.coeffs
+
+    def test_pow_one_is_its_operand_bitwise(self):
+        # pow_int(a, 1) returns a, so a pow node of exponent one is its operand.
+        for operand in ("u", "x * u"):
+            got = run(lower(parse(f"D(u,1) = pow({operand}, 1)"), 20), [0.7])
+            want = run(lower(parse(f"D(u,1) = {operand}"), 20), [0.7])
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 class TestPowValuationAtRuntime:
