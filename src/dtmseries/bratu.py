@@ -133,15 +133,19 @@ def bratu_coeffs_exp(lam: float, gamma: float, order: int) -> Series:
     return run(bratu_plan(lam, order), (0.0, gamma))
 
 
-def boundary_residual(plan: RecurrencePlan, gamma: float) -> float:
-    """Series value at x = 1 of the :func:`bratu_plan` run from (0.0, gamma)."""
-    return evaluate(run(plan, (0.0, gamma)), 1.0)
+def boundary_residual(coeffs: Series) -> float:
+    """The boundary functional: the value at x = 1 of a run's coefficients.
+
+    Bratu's right boundary u(1) = 0 makes this the shooting residual of the
+    :func:`bratu_plan` run from (0.0, gamma).
+    """
+    return evaluate(coeffs, 1.0)
 
 
 def _scan(
-    plan: RecurrencePlan, branch: str
+    f: Callable[[float], float], branch: str
 ) -> tuple[float, float, float, float] | None:
-    """The branch's first zero or sign change on the gamma grid, as (a, fa, b, fb).
+    """The branch's first zero or sign change of f on the gamma grid, as (a, fa, b, fb).
 
     Walks gamma = i * GAMMA_STEP upward from 0 for the lower branch and
     downward from GAMMA_MAX for the upper one. Stops at the first grid point
@@ -154,7 +158,7 @@ def _scan(
     prev: tuple[float, float] | None = None
     for i in walk:
         g = i * GAMMA_STEP
-        r = boundary_residual(plan, g)
+        r = f(g)
         if r == 0.0:
             return g, 0.0, g, 0.0
         if prev is not None and prev[1] * r < 0.0:
@@ -206,7 +210,8 @@ def _regula_falsi(
 def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     """Find gamma so the truncated boundary residual vanishes.
 
-    Lowers :func:`bratu_plan` once, then steps it for every trial gamma.
+    Lowers :func:`bratu_plan` once, then steps it once for every trial
+    gamma and keeps the run, so the accepted gamma's series is not run again.
     Scans the gamma grid [0, GAMMA_MAX] (step GAMMA_STEP) from the branch's
     end, upward for the lower branch and downward for the upper, and stops
     at the first sign change of the residual (or exact zero): the lower
@@ -222,18 +227,22 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     _require_branch(branch)
     _require_lambda(lam)
     plan = bratu_plan(lam, order)
-    bracket = _scan(plan, branch)
+    runs: dict[float, Series] = {}
+
+    def trial(g: float) -> float:
+        runs[g] = coeffs = run(plan, (0.0, g))
+        return boundary_residual(coeffs)
+
+    bracket = _scan(trial, branch)
     if bracket is None:
         raise BranchNotFoundError(
             f"no sign change found: boundary residual never crosses zero for "
             f"gamma in [0, {GAMMA_MAX:g}] at lambda={lam!r}, order={order}"
         )
-    gamma, residual = _regula_falsi(
-        lambda g: boundary_residual(plan, g), *bracket, RESIDUAL_TOL
-    )
+    gamma, residual = _regula_falsi(trial, *bracket, RESIDUAL_TOL)
     return BratuSolution(
         gamma=gamma,
-        coeffs=run(plan, (0.0, gamma)),
+        coeffs=runs[gamma],
         residual=residual,
         branch=branch,
     )

@@ -28,12 +28,16 @@ An :class:`Equation` checks itself when it is built, whether parsed or
 built by hand; :func:`lower` pairs it with a truncation order, and the
 plan it returns holds no state. Each run walks the tree once and gives
 every non-leaf node a buffer and a stepper, then advances the steppers
-once per order k in topological order. A product appends one Cauchy coefficient of its operands' buffers
-(``series.mul_step``); pow and exp nodes drive the single-sum recurrences
-of :mod:`dtmseries.powers` (``pow_steps``, ``exp_steps``), which keeps a
-whole solve at O(N^2). Every stepper reads only coefficients 0..k of its
-operands at step k, so a pow of any operand, u or composite, finds its
-valuation and shifts as the operand's coefficients are produced.
+once per order k in topological order. A product, a pow and an exp node
+drive the steppers that the whole-series functions drive
+(``series.mul_steps``, ``powers.pow_steps``, ``powers.exp_steps``): one
+Cauchy coefficient or one single-sum recurrence step per order, which
+keeps a whole solve at O(N^2). Each of those steppers keeps the operand
+its inner sum reads backwards in a newest-first list, so a step is one
+dot product over two lists already in order. Every stepper reads only
+coefficients 0..k of its operands at step k, so a pow of any operand, u or
+composite, finds its valuation and shifts as the operand's coefficients
+are produced.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .errors import (
     NonFiniteCoefficientError,
 )
 from .powers import exp_steps, pow_steps
-from .series import Series, monomial, mul_step
+from .series import Series, monomial, mul_steps
 
 __all__ = [
     "Const",
@@ -198,7 +202,7 @@ class Equation:
 # A number, a name, or any other non-space character; finditer skips the
 # spaces between tokens, since no alternative matches one.
 _TOKEN_RE = re.compile(
-    r"(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
     r"|\S"
 )
@@ -477,7 +481,7 @@ def _buffer(expr: Expr, u: list[float], nodes: _Stepped) -> Sequence[float]:
         elif isinstance(expr, Sub):
             steps = (a[k] - b[k] for k in ks)
         else:
-            steps = (mul_step(a, b, k) for k in ks)
+            steps = mul_steps(a, b)
     elif isinstance(expr, Scale):
         c = _buffer(expr.child, u, nodes)
         f = expr.factor
@@ -519,4 +523,4 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
         if not math.isfinite(value):
             raise NonFiniteCoefficientError(k + m)
         u[k + m] = value
-    return Series(u)
+    return Series._checked(u)

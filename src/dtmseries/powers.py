@@ -27,7 +27,11 @@ magnitude threshold would silently change answers.
 Each inner sum is one C-level dot product, ``sum(map(operator.mul, ...),
 0.0)``, which adds the terms left to right in one double, as a Python loop
 would; on CPython 3.11 the coefficients are bitwise those of the loop.
-Miller's integer weights (m+1)*j - k are the float progression
+Every stepper keeps its own output newest first, W(k-1), ..., W(0),
+growing it by one ``list.insert(0, ...)`` per step, so the dot product
+reads two lists that are already in order: no reversed copy is built at
+each step, which keeps the fixed cost of a short step below that of the
+plain loop. Miller's integer weights (m+1)*j - k are the float progression
 m+1-k, 2(m+1)-k, ... built by repeated addition (``itertools.count``),
 so they cost O(1) memory whatever m is. Every partial value is an integer,
 so the weights are exact while (m+1)*k <= 2^53; each term is
@@ -72,21 +76,22 @@ def _int_pow(base: float, m: int, count: OpCount | None = None) -> float:
 
 def miller_step(
     y: Sequence[float],
-    w: Sequence[float],
+    w_rev: Sequence[float],
     k: int,
     m: int,
     count: OpCount | None = None,
 ) -> float:
-    """One step of Miller's recurrence: W(k) from Y(0..k) and W(0..k-1).
+    """One step of Miller's recurrence: W(k) from Y(0..k) and W(k-1), ..., W(0).
 
-    The inner sum runs j = 1..min(k, len(y)-1); terms beyond the length of
-    y would reference undefined coefficients and are absent. Requires
-    y[0] != 0 and k >= 1.
+    ``y`` is in forward order and ``w_rev`` newest first, so Y(j) pairs
+    with ``w_rev[j-1]`` = W(k-j). The inner sum runs j = 1..min(k,
+    len(y)-1); terms beyond the length of y would reference undefined
+    coefficients and are absent. Requires y[0] != 0 and k >= 1.
     """
     top = len(y) - 1
     jmax = k if k < top else top
     weights = itertools.count(float(m + 1 - k), float(m + 1))
-    products = map(operator.mul, y[1:jmax + 1], reversed(w[k - jmax:k]))
+    products = map(operator.mul, y[1:jmax + 1], w_rev)
     acc = sum(map(operator.mul, weights, products), 0.0)
     if count is not None:
         count.multiplies += 2 * jmax + 1
@@ -95,16 +100,17 @@ def miller_step(
 
 def exp_step(
     dy: Sequence[float],
-    w: Sequence[float],
+    w_rev: Sequence[float],
     k: int,
     count: OpCount | None = None,
 ) -> float:
-    """One step of the exponential recurrence: W(k) from dY(1..k), W(0..k-1).
+    """One step of the exponential recurrence: W(k) from dY(1..k), W(k-1), ..., W(0).
 
-    ``dy[j]`` is j * Y(j). The count is k + 1: k for the dot product and
-    one for the multiply that formed dY(k) for this step.
+    ``dy`` holds dY(j) = j * Y(j) for j = 1..k, with no entry for j = 0,
+    and ``w_rev`` is newest first. The count is k + 1: k for the dot
+    product and one for the multiply that formed dY(k) for this step.
     """
-    acc = sum(map(operator.mul, dy[1:k + 1], reversed(w[:k])), 0.0)
+    acc = sum(map(operator.mul, dy, w_rev), 0.0)
     if count is not None:
         count.multiplies += k + 1
     return acc / k
@@ -131,26 +137,31 @@ def pow_steps(
     for _ in range(v * (m - 1)):
         yield 0.0
     ybar = [y[v]]
-    w = [_int_pow(ybar[0], m, count)]
-    yield w[0]
+    w = _int_pow(ybar[0], m, count)
+    w_rev = [w]
+    yield w
     for i in itertools.count(1):
         ybar.append(y[v + i])
-        w.append(miller_step(ybar, w, i, m, count))
-        yield w[i]
+        w = miller_step(ybar, w_rev, i, m, count)
+        w_rev.insert(0, w)
+        yield w
 
 
 def exp_steps(y: Sequence[float], count: OpCount | None = None) -> Iterator[float]:
     """Yield W(0), W(1), ... of e^{y(x)}; step k reads y[0..k] only.
 
-    The stepper keeps dY, the coefficients of x*y'(x), one entry per step.
+    The stepper keeps dY(1..k), the coefficients of x*y'(x), and its own
+    output newest first, one entry each per step.
     """
-    w = [math.exp(y[0])]
-    dy = [0.0]
-    yield w[0]
+    w = math.exp(y[0])
+    w_rev = [w]
+    dy: list[float] = []
+    yield w
     for k in itertools.count(1):
         dy.append(k * y[k])
-        w.append(exp_step(dy, w, k, count))
-        yield w[k]
+        w = exp_step(dy, w_rev, k, count)
+        w_rev.insert(0, w)
+        yield w
 
 
 def _power_zero(a: Series) -> Series:

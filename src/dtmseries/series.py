@@ -23,11 +23,12 @@ when a coefficient overflows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
@@ -74,7 +75,14 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = tuple(float(c) for c in coeffs)
+        cs = []
+        for c in coeffs:
+            try:
+                cs.append(float(c))
+            except OverflowError:
+                raise InvalidArgumentError(
+                    f"coefficient at index {len(cs)} is too large for a float"
+                ) from None
         if not cs:
             raise InvalidArgumentError(
                 "a series needs at least one coefficient (order >= 0)"
@@ -82,7 +90,14 @@ class Series:
         for k, c in enumerate(cs):
             if not math.isfinite(c):
                 raise InvalidArgumentError(f"non-finite coefficient {c!r} at index {k}")
-        self._coeffs = cs
+        self._coeffs = tuple(cs)
+
+    @classmethod
+    def _checked(cls, coeffs: list[float]) -> Series:
+        """A series of floats the caller has already checked to be finite."""
+        s = object.__new__(cls)
+        s._coeffs = tuple(coeffs)
+        return s
 
     @property
     def coeffs(self) -> tuple[float, ...]:
@@ -177,20 +192,36 @@ def collect(values: Iterable[float]) -> Series:
             out.append(c)
     except OverflowError:
         raise NonFiniteCoefficientError(len(out)) from None
-    return Series(out)
+    return Series._checked(out)
 
 
 def mul_step(
-    a: Sequence[float], b: Sequence[float], k: int, count: OpCount | None = None
+    a: Sequence[float], b_rev: Sequence[float], k: int, count: OpCount | None = None
 ) -> float:
     """One Cauchy coefficient W(k) = sum_{l=0}^{k} A(l) * B(k-l); k + 1 multiplies.
 
-    The inner sum is one C-level dot product, added left to right from 0.0;
-    it stops with B(0), so ``a`` may be longer than k + 1.
+    ``b_rev`` holds B(k), ..., B(0), newest first, so A(l) pairs with
+    ``b_rev[l]``. The inner sum is one C-level dot product, added left to
+    right from 0.0; it stops with B(0), so ``a`` may be longer than k + 1.
     """
     if count is not None:
         count.multiplies += k + 1
-    return sum(map(operator.mul, a, reversed(b[:k + 1])), 0.0)
+    return sum(map(operator.mul, a, b_rev), 0.0)
+
+
+def mul_steps(
+    a: Sequence[float], b: Sequence[float], count: OpCount | None = None
+) -> Iterator[float]:
+    """Yield W(0), W(1), ... of the Cauchy product a * b; step k reads a[0..k], b[0..k].
+
+    The stepper keeps b's coefficients newest first, one insertion at the
+    front per step, so either operand may be a buffer that grows by one
+    coefficient per step.
+    """
+    b_rev: list[float] = []
+    for k in itertools.count():
+        b_rev.insert(0, b[k])
+        yield mul_step(a, b_rev, k, count)
 
 
 def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:
@@ -202,7 +233,7 @@ def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:
     :class:`~dtmseries.errors.NonFiniteCoefficientError` on overflow.
     """
     _require_same_order(a, b, "mul")
-    return collect(mul_step(a.coeffs, b.coeffs, k, count) for k in range(len(a)))
+    return collect(itertools.islice(mul_steps(a.coeffs, b.coeffs, count), len(a)))
 
 
 def derivative_transform(a: Series, m: int) -> Series:

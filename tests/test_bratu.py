@@ -100,22 +100,22 @@ class TestPlan:
 
 class TestBoundaryResidual:
     def test_no_lift_is_negative(self):
-        assert boundary_residual(bratu_plan(1.0, 30), 0.0) < 0.0
+        assert boundary_residual(run(bratu_plan(1.0, 30), (0.0, 0.0))) < 0.0
 
     def test_zero_lambda_residual_is_gamma(self):
         plan = bratu_plan(0.0, 12)
         for gamma in (0.0, 0.5, 2.5):
-            assert boundary_residual(plan, gamma) == gamma
+            assert boundary_residual(run(plan, (0.0, gamma))) == gamma
 
     def test_sign_change_within_ten(self):
         # Establishes the shooting bracket for lambda = 1.
         plan = bratu_plan(1.0, 30)
-        previous = boundary_residual(plan, 0.0)
+        previous = boundary_residual(run(plan, (0.0, 0.0)))
         assert previous < 0.0
         crossed = False
         g = 0.25
         while g <= 10.0:
-            current = boundary_residual(plan, g)
+            current = boundary_residual(run(plan, (0.0, g)))
             if previous * current < 0.0:
                 crossed = True
                 break
@@ -160,14 +160,33 @@ class TestShooting:
         calls = []
         real = bratu_module.boundary_residual
 
-        def counted(plan, gamma):
-            calls.append(gamma)
-            return real(plan, gamma)
+        def counted(coeffs):
+            calls.append(coeffs)
+            return real(coeffs)
 
         monkeypatch.setattr(bratu_module, "boundary_residual", counted)
         sol = shoot(1.0, 30, "lower")
         assert abs(sol.residual) <= 1e-12
         assert len(calls) <= 20
+
+    def test_one_run_per_trial(self, monkeypatch):
+        # The accepted gamma's series is the run its trial already made.
+        runs, trials = [], []
+        real_run, real_residual = bratu_module.run, bratu_module.boundary_residual
+
+        def counted_run(plan, initial):
+            runs.append(initial)
+            return real_run(plan, initial)
+
+        def counted_residual(coeffs):
+            trials.append(coeffs)
+            return real_residual(coeffs)
+
+        monkeypatch.setattr(bratu_module, "run", counted_run)
+        monkeypatch.setattr(bratu_module, "boundary_residual", counted_residual)
+        sol = shoot(1.0, 30, "lower")
+        assert len(runs) == len(trials) > 0
+        assert any(coeffs is sol.coeffs for coeffs in trials)
 
     @pytest.mark.parametrize("branch", ["lower", "upper"])
     @pytest.mark.parametrize("order", [10, 30])
@@ -179,7 +198,7 @@ class TestShooting:
         step = bratu_module.GAMMA_STEP
         steps = int(round(bratu_module.GAMMA_MAX / step))
         gammas = [i * step for i in range(steps + 1)]
-        residuals = [boundary_residual(plan, g) for g in gammas]
+        residuals = [boundary_residual(run(plan, (0.0, g))) for g in gammas]
         brackets = []
         for i, r in enumerate(residuals):
             if r == 0.0:

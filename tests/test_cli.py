@@ -99,6 +99,12 @@ class TestOps:
         code, _, _ = run_cli(["ops", "exp"], capsys, "garbage[", monkeypatch)
         assert code == 2
 
+    def test_integer_too_large_for_a_float(self, capsys, monkeypatch):
+        huge = '{"order":0,"coeffs":[' + "9" * 400 + "]}"
+        code, out, err = run_cli(["ops", "exp"], capsys, huge, monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "index 0" in err
+
     def test_bad_csv_index(self, capsys, monkeypatch):
         code, _, err = run_cli(["ops", "exp"], capsys, "0,1.0\n2,2.0\n", monkeypatch)
         assert code == 2

@@ -20,7 +20,7 @@ import pytest
 
 from dtmseries import OpCount
 from dtmseries.powers import exp_steps, miller_step, pow_int, pow_steps
-from dtmseries.series import Series, mul_step
+from dtmseries.series import Series, mul_step, mul_steps
 
 EPS = sys.float_info.epsilon
 ORDER = 12
@@ -79,10 +79,27 @@ class TestMulStep:
         b = coeffs(rng, ORDER + 1)
         for k in range(ORDER + 1):
             count = OpCount()
-            got = mul_step(a, b, k, count)
+            got = mul_step(a, b[k::-1], k, count)
             terms = mul_terms(a, b, k)
             assert_matches_loop(got, loop_sum(terms), terms)
             assert count.multiplies == k + 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stepper_over_growing_buffers_matches_loop(self, seed):
+        # Both operands grow by one coefficient per step, as in a DSL run.
+        rng = random.Random(seed)
+        a = coeffs(rng, ORDER + 1, lead_zeros=seed % 3)
+        b = coeffs(rng, ORDER + 1)
+        buf_a, buf_b = [], []
+        count = OpCount()
+        steps = mul_steps(buf_a, buf_b, count)
+        for k in range(ORDER + 1):
+            buf_a.append(a[k])
+            buf_b.append(b[k])
+            got = next(steps)
+            terms = mul_terms(a, b, k)
+            assert_matches_loop(got, loop_sum(terms), terms)
+        assert count.multiplies == (ORDER + 1) * (ORDER + 2) // 2
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         # The loop starts from 0.0, and 0.0 + -0.0 is 0.0.
@@ -117,7 +134,7 @@ class TestMillerStep:
         w = [rng.uniform(-1.0, 1.0) for _ in range(10)]
         k = 9
         count = OpCount()
-        got = miller_step(y, w, k, m, count)
+        got = miller_step(y, w[k - 1::-1], k, m, count)
         terms = miller_terms(y, w, k, m)
         assert len(terms) == 3
         divisor = k * y[0]
@@ -126,7 +143,7 @@ class TestMillerStep:
 
     def test_first_step(self):
         y, w = [2.0, -0.0], [4.0]
-        got = miller_step(y, w, 1, 2)
+        got = miller_step(y, w[::-1], 1, 2)
         assert got.hex() == (loop_sum(miller_terms(y, w, 1, 2)) / 2.0).hex()
 
     def test_large_exponent(self):
@@ -150,7 +167,7 @@ class TestMillerStep:
         terms = miller_terms(y, w, k, m)
         assert max(map(abs, terms)) > 0.0 and (m + 1) * k < 2**53
         divisor = k * y[0]
-        assert_matches_loop(miller_step(y, w, k, m), loop_sum(terms) / divisor, terms, divisor)
+        assert_matches_loop(miller_step(y, w[::-1], k, m), loop_sum(terms) / divisor, terms, divisor)
 
 
 class TestExpStep:

@@ -171,8 +171,12 @@ class TestParseErrors:
             ("D(u,1) =", 8),
             ("D(u,1) = pow(u,   x)", 18),
             ("  D(u,0) = u", 6),
+            ("D(u,\u0661) = u", 4),
+            ("D(u,1) = \u0663*u", 9),
+            ("D(u,1) = x^\u0662", 11),
         ],
-        ids=["operator", "character", "end", "exponent", "lhs-order"],
+        ids=["operator", "character", "end", "exponent", "lhs-order",
+             "non-ascii-order", "non-ascii-literal", "non-ascii-power"],
     )
     def test_error_carries_position(self, text, position):
         with pytest.raises(EquationSyntaxError) as err:

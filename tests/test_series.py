@@ -6,13 +6,16 @@ import random
 import pytest
 
 from dtmseries import (
+    InvalidArgumentError,
     NonFiniteCoefficientError,
     OpCount,
     OrderMismatchError,
     Series,
+    SeriesFormatError,
     add,
     derivative_transform,
     evaluate,
+    load_series,
     monomial,
     mul,
     scale,
@@ -39,6 +42,12 @@ class TestSeriesType:
             Series([1.0, float("nan")])
         with pytest.raises(ValueError):
             Series([float("inf")])
+
+    def test_integer_too_large_for_a_float_names_its_index(self):
+        with pytest.raises(InvalidArgumentError, match="index 1"):
+            Series([1.0, 10**400])
+        with pytest.raises(SeriesFormatError, match="index 0"):
+            load_series('{"order":0,"coeffs":[' + "9" * 400 + "]}")
 
     def test_immutable_value_semantics(self):
         s = Series([1, 2])
