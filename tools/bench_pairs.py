@@ -1,21 +1,21 @@
 """Alternating parent/change pairs of the benchmark, written as one BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr N --parent REV --seeds 201-210 \
-        [--workloads bratu,solve,long_series] [--seconds 30] [--title TEXT]
+    python3 tools/bench_pairs.py --pr N --parent REV --seeds 201-210 [--title TEXT]
 
 Run from the root of a checkout. The parent commit is exported with
 ``git archive`` into a temporary directory; the change is the working
 tree. Both sides run their own copy of ``bench/run.py``, which must be the
-same on both (the script refuses to run otherwise). Each seed makes one
-pair per workload, and the pairs alternate which side runs first: the
-parent on the 1st, 3rd, ... pair. Every side also makes one traced run at
+same on both (the script refuses to run otherwise), for the run length
+that ``BENCHMARK.json`` sets. Each seed makes one pair per workload, and
+the pairs alternate which side runs first: the parent on the 1st, 3rd,
+... pair. Every side also makes one traced run at
 seed 3, whose exact counts are compared key by key.
 
 The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles (``statistics.quantiles(n=4,
 method='inclusive')``), the ratio of the medians and the number of pairs
 the change wins, ties counting for neither. It is written to
-``.benchmarks/BENCH_<pr>.json`` unless ``--out`` says otherwise.
+``.benchmarks/BENCH_<pr>.json``.
 """
 
 from __future__ import annotations
@@ -96,33 +96,29 @@ def main() -> int:
     ap.add_argument("--pr", required=True, type=int)
     ap.add_argument("--parent", required=True, help="git revision of the parent commit")
     ap.add_argument("--seeds", required=True, type=seed_range, help="e.g. 201-210")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--title", default="")
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args()
-    workloads = args.workloads.split(",")
     if len(args.seeds) < 2:
         print("error: quartiles need at least two seeds", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     if subprocess.run(["git", "diff", "--quiet", args.parent, "--", "bench"], cwd=ROOT).returncode:
         print(f"error: bench/ differs from {args.parent}; pairs need the same benchmark",
               file=sys.stderr)
         return 2
-    out = args.out or ROOT / ".benchmarks" / f"BENCH_{args.pr}.json"
+    out = ROOT / ".benchmarks" / f"BENCH_{args.pr}.json"
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         roots = {"parent": Path(tmp), "change": ROOT}
-        results = {w: {side: [] for side in SIDES} for w in workloads}
+        results = {w: {side: [] for side in SIDES} for w in WORKLOADS}
         machine = {}
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for w in workloads:
+            for w in WORKLOADS:
                 for side in order:
                     result, machine = bench(roots[side], w, seed, seconds, 0)
                     results[w][side].append(result)
@@ -142,7 +138,7 @@ def main() -> int:
                 "command": (f"python3 bench/run.py --workload W --seed {TRACE_SEED} "
                             f"--seconds {TRACE_SECONDS} --trace 1"),
                 "note": "exact counts over the traced batch",
-                **{w: traced(roots, w) for w in workloads},
+                **{w: traced(roots, w) for w in WORKLOADS},
             },
             "workloads": {
                 w: {
@@ -153,7 +149,7 @@ def main() -> int:
                     "failed": {s: sum(r["failed"] for r in results[w][s]) for s in SIDES},
                     "metrics": compare(results[w], better),
                 }
-                for w in workloads
+                for w in WORKLOADS
             },
             "machine": machine,
         }
