@@ -29,11 +29,11 @@ Each inner sum is one C-level dot product, ``sum(map(operator.mul, ...),
 would; on CPython 3.11 the coefficients are bitwise those of the loop.
 Every stepper keeps its own output newest first, W(k-1), ..., W(0),
 growing it by one ``list.insert(0, ...)`` per step, so the dot product
-reads two lists that are already in order: no reversed copy is built at
-each step, which keeps the fixed cost of a short step below that of the
-plain loop. Miller's integer weights (m+1)*j - k are the float progression
-m+1-k, 2(m+1)-k, ... built by repeated addition (``itertools.count``),
-so they cost O(1) memory whatever m is. Every partial value is an integer,
+reads two lists that are already in order and no step builds a reversed
+copy, which matters most for the short steps. Miller's integer weights
+(m+1)*j - k are the float progression m+1-k, 2(m+1)-k, ... built by
+repeated addition (``itertools.count``), so they cost O(1) memory
+whatever m is. Every partial value is an integer,
 so the weights are exact while (m+1)*k <= 2^53; each term is
 ``weight * (Y(j) * W(k-j))``, in that order, as in the loop.
 
