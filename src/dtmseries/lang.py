@@ -25,14 +25,19 @@ x^k of the right-hand side, then
     U(k+m) = R(k) / ((k+1)(k+2)...(k+m))
 
 An :class:`Equation` checks itself when it is built, whether parsed or
-built by hand; :func:`lower` pairs it with a truncation order, and the
-plan it returns holds no state. Each run walks the tree once and gives
-every non-leaf node a buffer and a stepper, then advances the steppers
-once per order k in topological order. A product, a pow and an exp node
-drive the steppers that the whole-series functions drive
-(``series.mul_steps``, ``powers.pow_steps``, ``powers.exp_steps``): one
-Cauchy coefficient or one single-sum recurrence step per order, which
-keeps a whole solve at O(N^2). Each of those steppers keeps the operand
+built by hand. :func:`lower` pairs it with a truncation order and lowers
+the right-hand side once into an immutable program of slots in
+topological order, in which structurally equal subtrees share one slot
+(floats compared by their bits, so 0.0 and -0.0 stay apart). Each run
+gives every slot a buffer and every non-leaf slot a stepper, then
+advances the steppers once per order k in program order, so a subtree
+that occurs twice, like exp(u) in u*exp(u) + exp(u), is stepped once. A
+product, a pow and an exp slot drive the steppers that the whole-series
+functions drive (``series.mul_steps``, ``powers.pow_steps``,
+``powers.exp_steps``): one Cauchy coefficient or one single-sum
+recurrence step per order, which keeps a whole solve at O(N^2). A product
+with ``x^p`` is a shift, W(k) = 0.0 + E(k-p), bit for bit the Cauchy
+coefficient while E is finite. Each of those steppers keeps the operand
 its inner sum reads backwards in a newest-first list, so a step is one
 dot product over two lists already in order. Every stepper reads only
 coefficients 0..k of its operands at step k, so a pow of any operand, u or
@@ -45,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -423,18 +428,81 @@ def format_equation(eq: Equation) -> str:
 # ----------------------------------------------------------------------
 
 
+# A slot of a lowered plan is a tuple (kind, param, args): ``kind`` is
+# "u", "const", "xpow", "deriv", "add", "sub", "mul", "shift", "scale",
+# "pow" or "exp"; ``param`` is the literal, power, derivative order or
+# factor (None when there is none); ``args`` are the indices of the
+# operand slots, all below the slot's own index.
+_Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
+
+
+def _program(rhs: Expr) -> tuple[_Slot, ...]:
+    """The slots of ``rhs`` in topological order, the root last.
+
+    Structurally equal subtrees share one slot: slots are hash-consed
+    bottom up on (kind, parameter, operand slots), with floats keyed by
+    ``float.hex`` so that 0.0 and -0.0 stay apart, as their products do.
+    ``x`` is ``x^1``. A product with an ``x^p`` operand is a "shift" slot
+    whose args are the left operand, the right operand and the other one.
+    """
+    slots: list[_Slot] = []
+    index: dict[tuple, int] = {}
+
+    def visit(e: Expr) -> int:
+        t = type(e)
+        param: float | int | None = None
+        args: tuple[int, ...] = ()
+        if t is U:
+            kind = "u"
+        elif t is Const:
+            kind, param = "const", float(e.value)
+        elif t is Var or t is XPow:
+            kind, param = "xpow", 1 if t is Var else e.power
+        elif t is Deriv:
+            kind, param = "deriv", e.order
+        elif t is Scale:
+            kind, param, args = "scale", float(e.factor), (visit(e.child),)
+        elif t is Pow:
+            kind, param, args = "pow", e.power, (visit(e.child),)
+        elif t is Exp:
+            kind, args = "exp", (visit(e.child),)
+        else:
+            args = (visit(e.left), visit(e.right))
+            kind = "add" if t is Add else "sub" if t is Sub else "mul"
+            if kind == "mul":
+                (left, p, _), (right, q, _) = slots[args[0]], slots[args[1]]
+                if left == "xpow":
+                    kind, param, args = "shift", p, args + args[1:]
+                elif right == "xpow":
+                    kind, param, args = "shift", q, args + args[:1]
+        key = (kind, param.hex() if type(param) is float else param, args)
+        i = index.setdefault(key, len(slots))
+        if i == len(slots):
+            slots.append((kind, param, args))
+        return i
+
+    visit(rhs)
+    return tuple(slots)
+
+
 @dataclass(frozen=True)
 class RecurrencePlan:
-    """An equation and the truncation order it is solved to.
+    """An equation, the truncation order it is solved to, and its program.
 
     The equation checked itself when it was built, so every plan is
     causal: emitting R(k) never reads a coefficient before it is produced.
-    A plan holds no stepping state: :func:`run` builds its buffers afresh
-    on every call, so one plan may be shared and run concurrently.
+    Building the plan lowers the right-hand side once into an immutable
+    program of slots (one per distinct subtree, in topological order);
+    :func:`run` gives each slot a fresh buffer and stepper on every call,
+    so one plan may be shared and run concurrently.
     """
 
     equation: Equation
     order: int
+    _program: tuple[_Slot, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_program", _program(self.equation.rhs))
 
     @property
     def lhs_order(self) -> int:
@@ -451,52 +519,59 @@ def lower(equation: Equation, order: int) -> RecurrencePlan:
     return RecurrencePlan(equation, order)
 
 
-_Stepped = list[tuple[list[float], Iterator[float]]]
+def _shift_steps(
+    a: Sequence[float], b: Sequence[float], e: Sequence[float], p: int
+) -> Iterator[float]:
+    """Yield W(0), W(1), ... of a * b where the operand other than ``e`` is x^p.
 
-
-def _buffer(expr: Expr, u: list[float], nodes: _Stepped) -> Sequence[float]:
-    """The coefficient buffer of ``expr`` for one run.
-
-    Leaves are filled in full; u's buffer is the solution list itself.
-    Every other node gets an empty buffer and a stepper that yields one
-    coefficient per order; the pair is appended to ``nodes`` after the
-    pairs of its operands.
+    W(k) is 0.0 for k < p and 0.0 + E(k-p) after, which is bit for bit the
+    Cauchy sum while E(0..k) are finite (every other term is a signed zero).
+    At the first E(k) that is not, the stepper hands over to
+    ``mul_steps(a, b)``, advanced to k, since 0 * inf is NaN.
     """
-    n = len(u) - 1
-    if isinstance(expr, U):
-        return u
-    if isinstance(expr, Const):
-        return (expr.value,) + (0.0,) * n
-    if isinstance(expr, (Var, XPow)):
-        return monomial(expr.power if isinstance(expr, XPow) else 1, n).coeffs
+    isfinite = math.isfinite
+    for k in itertools.count():
+        if not isfinite(e[k]):
+            yield from itertools.islice(mul_steps(a, b), k, None)
+            return
+        yield 0.0 if k < p else 0.0 + e[k - p]
+
+
+def _stepper(
+    kind: str, param, operands: list[Sequence[float]], u: list[float]
+) -> Iterator[float]:
+    """The stepper of a non-leaf slot: one coefficient per order k."""
     ks = itertools.count()
-    if isinstance(expr, Deriv):
-        j = expr.order
-        steps = (math.perm(k + j, j) * u[k + j] for k in ks)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        a = _buffer(expr.left, u, nodes)
-        b = _buffer(expr.right, u, nodes)
-        if isinstance(expr, Add):
-            steps = (a[k] + b[k] for k in ks)
-        elif isinstance(expr, Sub):
-            steps = (a[k] - b[k] for k in ks)
-        else:
-            steps = mul_steps(a, b)
-    elif isinstance(expr, Scale):
-        c = _buffer(expr.child, u, nodes)
-        f = expr.factor
-        steps = (f * c[k] for k in ks)
-    elif isinstance(expr, Pow):
-        steps = pow_steps(_buffer(expr.child, u, nodes), expr.power)
-    else:
-        steps = exp_steps(_buffer(expr.child, u, nodes))
-    buf: list[float] = []
-    nodes.append((buf, steps))
-    return buf
+    if kind == "deriv":
+        j = param
+        return (math.perm(k + j, j) * u[k + j] for k in ks)
+    if kind == "add":
+        a, b = operands
+        return (a[k] + b[k] for k in ks)
+    if kind == "sub":
+        a, b = operands
+        return (a[k] - b[k] for k in ks)
+    if kind == "scale":
+        (c,) = operands
+        return (param * c[k] for k in ks)
+    if kind == "mul":
+        return mul_steps(*operands)
+    if kind == "shift":
+        return _shift_steps(*operands, param)
+    if kind == "pow":
+        return pow_steps(operands[0], param)
+    return exp_steps(operands[0])
 
 
 def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     """Step the plan from the initial coefficients U(0..m-1) to its order.
+
+    Every slot of the plan's program gets one buffer: u's is the solution
+    list itself, a constant's or x^p's is filled in full, and every other
+    slot's grows by one coefficient per order from its own stepper. The
+    steppers advance once per order k in program order, so each reads
+    operands that already hold coefficient k, and a subtree that occurs
+    more than once is stepped once.
 
     Raises :class:`NonFiniteCoefficientError` naming the first order at
     which a coefficient stops being finite.
@@ -510,10 +585,23 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     for k, c in enumerate(u):
         if not math.isfinite(c):
             raise InvalidArgumentError(f"initial coefficient U({k}) is not finite")
-    u.extend(0.0 for _ in range(plan.order + 1 - m))
-    nodes: _Stepped = []
-    root = _buffer(plan.equation.rhs, u, nodes)
-    for k in range(plan.order - m + 1):
+    n = plan.order
+    u.extend(0.0 for _ in range(n + 1 - m))
+    bufs: list[Sequence[float]] = []
+    nodes: list[tuple[list[float], Iterator[float]]] = []
+    for kind, param, args in plan._program:
+        if kind == "u":
+            buf: Sequence[float] = u
+        elif kind == "const":
+            buf = (param,) + (0.0,) * n
+        elif kind == "xpow":
+            buf = monomial(param, n).coeffs
+        else:
+            buf = []
+            nodes.append((buf, _stepper(kind, param, [bufs[i] for i in args], u)))
+        bufs.append(buf)
+    root = bufs[-1]
+    for k in range(n - m + 1):
         try:
             for buf, steps in nodes:
                 buf.append(next(steps))

@@ -149,7 +149,7 @@ def monomial(m: int, order: int) -> Series:
     cs = [0.0] * (order + 1)
     if m <= order:
         cs[m] = 1.0
-    return Series(cs)
+    return Series._checked(cs)
 
 
 def _require_same_order(a: Series, b: Series, op: str) -> None:

@@ -172,6 +172,16 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["coeffs"] == [0.0, 3.0, -1.0, -1.0]
 
+    def test_signed_zero_scales_stay_apart(self, capsys):
+        # -0.0*u + 0.0*u is 0.0 at every order; a plan that merged the two
+        # Scale nodes (equal as dataclasses) would print -0.0.
+        code, out, _ = run_cli(
+            ["solve", "--eq", "D(u,1) = -0.0*u + 0.0*u", "--ic", "1", "--order", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert out == '{"order": 2, "coeffs": [1.0, 0.0, 0.0]}\n'
+
     def test_implicit_form_exits_2(self, capsys):
         code, _, err = run_cli(
             ["solve", "--eq", "D(u,1) = D(u,1)", "--ic", "1", "--order", "5"], capsys

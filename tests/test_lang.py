@@ -32,6 +32,7 @@ from dtmseries import (
     mul,
     parse,
     pow_naive,
+    powers,
     run,
 )
 from util import relgap
@@ -370,6 +371,112 @@ class TestNestedNonlinear:
             for x, y in zip(lhs.coeffs, rhs.coeffs)
         )
         assert gap <= 1e-9
+
+
+def _hex(series):
+    return [c.hex() for c in series]
+
+
+def _kinds(plan):
+    return [kind for kind, _, _ in plan._program]
+
+
+class TestSharedSlots:
+    def test_equal_subtrees_share_one_slot(self):
+        plan = lower(Equation(1, Add(Exp(U()), Mul(U(), Exp(U())))), 5)
+        assert _kinds(plan) == ["u", "exp", "mul", "add"]
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            Add(Scale(-0.0, U()), Scale(0.0, U())),
+            Add(Const(-0.0), Const(0.0)),
+        ],
+        ids=["scale", "const"],
+    )
+    def test_signed_zeros_get_separate_slots(self, rhs):
+        # The dataclasses compare -0.0 equal to 0.0; the slots must not.
+        assert rhs.left == rhs.right
+        program = lower(Equation(1, rhs), 3)._program
+        kind, _, (left, right) = program[-1]
+        assert kind == "add" and left != right
+        assert [program[i][1].hex() for i in (left, right)] == ["-0x0.0p+0", "0x0.0p+0"]
+
+    def test_repeated_exp_steps_once_per_order(self, monkeypatch):
+        calls = []
+        exp_step = powers.exp_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return exp_step(*args, **kwargs)
+
+        monkeypatch.setattr(powers, "exp_step", counted)
+        n = 30
+        shared = run(lower(parse("D(u,2) = -1*u*exp(u) + exp(u)"), n), [0.1, 0.2])
+        assert calls == list(range(1, n - 1))
+        calls.clear()
+        # Scale(1.0, U()) is not u's slot, but equals u bit for bit.
+        apart = run(lower(parse("D(u,2) = -1*u*exp(u) + exp(1*u)"), n), [0.1, 0.2])
+        assert len(calls) == 2 * (n - 2)
+        assert _hex(shared) == _hex(apart)
+
+
+def _no_monomial(x):
+    # The coefficients of x^p in an Add node: equal values, no "xpow" slot
+    # under the product, so it runs series.mul_steps.
+    return Add(x, Const(0.0))
+
+
+class TestShiftProduct:
+    """A product with x^p is a shift, bitwise equal to the Cauchy product."""
+
+    @pytest.mark.parametrize(
+        "m,initial,build",
+        [
+            (2, [1.0, 0.0], lambda x: Mul(x, U())),
+            (2, [0.3, -0.7], lambda x: Mul(U(), x)),
+            (2, [0.1, 0.2], lambda x: Mul(x, Exp(U()))),
+            (1, [0.6], lambda x: Sub(Pow(U(), 3), Mul(Pow(U(), 2), x))),
+            (2, [0.5, 0.25], lambda x: Mul(x, Mul(x, U()))),
+            (2, [-0.0, 0.0], lambda x: Mul(x, U())),
+            (2, [0.0, 1.0], lambda x: Add(Mul(x, Scale(-0.0, U())), U())),
+        ],
+        ids=["x-left", "x-right", "x-exp", "pow-minus-x", "nested", "neg-zero", "neg-zero-scale"],
+    )
+    @pytest.mark.parametrize("x", [Var(), XPow(1), XPow(3), XPow(0), XPow(40)],
+                             ids=["x", "x^1", "x^3", "x^0", "x^40"])
+    def test_matches_cauchy_product_bitwise(self, m, initial, build, x):
+        n = 30
+        shifted = lower(Equation(m, build(x)), n)
+        summed = lower(Equation(m, build(_no_monomial(x))), n)
+        assert "shift" in _kinds(shifted) and "mul" not in _kinds(shifted)
+        assert "shift" not in _kinds(summed)
+        assert _hex(run(shifted, initial)) == _hex(run(summed, initial))
+
+    def test_negative_zero_operand_from_parse(self):
+        got = run(lower(parse("D(u,2) = x*u"), 6), [-0.0, 0.0])
+        want = run(lower(Equation(2, Mul(_no_monomial(Var()), U())), 6), [-0.0, 0.0])
+        assert _hex(got) == _hex(want)
+        assert got[3].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize(
+        "m,initial,build,order",
+        [
+            # E(0) = inf and 0 * inf is NaN, so the Cauchy sum is not finite
+            # at k = 0 already: the shift must hand over there, not at k = 1.
+            (1, [1.0], lambda x: Mul(x, Scale(1e308, Scale(1e308, U()))), 1),
+            (1, [1.0], lambda x: Mul(Scale(1e308, Scale(1e308, U())), x), 1),
+            # E = 1e600 * (u - 1) is 0 at k = 0 and inf from k = 1: the sum
+            # is NaN at k = 1 (order 3); a shift would see inf only at k = 2.
+            (2, [1.0, 1.0], lambda x: Mul(x, Scale(1e300, Scale(1e300, Sub(U(), Const(1.0))))), 3),
+        ],
+        ids=["x-left", "x-right", "after-finite-steps"],
+    )
+    def test_overflow_names_the_order_of_the_product(self, m, initial, build, order):
+        for x in (Var(), _no_monomial(Var())):
+            with pytest.raises(NonFiniteCoefficientError) as err:
+                run(lower(Equation(m, build(x)), 10), initial)
+            assert err.value.order == order
 
 
 class TestNonFinite:

@@ -6,7 +6,8 @@ Run from the root of a checkout. The parent commit is exported with
 ``git archive`` into a temporary directory; the change is the working
 tree. Both sides run their own copy of ``bench/run.py``, which must be the
 same on both (the script refuses to run otherwise), for the run length
-that ``BENCHMARK.json`` sets. Each seed makes one pair per workload, and
+that ``BENCHMARK.json`` sets, on the workloads it lists (each must be one
+that ``bench/run.py`` accepts). Each seed makes one pair per workload, and
 the pairs alternate which side runs first: the parent on the 1st, 3rd,
 ... pair. Every side also makes one traced run at
 seed 3, whose exact counts are compared key by key.
@@ -21,6 +22,7 @@ the change wins, ties counting for neither. It is written to
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import statistics
@@ -30,7 +32,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("bratu", "solve", "long_series")
 SIDES = ("parent", "change")
 TRACE_SEED = 3
 TRACE_SECONDS = 3
@@ -86,6 +87,16 @@ def traced(roots: dict, workload: str) -> dict:
     return counts
 
 
+def known_workloads() -> tuple[str, ...]:
+    """The ``WORKLOADS`` tuple that ``bench/run.py`` accepts for ``--workload``."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets):
+            return tuple(ast.literal_eval(node.value))
+    raise SystemExit("error: bench/run.py defines no WORKLOADS")
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -104,6 +115,12 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(workloads) - set(known_workloads()))
+    if unknown:
+        print(f"error: bench/run.py has no workload {', '.join(map(repr, unknown))}",
+              file=sys.stderr)
+        return 2
     if subprocess.run(["git", "diff", "--quiet", args.parent, "--", "bench"], cwd=ROOT).returncode:
         print(f"error: bench/ differs from {args.parent}; pairs need the same benchmark",
               file=sys.stderr)
@@ -114,11 +131,11 @@ def main() -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         roots = {"parent": Path(tmp), "change": ROOT}
-        results = {w: {side: [] for side in SIDES} for w in WORKLOADS}
+        results = {w: {side: [] for side in SIDES} for w in workloads}
         machine = {}
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for w in WORKLOADS:
+            for w in workloads:
                 for side in order:
                     result, machine = bench(roots[side], w, seed, seconds, 0)
                     results[w][side].append(result)
@@ -138,7 +155,7 @@ def main() -> int:
                 "command": (f"python3 bench/run.py --workload W --seed {TRACE_SEED} "
                             f"--seconds {TRACE_SECONDS} --trace 1"),
                 "note": "exact counts over the traced batch",
-                **{w: traced(roots, w) for w in WORKLOADS},
+                **{w: traced(roots, w) for w in workloads},
             },
             "workloads": {
                 w: {
@@ -149,7 +166,7 @@ def main() -> int:
                     "failed": {s: sum(r["failed"] for r in results[w][s]) for s in SIDES},
                     "metrics": compare(results[w], better),
                 }
-                for w in WORKLOADS
+                for w in workloads
             },
             "machine": machine,
         }
