@@ -24,7 +24,6 @@ from .bratu import (
     analytic_u,
     boundary_residual,
     bratu_coeffs,
-    bratu_coeffs_exp,
     bratu_plan,
     compare,
     shoot,
@@ -68,7 +67,6 @@ from .series import (
     Series,
     add,
     derivative_transform,
-    dump_series,
     evaluate,
     format_series,
     load_series,
@@ -95,7 +93,6 @@ __all__ = [
     "derivative_transform",
     "evaluate",
     "load_series",
-    "dump_series",
     "format_series",
     # powers
     "pow_int",
@@ -126,7 +123,6 @@ __all__ = [
     "BratuSolution",
     "AnalyticBratu",
     "bratu_coeffs",
-    "bratu_coeffs_exp",
     "bratu_plan",
     "boundary_residual",
     "shoot",

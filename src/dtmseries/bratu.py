@@ -50,7 +50,6 @@ __all__ = [
     "AnalyticBratu",
     "bratu_plan",
     "bratu_coeffs",
-    "bratu_coeffs_exp",
     "boundary_residual",
     "shoot",
     "analytic_theta_roots",
@@ -126,11 +125,6 @@ def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
         if not math.isfinite(u[k + 2]):
             raise NonFiniteCoefficientError(k + 2)
     return Series(u)
-
-
-def bratu_coeffs_exp(lam: float, gamma: float, order: int) -> Series:
-    """Coefficients by the exp form: one run of :func:`bratu_plan`."""
-    return run(bratu_plan(lam, order), (0.0, gamma))
 
 
 def boundary_residual(coeffs: Series) -> float:

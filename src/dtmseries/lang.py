@@ -24,12 +24,14 @@ x^k of the right-hand side, then
 
     U(k+m) = R(k) / ((k+1)(k+2)...(k+m))
 
-An :class:`Equation` checks itself when it is built, whether parsed or
-built by hand. :func:`lower` pairs it with a truncation order and lowers
-the right-hand side once into an immutable program of slots in
-topological order, in which structurally equal subtrees share one slot
-(floats compared by their bits, so 0.0 and -0.0 stay apart). Each run
-gives every slot a buffer and every non-leaf slot a stepper, then
+An :class:`Equation` is checked and lowered when it is built, whether
+parsed or built by hand: one bottom-up walk of the right-hand side checks
+every node and builds an immutable program of slots in topological
+order, in which structurally equal subtrees share one slot (floats
+compared by their bits, so 0.0 and -0.0 stay apart). The program's keys
+are the equation's equality and hash. :func:`lower` only pairs the
+equation with a truncation order, checked by the plan. Each run gives
+every slot a buffer and every non-leaf slot a stepper, then
 advances the steppers once per order k in program order, so a subtree
 that occurs twice, like exp(u) in u*exp(u) + exp(u), is stepped once. A
 product, a pow and an exp slot drive the steppers that the whole-series
@@ -152,52 +154,127 @@ class Exp:
 Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 
 
-def _u_offset(expr: Expr) -> int:
-    """Highest solution index read relative to k when emitting R(k); u reads U(k).
+# A slot of a lowered equation is a tuple (kind, param, args): ``kind`` is
+# "u", "const", "xpow", "deriv", "add", "sub", "mul", "shift", "scale",
+# "pow" or "exp"; ``param`` is the literal, power, derivative order or
+# factor (None when there is none); ``args`` are the indices of the
+# operand slots, all below the slot's own index.
+_Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 
-    Also rejects hand-built nodes that the parser never produces.
+
+def _literal(value: float) -> float:
+    """A Const or Scale literal as a float; it must be finite."""
+    try:
+        f = float(value)
+    except OverflowError:
+        raise InvalidArgumentError("literal is too large for a float") from None
+    if not math.isfinite(f):
+        raise InvalidArgumentError(f"literal {f!r} is not a finite float")
+    return f
+
+
+def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
+    """Check ``rhs`` and lower it: its slots in topological order, the root
+    last, and their keys.
+
+    Rejects the nodes the parser never produces (``Deriv(0)``, ``Pow(e,
+    0)``, a negative ``XPow``, a literal that is not a finite float) with
+    :class:`InvalidArgumentError`, and a non-node with ``TypeError``.
+    Structurally equal subtrees share one slot: slots are hash-consed
+    bottom up on their key (kind, parameter, operand slots), with floats
+    keyed by ``float.hex`` so that 0.0 and -0.0 stay apart, as their
+    products do. ``x`` is ``x^1`` and ``pow(e, 1)`` is ``e``'s own slot. A
+    product with an ``x^p`` operand is a "shift" slot whose args are the
+    left operand, the right operand and the other one.
     """
-    if isinstance(expr, Deriv):
-        if expr.order < 1:
-            raise InvalidArgumentError("derivative order must be positive")
-        return expr.order
-    if isinstance(expr, (Add, Sub, Mul)):
-        return max(_u_offset(expr.left), _u_offset(expr.right))
-    if isinstance(expr, Pow) and expr.power < 1:
-        raise InvalidArgumentError("pow exponent must be positive")
-    if isinstance(expr, (Scale, Pow, Exp)):
-        return _u_offset(expr.child)
-    if isinstance(expr, XPow) and expr.power < 0:
-        raise InvalidArgumentError("x power must be non-negative")
-    if isinstance(expr, (Const, Var, XPow, U)):
-        return 0
-    raise TypeError(f"not an expression node: {expr!r}")
+    slots: list[_Slot] = []
+    index: dict[tuple, int] = {}
+
+    def visit(e: Expr) -> int:
+        t = type(e)
+        param: float | int | None = None
+        args: tuple[int, ...] = ()
+        if t is U:
+            kind = "u"
+        elif t is Const:
+            kind, param = "const", _literal(e.value)
+        elif t is Var or t is XPow:
+            kind, param = "xpow", 1 if t is Var else e.power
+            if param < 0:
+                raise InvalidArgumentError("x power must be non-negative")
+        elif t is Deriv:
+            if e.order < 1:
+                raise InvalidArgumentError("derivative order must be positive")
+            kind, param = "deriv", e.order
+        elif t is Scale:
+            kind, param, args = "scale", _literal(e.factor), (visit(e.child),)
+        elif t is Pow:
+            if e.power < 1:
+                raise InvalidArgumentError("pow exponent must be positive")
+            if e.power == 1:
+                return visit(e.child)
+            kind, param, args = "pow", e.power, (visit(e.child),)
+        elif t is Exp:
+            kind, args = "exp", (visit(e.child),)
+        elif t is Add or t is Sub or t is Mul:
+            args = (visit(e.left), visit(e.right))
+            kind = "add" if t is Add else "sub" if t is Sub else "mul"
+            if kind == "mul":
+                (left, p, _), (right, q, _) = slots[args[0]], slots[args[1]]
+                if left == "xpow":
+                    kind, param, args = "shift", p, args + args[1:]
+                elif right == "xpow":
+                    kind, param, args = "shift", q, args + args[:1]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        key = (kind, param.hex() if type(param) is float else param, args)
+        i = index.setdefault(key, len(slots))
+        if i == len(slots):
+            slots.append((kind, param, args))
+        return i
+
+    visit(rhs)
+    return tuple(slots), tuple(index)
 
 
 @dataclass(frozen=True)
 class Equation:
-    """Explicit equation D(u, lhs_order) = rhs, checked when it is built.
+    """Explicit equation D(u, lhs_order) = rhs, checked and lowered when it is built.
 
-    Raises :class:`InvalidArgumentError` for ``lhs_order < 1`` or a node
-    the parser never produces (``Deriv(0)``, ``Pow(e, 0)``, a negative
-    ``XPow``), and :class:`ImplicitFormError` when the right-hand side
-    reads D(u,j) with j >= lhs_order. So emitting R(k) reads solution
-    coefficients of index below k + lhs_order, the one being produced.
+    Raises :class:`InvalidArgumentError` for ``lhs_order < 1``, a node the
+    parser never produces (``Deriv(0)``, ``Pow(e, 0)``, a negative
+    ``XPow``) or a ``Const``/``Scale`` literal that is not a finite float
+    (``10**400``, inf, NaN), ``TypeError`` for a non-node, and
+    :class:`ImplicitFormError` when the right-hand side reads D(u,j) with
+    j >= lhs_order. So emitting R(k) reads solution coefficients of index
+    below k + lhs_order, the one being produced.
+
+    The one walk that checks the right-hand side also lowers it into an
+    immutable program of slots (see :func:`_program`), which every plan of
+    the equation runs. Equations are equal, and hash equal, when their
+    orders and slot keys are: floats compare by their bits, so
+    ``-0.0 * u`` and ``0.0 * u`` differ, while ``pow(u, 1)`` and ``u`` are
+    one equation.
     """
 
     lhs_order: int
-    rhs: Expr
+    rhs: Expr = field(compare=False)
+    _program: tuple[_Slot, ...] = field(init=False, repr=False, compare=False)
+    _keys: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.lhs_order
         if m < 1:
             raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
-        offset = _u_offset(self.rhs)
+        program, keys = _program(self.rhs)
+        offset = max((j for kind, j, _ in program if kind == "deriv"), default=0)
         if offset >= m:
             raise ImplicitFormError(
                 f"implicit form: right-hand side contains D(u,{offset}) but the "
                 f"left-hand side isolates order {m}"
             )
+        object.__setattr__(self, "_program", program)
+        object.__setattr__(self, "_keys", keys)
 
 
 # ----------------------------------------------------------------------
@@ -428,81 +505,28 @@ def format_equation(eq: Equation) -> str:
 # ----------------------------------------------------------------------
 
 
-# A slot of a lowered plan is a tuple (kind, param, args): ``kind`` is
-# "u", "const", "xpow", "deriv", "add", "sub", "mul", "shift", "scale",
-# "pow" or "exp"; ``param`` is the literal, power, derivative order or
-# factor (None when there is none); ``args`` are the indices of the
-# operand slots, all below the slot's own index.
-_Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
-
-
-def _program(rhs: Expr) -> tuple[_Slot, ...]:
-    """The slots of ``rhs`` in topological order, the root last.
-
-    Structurally equal subtrees share one slot: slots are hash-consed
-    bottom up on (kind, parameter, operand slots), with floats keyed by
-    ``float.hex`` so that 0.0 and -0.0 stay apart, as their products do.
-    ``x`` is ``x^1``. A product with an ``x^p`` operand is a "shift" slot
-    whose args are the left operand, the right operand and the other one.
-    """
-    slots: list[_Slot] = []
-    index: dict[tuple, int] = {}
-
-    def visit(e: Expr) -> int:
-        t = type(e)
-        param: float | int | None = None
-        args: tuple[int, ...] = ()
-        if t is U:
-            kind = "u"
-        elif t is Const:
-            kind, param = "const", float(e.value)
-        elif t is Var or t is XPow:
-            kind, param = "xpow", 1 if t is Var else e.power
-        elif t is Deriv:
-            kind, param = "deriv", e.order
-        elif t is Scale:
-            kind, param, args = "scale", float(e.factor), (visit(e.child),)
-        elif t is Pow:
-            kind, param, args = "pow", e.power, (visit(e.child),)
-        elif t is Exp:
-            kind, args = "exp", (visit(e.child),)
-        else:
-            args = (visit(e.left), visit(e.right))
-            kind = "add" if t is Add else "sub" if t is Sub else "mul"
-            if kind == "mul":
-                (left, p, _), (right, q, _) = slots[args[0]], slots[args[1]]
-                if left == "xpow":
-                    kind, param, args = "shift", p, args + args[1:]
-                elif right == "xpow":
-                    kind, param, args = "shift", q, args + args[:1]
-        key = (kind, param.hex() if type(param) is float else param, args)
-        i = index.setdefault(key, len(slots))
-        if i == len(slots):
-            slots.append((kind, param, args))
-        return i
-
-    visit(rhs)
-    return tuple(slots)
-
-
 @dataclass(frozen=True)
 class RecurrencePlan:
-    """An equation, the truncation order it is solved to, and its program.
+    """An equation and the truncation order it is solved to.
 
-    The equation checked itself when it was built, so every plan is
-    causal: emitting R(k) never reads a coefficient before it is produced.
-    Building the plan lowers the right-hand side once into an immutable
-    program of slots (one per distinct subtree, in topological order);
-    :func:`run` gives each slot a fresh buffer and stepper on every call,
-    so one plan may be shared and run concurrently.
+    Building a plan checks the order, which must hold the equation's
+    lhs_order initial coefficients. The equation checked and lowered
+    itself when it was built, so every plan is causal (emitting R(k) never
+    reads a coefficient before it is produced) and shares its equation's
+    immutable program; :func:`run` gives each slot a fresh buffer and
+    stepper on every call, so one plan may be shared and run concurrently.
+    Plans are equal when their equations and orders are.
     """
 
     equation: Equation
     order: int
-    _program: tuple[_Slot, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_program", _program(self.equation.rhs))
+        m = self.equation.lhs_order
+        if self.order < m - 1:
+            raise InvalidArgumentError(
+                f"order {self.order} cannot hold the {m} initial coefficients U(0..{m - 1})"
+            )
 
     @property
     def lhs_order(self) -> int:
@@ -511,11 +535,6 @@ class RecurrencePlan:
 
 def lower(equation: Equation, order: int) -> RecurrencePlan:
     """Lower an equation to a recurrence plan for the given truncation order."""
-    m = equation.lhs_order
-    if order < m - 1:
-        raise InvalidArgumentError(
-            f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
-        )
     return RecurrencePlan(equation, order)
 
 
@@ -566,12 +585,14 @@ def _stepper(
 def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     """Step the plan from the initial coefficients U(0..m-1) to its order.
 
-    Every slot of the plan's program gets one buffer: u's is the solution
-    list itself, a constant's or x^p's is filled in full, and every other
-    slot's grows by one coefficient per order from its own stepper. The
-    steppers advance once per order k in program order, so each reads
-    operands that already hold coefficient k, and a subtree that occurs
-    more than once is stepped once.
+    The initial coefficients must be m finite floats, checked as a
+    :class:`Series` checks its coefficients. Every slot of the equation's
+    program gets one buffer: u's is the solution list itself, a
+    constant's or x^p's is filled in full, and every other slot's grows
+    by one coefficient per order from its own stepper. The steppers
+    advance once per order k in program order, so each reads operands
+    that already hold coefficient k, and a subtree that occurs more than
+    once is stepped once.
 
     Raises :class:`NonFiniteCoefficientError` naming the first order at
     which a coefficient stops being finite.
@@ -581,15 +602,12 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
         raise InvalidArgumentError(
             f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}"
         )
-    u = [float(c) for c in initial]
-    for k, c in enumerate(u):
-        if not math.isfinite(c):
-            raise InvalidArgumentError(f"initial coefficient U({k}) is not finite")
+    u = list(Series(initial).coeffs)
     n = plan.order
     u.extend(0.0 for _ in range(n + 1 - m))
     bufs: list[Sequence[float]] = []
     nodes: list[tuple[list[float], Iterator[float]]] = []
-    for kind, param, args in plan._program:
+    for kind, param, args in plan.equation._program:
         if kind == "u":
             buf: Sequence[float] = u
         elif kind == "const":

@@ -119,17 +119,13 @@ def exp_step(
 def pow_steps(
     y: Sequence[float], m: int, count: OpCount | None = None
 ) -> Iterator[float]:
-    """Yield W(0), W(1), ... of y(x)^m for m >= 1, one coefficient per step.
+    """Yield W(0), W(1), ... of y(x)^m for m >= 2, one coefficient per step.
 
     Step k reads y[0..k] only, so ``y`` may be a buffer that grows by one
     coefficient per step. The valuation v is found as y grows; Miller's
     recurrence then runs on ybar(j) = y(v+j) and its output is shifted up
-    by v*m. v = 0 is the same path with no shift. m = 1 yields y's own
-    coefficients, bit for bit, as :func:`pow_int` returns its operand.
+    by v*m. v = 0 is the same path with no shift.
     """
-    if m == 1:
-        yield from (y[k] for k in itertools.count())
-        return
     v = 0
     while y[v] == 0.0:
         yield 0.0

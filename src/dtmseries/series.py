@@ -28,7 +28,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
@@ -46,7 +46,6 @@ __all__ = [
     "derivative_transform",
     "evaluate",
     "load_series",
-    "dump_series",
     "format_series",
 ]
 
@@ -341,9 +340,3 @@ def load_series(text: str) -> Series:
 def format_series(a: Series) -> str:
     """The JSON file format as a string; floats print shortest round-trip."""
     return json.dumps({"order": a.order, "coeffs": list(a.coeffs)})
-
-
-def dump_series(a: Series, stream: TextIO) -> None:
-    """Write a series in the JSON file format (round-trips bit-exactly)."""
-    stream.write(format_series(a))
-    stream.write("\n")

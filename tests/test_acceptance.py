@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dtmseries import (
     analytic_theta_roots,
     bratu_coeffs,
-    bratu_coeffs_exp,
+    bratu_plan,
     compare,
     exp_naive,
     exp_series,
@@ -93,7 +93,7 @@ def test_criterion_4_bratu_paths_agree():
         def check():
             for lam, gamma in ((1.0, 0.5), (2.0, 3.0)):
                 gap = relgap(
-                    bratu_coeffs(lam, gamma, 30), bratu_coeffs_exp(lam, gamma, 30)
+                    bratu_coeffs(lam, gamma, 30), run(bratu_plan(lam, 30), (0.0, gamma))
                 )
                 assert gap <= 1e-12
 
@@ -147,5 +147,5 @@ def test_criterion_9_dsl_equivalence():
         assert max(abs(c - 1.0) for c in sol) <= 1e-12
 
         dsl = run(lower(parse("D(u,2) = -1 * exp(u)"), 20), [0.0, 0.5])
-        assert dsl.coeffs == bratu_coeffs_exp(1.0, 0.5, 20).coeffs
+        assert dsl.coeffs == run(bratu_plan(1.0, 20), (0.0, 0.5)).coeffs
         assert relgap(dsl, bratu_coeffs(1.0, 0.5, 20)) <= 1e-12

@@ -14,7 +14,6 @@ from dtmseries import (
     analytic_u,
     boundary_residual,
     bratu_coeffs,
-    bratu_coeffs_exp,
     bratu_plan,
     compare,
     evaluate,
@@ -35,7 +34,7 @@ class TestCoefficients:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
     def test_first_values(self, lam, gamma):
-        for coeffs in (bratu_coeffs(lam, gamma, 3), bratu_coeffs_exp(lam, gamma, 3)):
+        for coeffs in (bratu_coeffs(lam, gamma, 3), run(bratu_plan(lam, 3), (0.0, gamma))):
             assert coeffs[0] == 0.0
             assert coeffs[1] == gamma
             assert abs(coeffs[2] - (-lam / 2.0)) <= 1e-15 * abs(lam / 2.0)
@@ -52,36 +51,39 @@ class TestCoefficients:
         lam, gamma = 1.3, 0.7
         want = lam * (lam - gamma * gamma) / 24.0
         assert abs(bratu_coeffs(lam, gamma, 4)[4] - want) <= 1e-13 * abs(want)
-        assert abs(bratu_coeffs_exp(lam, gamma, 4)[4] - want) <= 1e-13 * abs(want)
+        assert abs(run(bratu_plan(lam, 4), (0.0, gamma))[4] - want) <= 1e-13 * abs(want)
 
     def test_exp_path_starts_from_unit_weight(self):
         # W(0) = e^{U(0)} = 1 exactly when U(0) = 0, so U(2) = -lam/2 exactly.
-        assert bratu_coeffs_exp(2.0, 3.0, 3)[2] == -1.0
+        assert run(bratu_plan(2.0, 3), (0.0, 3.0))[2] == -1.0
 
     @pytest.mark.parametrize("lam,gamma", [(1.0, 0.5), (2.0, 3.0)])
     def test_paths_agree(self, lam, gamma):
         assert relgap(
-            bratu_coeffs(lam, gamma, 30), bratu_coeffs_exp(lam, gamma, 30)
+            bratu_coeffs(lam, gamma, 30), run(bratu_plan(lam, 30), (0.0, gamma))
         ) <= 1e-12
 
     @pytest.mark.parametrize("lam,gamma", [(0.5, 0.1), (1.0, 1.0), (2.0, 0.25)])
     def test_paths_agree_at_order_sixty(self, lam, gamma):
         assert relgap(
-            bratu_coeffs(lam, gamma, 60), bratu_coeffs_exp(lam, gamma, 60)
+            bratu_coeffs(lam, gamma, 60), run(bratu_plan(lam, 60), (0.0, gamma))
         ) <= 1e-12
 
     def test_overflow_names_the_order(self):
         # gamma = 1e200 makes U(4) overflow in both forms.
-        for coeffs in (bratu_coeffs, bratu_coeffs_exp):
+        for coeffs in (
+            lambda: bratu_coeffs(1.0, 1e200, 30),
+            lambda: run(bratu_plan(1.0, 30), (0.0, 1e200)),
+        ):
             with pytest.raises(NonFiniteCoefficientError) as err:
-                coeffs(1.0, 1e200, 30)
+                coeffs()
             assert err.value.order == 4
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
             bratu_coeffs(1.0, 0.5, 2)
         with pytest.raises(ValueError):
-            bratu_coeffs_exp(1.0, 0.5, 2)
+            run(bratu_plan(1.0, 2), (0.0, 0.5))
         with pytest.raises(ValueError):
             bratu_plan(1.0, 2)
 

@@ -5,11 +5,14 @@ import math
 import pytest
 
 from dtmseries import (
+    Const,
     Deriv,
     DtmError,
     Equation,
     InvalidArgumentError,
     Pow,
+    RecurrencePlan,
+    Scale,
     Series,
     U,
     XPow,
@@ -44,8 +47,15 @@ CHECKS = {
     "deriv_node": lambda: lower(Equation(2, Deriv(0)), 3),
     "pow_node": lambda: lower(Equation(1, Pow(U(), 0)), 3),
     "xpow_node": lambda: lower(Equation(1, XPow(-1)), 3),
+    "const_too_large": lambda: Equation(1, Const(10**400)),
+    "scale_too_large": lambda: Equation(1, Scale(10**400, U())),
+    "const_inf": lambda: Equation(1, Const(math.inf)),
+    "const_nan": lambda: Equation(1, Const(math.nan)),
+    "folded_literal_inf": lambda: parse("D(u,1) = 1e200 * 1e200 * u"),
+    "plan_order": lambda: RecurrencePlan(Equation(2, U()), 0),
     "run_length": lambda: run(PLAN, [1.0]),
     "run_nan": lambda: run(PLAN, [1.0, math.nan]),
+    "run_too_large": lambda: run(lower(parse("D(u,1) = u"), 3), (10**400,)),
     "bratu_order": lambda: bratu_plan(1.0, 2),
     "branch": lambda: shoot(1.0, 30, "middle"),
     "lambda": lambda: analytic_theta_roots(0.0),

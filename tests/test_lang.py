@@ -23,7 +23,7 @@ from dtmseries import (
     XPow,
     add,
     bratu_coeffs,
-    bratu_coeffs_exp,
+    bratu_plan,
     derivative_transform,
     exp_naive,
     format_equation,
@@ -218,7 +218,9 @@ class TestPrinter:
     @pytest.mark.parametrize("text", ROUND_TRIP_BATTERY)
     def test_parse_print_parse_identity(self, text):
         eq = parse(text)
-        assert parse(format_equation(eq)) == eq
+        back = parse(format_equation(eq))
+        assert back == eq
+        assert back.rhs == eq.rhs
 
     def test_canonical_form(self):
         assert format_equation(parse("D(u,2)=-1*exp(u)")) == "D(u,2) = -1.0 * exp(u)"
@@ -304,6 +306,9 @@ class TestRunBasics:
             got = run(lower(parse(f"D(u,1) = pow({operand}, 1)"), 20), [0.7])
             want = run(lower(parse(f"D(u,1) = {operand}"), 20), [0.7])
             assert list(map(float.hex, got)) == list(map(float.hex, want))
+            # pow(e, 1) is lowered to e's own slot.
+            assert "pow" not in _kinds(lower(parse(f"D(u,1) = pow({operand}, 1)"), 20))
+        assert Equation(1, Pow(U(), 1)) == Equation(1, U())
 
 
 class TestPowValuationAtRuntime:
@@ -378,7 +383,7 @@ def _hex(series):
 
 
 def _kinds(plan):
-    return [kind for kind, _, _ in plan._program]
+    return [kind for kind, _, _ in plan.equation._program]
 
 
 class TestSharedSlots:
@@ -397,10 +402,26 @@ class TestSharedSlots:
     def test_signed_zeros_get_separate_slots(self, rhs):
         # The dataclasses compare -0.0 equal to 0.0; the slots must not.
         assert rhs.left == rhs.right
-        program = lower(Equation(1, rhs), 3)._program
+        program = lower(Equation(1, rhs), 3).equation._program
         kind, _, (left, right) = program[-1]
         assert kind == "add" and left != right
         assert [program[i][1].hex() for i in (left, right)] == ["-0x0.0p+0", "0x0.0p+0"]
+
+    def test_signed_zero_literals_make_unequal_equations_and_plans(self):
+        # The two run to different bits from (1.0,): U(1) is -0.0 and 0.0.
+        texts = ("D(u,1) = -0.0*u", "D(u,1) = 0.0*u")
+        assert len({parse(text) for text in texts}) == 2
+        assert len({lower(parse(text), 2) for text in texts}) == 2
+        assert parse(texts[0]) != parse(texts[1])
+        assert lower(parse(texts[0]), 2) != lower(parse(texts[1]), 2)
+
+    def test_equal_programs_make_equal_equations_and_plans(self):
+        same = ("D(u,1) = 2*u*x", "D(u,1)=2.0*u*x^1", "D(u,1) = pow(2*u*x, 1)")
+        assert len({parse(text) for text in same}) == 1
+        assert len({lower(parse(text), 4) for text in same}) == 1
+        assert lower(parse(same[0]), 4) != lower(parse(same[0]), 5)
+        assert parse("D(u,2) = 2*u*x") != parse(same[0])
+        assert parse("D(u,1) = x*2*u") != parse(same[0])
 
     def test_repeated_exp_steps_once_per_order(self, monkeypatch):
         calls = []
@@ -496,11 +517,11 @@ class TestNonFinite:
 class TestBratuAgreement:
     def test_dsl_matches_exp_path_bitwise(self):
         sol = run(lower(parse("D(u,2) = -1 * exp(u)"), 20), [0.0, 0.5])
-        assert sol.coeffs == bratu_coeffs_exp(1.0, 0.5, 20).coeffs
+        assert sol.coeffs == run(bratu_plan(1.0, 20), (0.0, 0.5)).coeffs
 
     def test_dsl_matches_exp_path_bitwise_other_lambda(self):
         sol = run(lower(parse("D(u,2) = -2 * exp(u)"), 18), [0.0, 3.0])
-        assert sol.coeffs == bratu_coeffs_exp(2.0, 3.0, 18).coeffs
+        assert sol.coeffs == run(bratu_plan(2.0, 18), (0.0, 3.0)).coeffs
 
     def test_dsl_matches_simplified_recurrence(self):
         sol = run(lower(parse("D(u,2) = -1 * exp(u)"), 10), [0.0, 0.7])
