@@ -12,8 +12,9 @@ Grammar (whitespace insignificant):
     factor   := NUMBER | "x" | "x^" INT | "u" | "D(u," INT ")"
               | "pow(" expr "," INT ")" | "exp(" expr ")" | "(" expr ")"
 
-NUMBER is a decimal literal with an optional exponent, rejected when it
-overflows to an infinite float (e.g. "1e999"); a sign is recognized
+NUMBER is a decimal literal with an optional exponent, rejected when it,
+or a product of literals folded with it, overflows to an infinite float
+(e.g. "1e999" or "1e200*1e200"); a sign is recognized
 only immediately in front of a literal, so write "-1 * u" rather than "-u".
 INT is an unsigned decimal integer. Anything else (e.g. "sin(u)") is
 rejected as an unsupported operator, and a right-hand side referencing
@@ -62,7 +63,7 @@ from .errors import (
     NonFiniteCoefficientError,
 )
 from .powers import exp_steps, pow_steps
-from .series import Series, monomial, mul_steps
+from .series import Series, _finite_float, monomial, mul_steps
 
 __all__ = [
     "Const",
@@ -162,17 +163,6 @@ Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 _Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 
 
-def _literal(value: float) -> float:
-    """A Const or Scale literal as a float; it must be finite."""
-    try:
-        f = float(value)
-    except OverflowError:
-        raise InvalidArgumentError("literal is too large for a float") from None
-    if not math.isfinite(f):
-        raise InvalidArgumentError(f"literal {f!r} is not a finite float")
-    return f
-
-
 def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     """Check ``rhs`` and lower it: its slots in topological order, the root
     last, and their keys.
@@ -197,7 +187,7 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
         if t is U:
             kind = "u"
         elif t is Const:
-            kind, param = "const", _literal(e.value)
+            kind, param = "const", _finite_float(e.value, "literal")
         elif t is Var or t is XPow:
             kind, param = "xpow", 1 if t is Var else e.power
             if param < 0:
@@ -207,7 +197,7 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
                 raise InvalidArgumentError("derivative order must be positive")
             kind, param = "deriv", e.order
         elif t is Scale:
-            kind, param, args = "scale", _literal(e.factor), (visit(e.child),)
+            kind, param, args = "scale", _finite_float(e.factor, "literal"), (visit(e.child),)
         elif t is Pow:
             if e.power < 1:
                 raise InvalidArgumentError("pow exponent must be positive")
@@ -375,8 +365,8 @@ class _Parser:
     def term(self) -> Expr:
         node = self.factor()
         while self._peek().kind == "*":
-            self._advance()
-            node = _fold_mul(node, self.factor())
+            op = self._advance()
+            node = _fold_mul(node, self.factor(), op.pos)
         return node
 
     def factor(self) -> Expr:
@@ -434,10 +424,15 @@ class _Parser:
         raise EquationSyntaxError(f"unsupported operator {name!r}", tok.pos)
 
 
-def _fold_mul(a: Expr, b: Expr) -> Expr:
-    # Numeric literals fold into Const/Scale at parse time.
+def _fold_mul(a: Expr, b: Expr, pos: int) -> Expr:
+    # Numeric literals fold into Const/Scale at parse time; pos is the "*" they fold at.
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        value = a.value * b.value
+        if not math.isfinite(value):
+            raise EquationSyntaxError(
+                f"product of numeric literals is {value!r}, not a finite float", pos
+            )
+        return Const(value)
     if isinstance(a, Const):
         return Scale(a.value, b)
     if isinstance(b, Const):

@@ -62,6 +62,17 @@ class OpCount:
     multiplies: int = 0
 
 
+def _finite_float(value: float, what: str) -> float:
+    """``value`` as a float, which must be finite; ``what`` names it in the error."""
+    try:
+        f = float(value)
+    except OverflowError:
+        raise InvalidArgumentError(f"{what} is too large for a float") from None
+    if not math.isfinite(f):
+        raise InvalidArgumentError(f"{what} is {f!r}, not a finite float")
+    return f
+
+
 class Series:
     """Immutable truncated power series about x = 0.
 
@@ -74,22 +85,18 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = []
-        for c in coeffs:
-            try:
-                cs.append(float(c))
-            except OverflowError:
-                raise InvalidArgumentError(
-                    f"coefficient at index {len(cs)} is too large for a float"
-                ) from None
+        cs = list(coeffs)
         if not cs:
-            raise InvalidArgumentError(
-                "a series needs at least one coefficient (order >= 0)"
-            )
-        for k, c in enumerate(cs):
-            if not math.isfinite(c):
-                raise InvalidArgumentError(f"non-finite coefficient {c!r} at index {k}")
-        self._coeffs = tuple(cs)
+            raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
+        try:
+            floats = tuple(map(float, cs))
+            finite = all(map(math.isfinite, floats))
+        except OverflowError:
+            finite = False
+        if not finite:  # raise, naming the first coefficient that is not a finite float
+            for k, c in enumerate(cs):
+                _finite_float(c, f"coefficient at index {k}")
+        self._coeffs = floats
 
     @classmethod
     def _checked(cls, coeffs: list[float]) -> Series:

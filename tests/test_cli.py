@@ -203,6 +203,12 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "1e999" in err and "position 9" in err
+        code, out, err = run_cli(
+            ["solve", "--eq", "D(u,1) = 1e200*1e200*u", "--ic", "0", "--order", "2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a finite float" in err and "position 14" in err
 
     def test_wrong_ic_count(self, capsys):
         code, _, _ = run_cli(

@@ -51,7 +51,6 @@ CHECKS = {
     "scale_too_large": lambda: Equation(1, Scale(10**400, U())),
     "const_inf": lambda: Equation(1, Const(math.inf)),
     "const_nan": lambda: Equation(1, Const(math.nan)),
-    "folded_literal_inf": lambda: parse("D(u,1) = 1e200 * 1e200 * u"),
     "plan_order": lambda: RecurrencePlan(Equation(2, U()), 0),
     "run_length": lambda: run(PLAN, [1.0]),
     "run_nan": lambda: run(PLAN, [1.0, math.nan]),

@@ -62,6 +62,7 @@ class TestParseGolden:
     def test_dependent_u(self):
         eq = parse("D(u,1) = u")
         assert eq == Equation(1, U())
+        assert eq.rhs == U()
 
     def test_derivative_factor(self):
         assert parse("D(u,2) = D(u,1)").rhs == Deriv(1)
@@ -89,6 +90,7 @@ class TestParseGolden:
 
     def test_literal_folds_to_scale(self):
         assert parse("D(u,2) = -1 * exp(u)") == Equation(2, Scale(-1.0, Exp(U())))
+        assert parse("D(u,2) = -1 * exp(u)").rhs == Scale(-1.0, Exp(U()))
         assert parse("D(u,1) = u * 2").rhs == Scale(2.0, U())
 
     def test_literal_product_folds_to_const(self):
@@ -97,6 +99,8 @@ class TestParseGolden:
     def test_whitespace_insignificant(self):
         assert parse("D(u,1)=u*x") == parse("  D( u , 1 )  =  u * x  ")
         assert parse("D(u,1)=u*x") == parse("D(u,1)\u00a0=\u2003u*x")
+        assert parse("D(u,1)=u*x").rhs == parse("  D( u , 1 )  =  u * x  ").rhs
+        assert parse("D(u,1)=u*x").rhs == parse("D(u,1)\u00a0=\u2003u*x").rhs
 
     def test_precedence(self):
         assert parse("D(u,1) = u + x * u").rhs == Add(U(), Mul(Var(), U()))
@@ -157,7 +161,13 @@ class TestParseErrors:
             parse("D(u,1) = u & x")
 
     @pytest.mark.parametrize(
-        "text,position", [("D(u,1) = 1e999 * u", 9), ("D(u,1) = u - -1E400", 14)]
+        "text,position",
+        [
+            ("D(u,1) = 1e999 * u", 9),
+            ("D(u,1) = u - -1E400", 14),
+            # A product of finite literals that folds to inf names its "*".
+            ("D(u,1) = 1e200 * 1e200 * u", 15),
+        ],
     )
     def test_non_finite_literal_rejected(self, text, position):
         with pytest.raises(EquationSyntaxError, match="not a finite float") as err:
