@@ -6,9 +6,9 @@ coefficients. This package provides:
 
 - :mod:`dtmseries.series`: the immutable :class:`Series` value type and the
   linear operator table (sum, scale, product, derivative shift, monomial).
-- :mod:`dtmseries.powers`: integer powers via Miller's single-sum
-  recurrence, the exponential-of-series recurrence, and the naive
-  constructions that serve as their oracles.
+- :mod:`dtmseries.powers`: integer powers by binary powering up to m = 8
+  and Miller's single-sum recurrence above, the exponential-of-series
+  recurrence, and the naive constructions that serve as their oracles.
 - :mod:`dtmseries.lang`: a small DSL that parses an explicit ODE
   ``D(u,m) = f(x, u, ..., D(u,m-1))`` and lowers it to a per-order
   coefficient recurrence.

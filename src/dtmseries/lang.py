@@ -35,17 +35,21 @@ equation with a truncation order, checked by the plan. Each run gives
 every slot a buffer and every non-leaf slot a stepper, then
 advances the steppers once per order k in program order, so a subtree
 that occurs twice, like exp(u) in u*exp(u) + exp(u), is stepped once. A
-product, a pow and an exp slot drive the steppers that the whole-series
-functions drive (``series.mul_steps``, ``powers.pow_steps``,
-``powers.exp_steps``): one Cauchy coefficient or one single-sum
-recurrence step per order, which keeps a whole solve at O(N^2). A product
-with ``x^p`` is a shift, W(k) = 0.0 + E(k-p), bit for bit the Cauchy
-coefficient while E is finite. Each of those steppers keeps the operand
-its inner sum reads backwards in a newest-first list, so a step is one
-dot product over two lists already in order. Every stepper reads only
-coefficients 0..k of its operands at step k, so a pow of any operand, u or
-composite, finds its valuation and shifts as the operand's coefficients
-are produced.
+product, a square, a pow and an exp slot drive the steppers that the
+whole-series functions drive (``series.mul_steps``, ``series.sq_steps``,
+``powers.pow_steps``, ``powers.exp_steps``): one Cauchy coefficient or
+one single-sum recurrence step per order, which keeps a whole solve at
+O(N^2). A product of a slot with itself is its square, at about half the
+multiplies. ``pow(e, m)`` up to ``powers.BINARY_POW_MAX`` is the square
+and product slots of its binary chain, the chain ``pow_int`` runs, so
+``pow(u,2)`` and ``pow(u,3)`` share u's square; a larger m is one pow
+slot, Miller's recurrence. A product with ``x^p`` is a shift,
+W(k) = 0.0 + E(k-p), bit for bit the Cauchy coefficient while E is
+finite. Each of those steppers keeps the operand its inner sum reads
+backwards in a newest-first list, so a step is one dot product over two
+lists already in order. Every stepper reads only coefficients 0..k of its
+operands at step k, so a Miller pow of any operand, u or composite, finds
+its valuation and shifts as the operand's coefficients are produced.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from .errors import (
     InvalidArgumentError,
     NonFiniteCoefficientError,
 )
-from .powers import exp_steps, pow_steps
-from .series import Series, _finite_float, monomial, mul_steps
+from .powers import BINARY_POW_MAX, exp_steps, pow_steps, power_chain
+from .series import Series, _finite_float, monomial, mul_steps, sq_steps
 
 __all__ = [
     "Const",
@@ -156,10 +160,10 @@ Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 
 
 # A slot of a lowered equation is a tuple (kind, param, args): ``kind`` is
-# "u", "const", "xpow", "deriv", "add", "sub", "mul", "shift", "scale",
-# "pow" or "exp"; ``param`` is the literal, power, derivative order or
-# factor (None when there is none); ``args`` are the indices of the
-# operand slots, all below the slot's own index.
+# "u", "const", "xpow", "deriv", "add", "sub", "mul", "sq", "shift",
+# "scale", "pow" or "exp"; ``param`` is the literal, power, derivative
+# order or factor (None when there is none); ``args`` are the indices of
+# the operand slots, all below the slot's own index.
 _Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 
 
@@ -173,55 +177,66 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     Structurally equal subtrees share one slot: slots are hash-consed
     bottom up on their key (kind, parameter, operand slots), with floats
     keyed by ``float.hex`` so that 0.0 and -0.0 stay apart, as their
-    products do. ``x`` is ``x^1`` and ``pow(e, 1)`` is ``e``'s own slot. A
-    product with an ``x^p`` operand is a "shift" slot whose args are the
-    left operand, the right operand and the other one.
+    products do. ``x`` is ``x^1``. A product with an ``x^p`` operand is a
+    "shift" slot whose args are the left operand, the right operand and
+    the other one; a product of one slot with itself is a "sq" slot.
+    ``pow(e, m)`` up to ``BINARY_POW_MAX`` is the products of
+    :func:`~dtmseries.powers.power_chain` (so ``pow(e, 1)`` is ``e``'s own
+    slot, and ``pow(u, 2)`` and ``pow(u, 3)`` share ``u``'s square), and a
+    "pow" slot, Miller's recurrence, above it.
     """
     slots: list[_Slot] = []
     index: dict[tuple, int] = {}
 
-    def visit(e: Expr) -> int:
-        t = type(e)
-        param: float | int | None = None
-        args: tuple[int, ...] = ()
-        if t is U:
-            kind = "u"
-        elif t is Const:
-            kind, param = "const", _finite_float(e.value, "literal")
-        elif t is Var or t is XPow:
-            kind, param = "xpow", 1 if t is Var else e.power
-            if param < 0:
-                raise InvalidArgumentError("x power must be non-negative")
-        elif t is Deriv:
-            if e.order < 1:
-                raise InvalidArgumentError("derivative order must be positive")
-            kind, param = "deriv", e.order
-        elif t is Scale:
-            kind, param, args = "scale", _finite_float(e.factor, "literal"), (visit(e.child),)
-        elif t is Pow:
-            if e.power < 1:
-                raise InvalidArgumentError("pow exponent must be positive")
-            if e.power == 1:
-                return visit(e.child)
-            kind, param, args = "pow", e.power, (visit(e.child),)
-        elif t is Exp:
-            kind, args = "exp", (visit(e.child),)
-        elif t is Add or t is Sub or t is Mul:
-            args = (visit(e.left), visit(e.right))
-            kind = "add" if t is Add else "sub" if t is Sub else "mul"
-            if kind == "mul":
-                (left, p, _), (right, q, _) = slots[args[0]], slots[args[1]]
-                if left == "xpow":
-                    kind, param, args = "shift", p, args + args[1:]
-                elif right == "xpow":
-                    kind, param, args = "shift", q, args + args[:1]
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
+    def slot(kind: str, param: float | int | None = None, args: tuple[int, ...] = ()) -> int:
         key = (kind, param.hex() if type(param) is float else param, args)
         i = index.setdefault(key, len(slots))
         if i == len(slots):
             slots.append((kind, param, args))
         return i
+
+    def product(a: int, b: int) -> int:
+        (left, p, _), (right, q, _) = slots[a], slots[b]
+        if left == "xpow":
+            return slot("shift", p, (a, b, b))
+        if right == "xpow":
+            return slot("shift", q, (a, b, a))
+        return slot("sq", None, (a,)) if a == b else slot("mul", None, (a, b))
+
+    def visit(e: Expr) -> int:
+        t = type(e)
+        if t is U:
+            return slot("u")
+        if t is Const:
+            return slot("const", _finite_float(e.value, "literal"))
+        if t is Var or t is XPow:
+            p = 1 if t is Var else e.power
+            if p < 0:
+                raise InvalidArgumentError("x power must be non-negative")
+            return slot("xpow", p)
+        if t is Deriv:
+            if e.order < 1:
+                raise InvalidArgumentError("derivative order must be positive")
+            return slot("deriv", e.order)
+        if t is Scale:
+            return slot("scale", _finite_float(e.factor, "literal"), (visit(e.child),))
+        if t is Pow:
+            if e.power < 1:
+                raise InvalidArgumentError("pow exponent must be positive")
+            base = visit(e.child)
+            if e.power > BINARY_POW_MAX:
+                return slot("pow", e.power, (base,))
+            power = base
+            for op in power_chain(e.power):
+                power = product(power, power if op == "sq" else base)
+            return power
+        if t is Exp:
+            return slot("exp", None, (visit(e.child),))
+        if t is Mul:
+            return product(visit(e.left), visit(e.right))
+        if t is Add or t is Sub:
+            return slot("add" if t is Add else "sub", None, (visit(e.left), visit(e.right)))
+        raise TypeError(f"not an expression node: {e!r}")
 
     visit(rhs)
     return tuple(slots), tuple(index)
@@ -570,6 +585,8 @@ def _stepper(
         return (param * c[k] for k in ks)
     if kind == "mul":
         return mul_steps(*operands)
+    if kind == "sq":
+        return sq_steps(operands[0])
     if kind == "shift":
         return _shift_steps(*operands, param)
     if kind == "pow":

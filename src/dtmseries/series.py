@@ -12,6 +12,7 @@ operator table of the differential transformation method:
     w = lambda * y   ->  W(k) = lambda * Y(k)
     w = d^m y / dx^m ->  W(k) = (k+1)(k+2)...(k+m) * Y(k+m)
     w = y * z        ->  W(k) = sum_{l=0}^{k} Y(l) * Z(k-l)
+    w = y * y        ->  W(k) = 2 sum_{l<k/2} Y(l) * Y(k-l) + [k even] Y(k/2)^2
     w = x^m          ->  W(k) = 1 if k == m else 0
 
 Binary operations require equal truncation orders and raise
@@ -228,6 +229,43 @@ def mul_steps(
     for k in itertools.count():
         b_rev.insert(0, b[k])
         yield mul_step(a, b_rev, k, count)
+
+
+def sq_step(
+    a: Sequence[float], a_rev: Sequence[float], k: int, count: OpCount | None = None
+) -> float:
+    """One coefficient of the Cauchy square, k // 2 + 1 multiplies:
+
+        W(k) = 2 * sum_{j < k/2} A(j) * A(k-j) + [k even] * A(k/2)^2
+
+    ``a_rev`` holds A(k), ..., A(0), newest first, so A(j) pairs with
+    ``a_rev[j]`` = A(k-j). The sum is one C-level dot product over the
+    first ceil(k/2) pairs, added left to right from 0.0, and doubled by an
+    exact addition, which is not counted as a multiply. Each product of the
+    square is formed once, where the Cauchy sum forms each twice.
+    """
+    half, middle = divmod(k + 1, 2)
+    acc = sum(map(operator.mul, a[:half], a_rev), 0.0)
+    acc += acc
+    if middle:
+        acc += a[half] * a[half]
+    if count is not None:
+        count.multiplies += half + middle
+    return acc
+
+
+def sq_steps(a: Sequence[float], count: OpCount | None = None) -> Iterator[float]:
+    """Yield W(0), W(1), ... of the square a * a; step k reads a[0..k].
+
+    The stepper keeps a's coefficients newest first, as :func:`mul_steps`
+    keeps b's, so ``a`` may be a buffer that grows by one coefficient per
+    step. To order N it costs floor((N+2)^2 / 4) multiplies, against
+    (N+1)(N+2)/2 for :func:`mul_steps`.
+    """
+    a_rev: list[float] = []
+    for k in itertools.count():
+        a_rev.insert(0, a[k])
+        yield sq_step(a, a_rev, k, count)
 
 
 def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:

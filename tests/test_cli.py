@@ -33,7 +33,8 @@ class TestOps:
         )
         assert code == 0
         assert json.loads(out) == {"order": 3, "coeffs": [1.0, 2.0, 1.0, 0.0]}
-        assert err.strip() == "multiplies: 16"
+        # One Cauchy square to order 3: 1 + 1 + 2 + 2 multiplies.
+        assert err.strip() == "multiplies: 6"
 
     def test_pow_files(self, capsys, tmp_path):
         src = tmp_path / "in.json"
@@ -412,12 +413,17 @@ class TestBench:
         report = json.loads(out)
         assert report["op"] == "pow" and report["order"] == 64 and report["m"] == 8
         assert report["count_naive"] == 15015
+        # Miller's N(N+2) + m - 1, the paper's comparison, although pow_int
+        # raises to m = 8 by binary powering.
+        assert report["count_recurrence"] == 4231
         assert report["ratio"] >= 3.0
         assert report["time_recurrence_ns"] > 0 and report["time_naive_ns"] > 0
 
     def test_pow_m2_count(self, capsys):
         _, out, _ = run_cli(["bench", "--op", "pow", "--order", "64", "--m", "2"], capsys)
-        assert json.loads(out)["count_naive"] == 2145
+        report = json.loads(out)
+        assert report["count_naive"] == 2145
+        assert report["count_recurrence"] == 64 * 66 + 1
 
     def test_exp_counts(self, capsys):
         code, out, _ = run_cli(["bench", "--op", "exp", "--order", "64"], capsys)

@@ -1,12 +1,12 @@
-"""The C-level inner sums of the three kernels against plain Python loops.
+"""The C-level inner sums of the four kernels against plain Python loops.
 
-``mul_step``, ``miller_step`` and ``exp_step`` each compute their inner sum
-as one ``sum(map(operator.mul, ...), 0.0)``. Before Python 3.12 ``sum``
-adds floats left to right in one double, exactly as the loops below do, so
-every coefficient must agree bit for bit (compared with ``float.hex``, so
-the sign of a zero counts). From 3.12 on ``sum`` compensates its rounding;
-there each coefficient must agree within (k+1)*eps*sum|terms| of the
-loop, scaled by the divisor of the step.
+``mul_step``, ``sq_step``, ``miller_step`` and ``exp_step`` each compute
+their inner sum as one ``sum(map(operator.mul, ...), 0.0)``. Before Python
+3.12 ``sum`` adds floats left to right in one double, exactly as the loops
+below do, so every coefficient must agree bit for bit (compared with
+``float.hex``, so the sign of a zero counts). From 3.12 on ``sum``
+compensates its rounding; there each coefficient must agree within
+(k+1)*eps*sum|terms| of the loop, scaled by the divisor of the step.
 
 Each stepper check runs the loop on the stepper's own earlier outputs, so
 it tests one step at a time and stays meaningful on either version.
@@ -20,7 +20,7 @@ import pytest
 
 from dtmseries import OpCount
 from dtmseries.powers import exp_steps, miller_step, pow_int, pow_steps
-from dtmseries.series import Series, mul_step, mul_steps
+from dtmseries.series import Series, mul, mul_step, mul_steps, sq_step, sq_steps
 
 EPS = sys.float_info.epsilon
 ORDER = 12
@@ -50,6 +50,13 @@ def loop_product(factors):
 
 def mul_terms(a, b, k):
     return [a[l] * b[k - l] for l in range(k + 1)]
+
+
+def sq_loop(a, k):
+    # The square's loop: half the pairs, doubled, plus the middle square.
+    acc = loop_sum([a[j] * a[k - j] for j in range((k + 1) // 2)])
+    acc += acc
+    return acc + a[k // 2] * a[k // 2] if k % 2 == 0 else acc
 
 
 def miller_terms(y, w, k, m):
@@ -104,6 +111,43 @@ class TestMulStep:
     def test_negative_zero_products_sum_to_positive_zero(self):
         # The loop starts from 0.0, and 0.0 + -0.0 is 0.0.
         assert mul_step([-0.0, -0.0], [1.0, 1.0], 1).hex() == (0.0).hex()
+
+
+class TestSqStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stepper_over_growing_buffer_matches_loop(self, seed):
+        rng = random.Random(seed)
+        a = coeffs(rng, ORDER + 1, lead_zeros=seed % 3)
+        buf = []
+        count = OpCount()
+        steps = sq_steps(buf, count)
+        for k in range(ORDER + 1):
+            buf.append(a[k])
+            got = next(steps)
+            terms = [a[j] * a[k - j] for j in range(k + 1)]
+            if sys.version_info < (3, 12):
+                assert got.hex() == sq_loop(a, k).hex()
+            else:
+                assert abs(got - sq_loop(a, k)) <= (k + 2) * EPS * sum(map(abs, terms))
+        assert count.multiplies == (ORDER + 2) ** 2 // 4
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_count_is_half_k_plus_one(self, k):
+        count = OpCount()
+        a = [0.5, -1.0, 2.0, 0.25, -0.75, 1.5]
+        sq_step(a, a[k::-1], k, count)
+        assert count.multiplies == k // 2 + 1
+
+    def test_matches_the_cauchy_product(self):
+        # Each product is formed once and doubled, so the two sums differ
+        # only by rounding; at k = 0 both are 0.0 + A(0)^2.
+        rng = random.Random(7)
+        a = coeffs(rng, 201, lead_zeros=1)
+        got = list(itertools.islice(sq_steps(a), len(a)))
+        want = mul(Series(a), Series(a)).coeffs
+        bound = mul(Series(map(abs, a)), Series(map(abs, a))).coeffs
+        assert got[0].hex() == want[0].hex()
+        assert all(abs(g - w) <= 2 * 201 * EPS * b for g, w, b in zip(got, want, bound))
 
 
 class TestMillerStep:

@@ -1,6 +1,7 @@
 """Equation DSL: grammar, printer, lowering, and stepping."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -323,13 +324,13 @@ class TestRunBasics:
 
 class TestPowValuationAtRuntime:
     def test_tangent_series(self):
-        # u' = 1 + u^2 with u(0)=0: pow sees U(0)=0 and must shift.
+        # u' = 1 + u^2 with u(0)=0: pow's operand has U(0) = 0.
         sol = run(lower(parse("D(u,1) = 1 + pow(u,2)"), 9), [0.0])
         want = [0.0, 1.0, 0.0, 1 / 3, 0.0, 2 / 15, 0.0, 17 / 315, 0.0, 62 / 2835]
         assert max(abs(g - w) for g, w in zip(sol, want)) <= 1e-15
 
     def test_identically_zero_solution(self):
-        # u' = u^2, u(0)=0: the valuation is never found and u stays 0.
+        # u' = u^2, u(0)=0: u stays 0.
         sol = run(lower(parse("D(u,1) = pow(u,2)"), 10), [0.0])
         assert sol == Series([0.0] * 11)
 
@@ -338,6 +339,46 @@ class TestPowValuationAtRuntime:
         sol = run(lower(parse("D(u,1) = pow(1 + u, 2)"), 12), [0.0])
         assert sol[0] == 0.0
         assert max(abs(c - 1.0) for c in sol.coeffs[1:]) <= 1e-12
+
+
+def _tan_coeffs(order):
+    # tan(x + atan(1/2)) solves u' = 1 + u^2 from u(0) = 1/2: exact
+    # rational coefficients, all positive.
+    t = [Fraction(1, 2)]
+    for k in range(order):
+        t.append((sum(t[j] * t[k - j] for j in range(k + 1)) + (k == 0)) / (k + 1))
+    return t
+
+
+class TestBinaryPow:
+    @pytest.mark.parametrize("order", (40, 60, 80))
+    def test_tangent_with_a_zero_in_its_disk(self, order):
+        # u has a zero at -0.464 inside its radius 1.107. Miller's
+        # recurrence was off by 4.4e-7 (N = 40), 3.0 (60) and 3.4e7 (80)
+        # relative; the square stays within 1.4e-15.
+        sol = run(lower(parse("D(u,1) = 1 + pow(u,2)"), order), [0.5])
+        want = _tan_coeffs(order)
+        assert max(abs(Fraction(g) - w) / w for g, w in zip(sol, want)) <= 1e-13
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_overflow_order_is_that_of_the_naive_fold(self, m):
+        # u' = u^m grows like ((m-1) u0^(m-1))^k = 1e40^k. The fold of
+        # products with a copy of u (not u's own slot, so no square) and
+        # pow_naive of the solution so far must overflow where pow does.
+        u0 = (1e40 / (m - 1)) ** (1 / (m - 1))
+        fold = U()
+        for _ in range(m - 1):
+            fold = Mul(fold, Scale(1.0, U()))
+        orders = []
+        for rhs in (Pow(U(), m), fold):
+            with pytest.raises(NonFiniteCoefficientError) as err:
+                run(lower(Equation(1, rhs), 20), [u0])
+            orders.append(err.value.order)
+        k = orders[0]
+        assert orders == [k, k] and k > 1
+        with pytest.raises(NonFiniteCoefficientError) as err:
+            pow_naive(run(lower(Equation(1, Pow(U(), m)), k - 1), [u0]), m)
+        assert err.value.order == k - 1
 
 
 class TestNestedNonlinear:
@@ -361,8 +402,7 @@ class TestNestedNonlinear:
                 [0.0],
                 lambda sol, n: add(monomial(0, n), pow_naive(sol, 3)[0]),
             ),
-            # pow of a composite operand with a zero constant coefficient:
-            # the valuation shift reads the operand's own coefficients.
+            # pow of a composite operand with a zero constant coefficient.
             (
                 "D(u,1) = pow(x * u, 2)",
                 [1.0],
@@ -394,6 +434,13 @@ def _hex(series):
 
 def _kinds(plan):
     return [kind for kind, _, _ in plan.equation._program]
+
+
+def _cauchy_products_of_x(plan):
+    # The "mul" and "sq" slots that read an x^p slot.
+    program = plan.equation._program
+    return [(kind, args) for kind, _, args in program
+            if kind in ("mul", "sq") and any(program[i][0] == "xpow" for i in args)]
 
 
 class TestSharedSlots:
@@ -432,6 +479,16 @@ class TestSharedSlots:
         assert lower(parse(same[0]), 4) != lower(parse(same[0]), 5)
         assert parse("D(u,2) = 2*u*x") != parse(same[0])
         assert parse("D(u,1) = x*2*u") != parse(same[0])
+
+    def test_pow_chains_share_one_square(self):
+        # pow(u,3) is u's square times u, and reuses pow(u,2)'s square.
+        plan = lower(parse("D(u,1) = pow(u,2) + pow(u,3)"), 5)
+        assert _kinds(plan) == ["u", "sq", "mul", "add"]
+        assert "pow" in _kinds(lower(parse("D(u,1) = pow(u,9)"), 5))
+
+    def test_product_of_one_slot_with_itself_is_its_square(self):
+        assert parse("D(u,1) = 1 + u*u") == parse("D(u,1) = 1 + pow(u,2)")
+        assert _kinds(lower(parse("D(u,1) = exp(u)*exp(u)"), 5)) == ["u", "exp", "sq"]
 
     def test_repeated_exp_steps_once_per_order(self, monkeypatch):
         calls = []
@@ -480,7 +537,7 @@ class TestShiftProduct:
         n = 30
         shifted = lower(Equation(m, build(x)), n)
         summed = lower(Equation(m, build(_no_monomial(x))), n)
-        assert "shift" in _kinds(shifted) and "mul" not in _kinds(shifted)
+        assert "shift" in _kinds(shifted) and not _cauchy_products_of_x(shifted)
         assert "shift" not in _kinds(summed)
         assert _hex(run(shifted, initial)) == _hex(run(summed, initial))
 

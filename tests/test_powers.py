@@ -1,5 +1,6 @@
-"""Miller's power recurrence, the exp recurrence, and their naive oracles."""
+"""Binary powering, Miller's power recurrence, the exp recurrence, and their naive oracles."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from dtmseries import (
     DomainError,
+    NonFiniteCoefficientError,
     OpCount,
     Series,
     add,
@@ -18,6 +20,7 @@ from dtmseries import (
     pow_naive,
     zeros,
 )
+from dtmseries.powers import BINARY_POW_MAX, pow_steps, power_chain
 from util import oracle_series, oracle_series_valuation, relgap
 
 
@@ -34,9 +37,14 @@ class TestPowInt:
         assert count.multiplies == 0
 
     def test_multiply_count(self):
-        # m - 1 for W(0), then 2k + 1 at step k: N(N+2) + m - 1 to order N.
-        _, count = pow_int(oracle_series(random.Random(0), order=64), 8)
-        assert count.multiplies == 64 * 66 + 7
+        a = oracle_series(random.Random(0), order=64)
+        # Miller: m - 1 for W(0), then 2k + 1 at step k: N(N+2) + m - 1 to order N.
+        assert pow_int(a, 9)[1].multiplies == 64 * 66 + 8
+        # Binary powering: floor((N+2)^2/4) per square, (N+1)(N+2)/2 per product.
+        square, product = 66 * 66 // 4, 65 * 66 // 2
+        for m, (squares, products) in {2: (1, 0), 3: (1, 1), 4: (2, 0), 5: (2, 1),
+                                       6: (2, 1), 7: (2, 2), 8: (3, 0)}.items():
+            assert pow_int(a, m)[1].multiplies == squares * square + products * product
 
     def test_valuation_shift(self):
         # (x + x^2)^2 = x^2 (1 + x)^2; exercises v = 1.
@@ -65,6 +73,58 @@ class TestPowInt:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             pow_int(Series([1, 1]), -1)
+
+
+def zero_in_disk(order):
+    """0.8 (1 - x/1.2)^(-0.9) (1 + 2x): its zero, -0.5, lies inside its disk."""
+    y, t = [], 0.8
+    for k in range(order + 1):
+        y.append(t)
+        t = t * (0.9 + k) / ((k + 1) * 1.2)
+    return Series([y[0]] + [y[k] + 2.0 * y[k - 1] for k in range(1, order + 1)])
+
+
+def overflow_index(power, a, m):
+    """The index that ``power(a, m)`` names as non-finite, or None."""
+    try:
+        power(a, m)
+    except NonFiniteCoefficientError as err:
+        return err.order
+    return None
+
+
+class TestBinaryPowering:
+    def test_chain(self):
+        assert [power_chain(m) for m in (1, 2, 3, 5, 6, 7, 8)] == [
+            (), ("sq",), ("sq", "mul"), ("sq", "sq", "mul"), ("sq", "mul", "sq"),
+            ("sq", "mul", "sq", "mul"), ("sq", "sq", "sq"),
+        ]
+
+    @pytest.mark.parametrize("m", range(2, BINARY_POW_MAX + 1))
+    def test_zero_in_disk_matches_naive(self, m):
+        # Miller's recurrence divides by Y(0), and its errors grow like
+        # (R/|z|)^k: here it was wrong from index 34 (m = 2) to 57 (m = 8)
+        # on. Each coefficient must be within 1e-9 of the naive fold of |a|.
+        a = zero_in_disk(1000)
+        got = pow_int(a, m)[0]
+        want = pow_naive(a, m)[0]
+        bound = pow_naive(Series(map(abs, a)), m)[0]
+        assert all(abs(g - w) <= 1e-9 * b for g, w, b in zip(got, want, bound))
+
+    @pytest.mark.parametrize("m", range(2, BINARY_POW_MAX + 2))
+    @pytest.mark.parametrize("coeffs", [[1e100] * 6, [10.0 ** (44 * k) for k in range(8)]],
+                             ids=["flat", "geometric"])
+    def test_overflow_names_the_index_of_the_naive_fold(self, coeffs, m):
+        # [1e100]*6 overflows at index 0 from m = 4 on and not below;
+        # Miller named index 1 for m = 3. The geometric one, at index 7.
+        a = Series(coeffs)
+        assert overflow_index(pow_int, a, m) == overflow_index(pow_naive, a, m)
+
+    def test_above_the_cutoff_is_miller_bitwise(self):
+        a = oracle_series(random.Random(9), order=40)
+        m = BINARY_POW_MAX + 1
+        miller = itertools.islice(pow_steps(a.coeffs, m), len(a))
+        assert list(map(float.hex, pow_int(a, m)[0])) == list(map(float.hex, miller))
 
 
 class TestPowNaive:
@@ -131,18 +191,19 @@ class TestExpNaive:
 
 
 class TestOracleEquivalence:
+    # m = 2..8 runs binary powering, m = 9 and 10 Miller's recurrence.
     def test_miller_matches_naive(self):
         rng = random.Random(34)
         for _ in range(100):
             a = oracle_series(rng)
-            for m in range(2, 9):
+            for m in range(2, 11):
                 assert relgap(pow_int(a, m)[0], pow_naive(a, m)[0]) <= 1e-10
 
     def test_miller_matches_naive_valuation_path(self):
         rng = random.Random(34)
         for _ in range(100):
             a = oracle_series_valuation(rng)
-            for m in range(2, 9):
+            for m in range(2, 11):
                 assert relgap(pow_int(a, m)[0], pow_naive(a, m)[0]) <= 1e-10
 
     def test_miller_matches_naive_mixed_orders(self):
