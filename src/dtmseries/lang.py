@@ -40,16 +40,17 @@ whole-series functions drive (``series.mul_steps``, ``series.sq_steps``,
 ``powers.pow_steps``, ``powers.exp_steps``): one Cauchy coefficient or
 one single-sum recurrence step per order, which keeps a whole solve at
 O(N^2). A product of a slot with itself is its square, at about half the
-multiplies. ``pow(e, m)`` up to ``powers.BINARY_POW_MAX`` is the square
-and product slots of its binary chain, the chain ``pow_int`` runs, so
-``pow(u,2)`` and ``pow(u,3)`` share u's square; a larger m is one pow
-slot, Miller's recurrence. A product with ``x^p`` is a shift,
-W(k) = 0.0 + E(k-p), bit for bit the Cauchy coefficient while E is
-finite. Each of those steppers keeps the operand its inner sum reads
-backwards in a newest-first list, so a step is one dot product over two
-lists already in order. Every stepper reads only coefficients 0..k of its
-operands at step k, so a Miller pow of any operand, u or composite, finds
-its valuation and shifts as the operand's coefficients are produced.
+multiplies. ``pow(e, m)`` is the slots of the stages that
+``powers.power_chain`` gives and ``pow_int`` runs: square and product
+slots for a small m, so ``pow(u,2)`` and ``pow(u,3)`` share u's square,
+and one pow slot, Miller's recurrence, for a larger m. A product with
+``x^p`` is a shift, W(k) = 0.0 + E(k-p), bit for bit the Cauchy
+coefficient while E is finite. Each of those steppers keeps the operand
+its inner sum reads backwards in a newest-first list, so a step is one
+dot product over two lists already in order. Every stepper reads only
+coefficients 0..k of its operands at step k, so a Miller pow of any
+operand, u or composite, finds its valuation and shifts as the operand's
+coefficients are produced.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from .errors import (
     InvalidArgumentError,
     NonFiniteCoefficientError,
 )
-from .powers import BINARY_POW_MAX, exp_steps, pow_steps, power_chain
-from .series import Series, _finite_float, monomial, mul_steps, sq_steps
+from .powers import exp_steps, pow_steps, power_chain
+from .series import Series, _div_exact, _finite_float, monomial, mul_steps, sq_steps
 
 __all__ = [
     "Const",
@@ -180,10 +181,10 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     products do. ``x`` is ``x^1``. A product with an ``x^p`` operand is a
     "shift" slot whose args are the left operand, the right operand and
     the other one; a product of one slot with itself is a "sq" slot.
-    ``pow(e, m)`` up to ``BINARY_POW_MAX`` is the products of
-    :func:`~dtmseries.powers.power_chain` (so ``pow(e, 1)`` is ``e``'s own
-    slot, and ``pow(u, 2)`` and ``pow(u, 3)`` share ``u``'s square), and a
-    "pow" slot, Miller's recurrence, above it.
+    ``pow(e, m)`` is the stages of :func:`~dtmseries.powers.power_chain`:
+    "sq" and "mul" are products (so ``pow(e, 1)`` is ``e``'s own slot, and
+    ``pow(u, 2)`` and ``pow(u, 3)`` share ``u``'s square), and "pow" is a
+    "pow" slot, Miller's recurrence.
     """
     slots: list[_Slot] = []
     index: dict[tuple, int] = {}
@@ -223,12 +224,12 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
         if t is Pow:
             if e.power < 1:
                 raise InvalidArgumentError("pow exponent must be positive")
-            base = visit(e.child)
-            if e.power > BINARY_POW_MAX:
-                return slot("pow", e.power, (base,))
-            power = base
+            power = base = visit(e.child)
             for op in power_chain(e.power):
-                power = product(power, power if op == "sq" else base)
+                if op == "pow":
+                    power = slot("pow", e.power, (base,))
+                else:
+                    power = product(power, power if op == "sq" else base)
             return power
         if t is Exp:
             return slot("exp", None, (visit(e.child),))
@@ -637,7 +638,10 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
                 buf.append(next(steps))
         except OverflowError:
             raise NonFiniteCoefficientError(k + m) from None
-        value = root[k] / math.perm(k + m, m)
+        try:
+            value = root[k] / math.perm(k + m, m)
+        except OverflowError:  # k + m > 170: the divisor has no float
+            value = _div_exact(root[k], math.perm(k + m, m))
         if not math.isfinite(value):
             raise NonFiniteCoefficientError(k + m)
         u[k + m] = value

@@ -1,29 +1,29 @@
 """Integer powers and exponentials of truncated series.
 
 Raising a series to an integer power m by repeated Cauchy products costs
-m - 1 convolutions. Two cheaper constructions are used here, chosen by m.
+m - 1 convolutions. Two cheaper constructions are used here, and only
+:func:`power_chain` chooses between them, by m.
 
 For 2 <= m <= :data:`BINARY_POW_MAX` = 8, binary powering (Knuth, TAOCP
-vol. 2, 4.6.3) reads the bits of m from the left (:func:`power_chain`): a
-square for each bit after the leading one, then a product with the base
-if that bit is set, so m = 5 (binary 101) is square, square, times y. A
-square is the symmetric Cauchy sum of :func:`~dtmseries.series.sq_step`,
-about half a product. To order N = 1000 the chain costs 0.25e6, 0.75e6,
-0.50e6, 1.00e6, 1.00e6, 1.51e6 and 0.75e6 multiplies for m = 2..8, where
-Miller's recurrence costs 1.00e6 for every m. In one process, interleaved
-(CPython 3.11, 2-vCPU Xeon), the chain took 0.26, 0.69, 0.51, 0.93, 0.93,
-1.30 and 0.72 times Miller's time. m = 7 is slower on the chain and stays
-there for stability. :func:`binary_pow_steps` advances every stage of the
-chain one order per step, so an overflow is named at the first index
-whose output is not finite, as for the other kernels.
+vol. 2, 4.6.3) reads the bits of m from the left: a square for each bit
+after the leading one, then a product with the base if that bit is set,
+so m = 5 (binary 101) is square, square, times y. A square is the
+symmetric Cauchy sum of :func:`~dtmseries.series.sq_step`, about half a
+product. To order N = 1000 the chain costs 0.25e6, 0.75e6, 0.50e6,
+1.00e6, 1.00e6, 1.51e6 and 0.75e6 multiplies for m = 2..8, where Miller's
+recurrence costs 1.00e6 for every m. In one process, interleaved (CPython
+3.11, 2-vCPU Xeon), the chain took 0.26, 0.69, 0.51, 0.93, 0.93, 1.30 and
+0.72 times Miller's time. m = 7 is slower on the chain and stays there
+for stability.
 
-Above the cutoff the single-sum recurrence credited to J.C.P. Miller
-(TAOCP vol. 2, 4.7) produces the coefficients with one inner sum per
-output coefficient:
+Above the cutoff the chain is the single stage ("pow",): the single-sum
+recurrence credited to J.C.P. Miller (TAOCP vol. 2, 4.7) produces the
+coefficients with one inner sum per output coefficient:
 
     W(0) = Y(0)^m
     W(k) = 1/(k*Y(0)) * sum_{j=1}^{k} [(m+1)*j - k] * Y(j) * W(k-j)
 
+Y(0)^m is raised by the same bits of m, so the cost grows like log m.
 It is exact in exact arithmetic but unstable in floats when ybar (below)
 has a zero z inside its own disk of convergence, of radius R: it divides
 by Y(0) to solve y*w' = m*y'*w, and its rounding errors grow roughly like
@@ -31,8 +31,7 @@ by Y(0) to solve y*w' = m*y'*w, and its rounding errors grow roughly like
 tan(x + atan(1/2)) has a zero at -0.464 inside radius 1.107, Miller's
 largest relative coefficient error was 3.4e-12 at N = 24, 4.4e-7 at
 N = 40 and 3.0 at N = 60. Binary powering divides by nothing, and stays
-within rounding of the naive fold. Miller's weights cost O(1) memory, so
-it still serves a huge m, where a chain of products would not.
+within rounding of the naive fold.
 
 A companion recurrence handles the exponential of a series. With
 dY(j) = j * Y(j), the coefficients of x*y'(x),
@@ -62,18 +61,17 @@ reads two lists that are already in order and no step builds a reversed
 copy, which matters most for the short steps. Miller's integer weights
 (m+1)*j - k are the float progression m+1-k, 2(m+1)-k, ... built by
 repeated addition (``itertools.count``), so they cost O(1) memory
-whatever m is. Every partial value is an integer,
-so the weights are exact while (m+1)*k <= 2^53; each term is
-``weight * (Y(j) * W(k-j))``, in that order, as in the loop.
+whatever m is. Every partial value is an integer, so the weights are
+exact while (m+1)*k <= 2^53; each term is ``weight * (Y(j) * W(k-j))``,
+in that order, as in the loop.
 
 Each recurrence is written once, as a stepper (:func:`pow_steps`,
-:func:`exp_steps`, and :func:`binary_pow_steps` over the square and
-product steppers of :mod:`dtmseries.series`) that yields one coefficient
-per step and reads only the operand's coefficients 0..k at step k.
-:func:`pow_int` and :func:`exp_series` drive a stepper over a whole
-series; the plans of :mod:`dtmseries.lang` drive the same steppers over
-buffers that grow as the solution is produced, with a power's chain
-lowered into shared square and product slots of the plan.
+:func:`exp_steps`, and the square and product steppers of
+:mod:`dtmseries.series`) that yields one coefficient per step and reads
+only the operand's coefficients 0..k at step k. :func:`pow_int` and
+:func:`exp_series` drive them over whole series, a power's stages one
+after another; the plans of :mod:`dtmseries.lang` drive the same
+steppers over growing buffers, a power's stages as shared slots.
 
 ``pow_naive`` and ``exp_naive`` build the same objects by brute force
 (repeated convolution; summed Taylor terms of exp) and serve as the
@@ -88,7 +86,7 @@ import operator
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InvalidArgumentError
-from .series import OpCount, Series, collect, monomial, mul, mul_steps, sq_steps
+from .series import OpCount, Series, _div_exact, collect, monomial, mul, mul_steps, sq_steps
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
 
@@ -99,14 +97,15 @@ BINARY_POW_MAX = 8
 
 
 def _int_pow(base: float, m: int, count: OpCount | None = None) -> float:
-    # Repeated multiplication: m - 1 scalar multiplies for m >= 1.
-    if m == 0:
-        return 1.0
+    # Left-to-right binary powering of a scalar, m >= 1: one multiply per
+    # square and per set bit after the leading one, so any m is cheap.
     r = base
-    for _ in range(m - 1):
-        r *= base
+    for bit in bin(m)[3:]:
+        r *= r
+        if bit == "1":
+            r *= base
     if count is not None:
-        count.multiplies += m - 1
+        count.multiplies += m.bit_length() + m.bit_count() - 2
     return r
 
 
@@ -153,39 +152,16 @@ def exp_step(
 
 
 def power_chain(m: int) -> tuple[str, ...]:
-    """The left-to-right binary chain of y^m, m >= 1, as "sq" and "mul" stages.
+    """The stages that raise y^m, m >= 1: ("pow",), Miller's recurrence,
+    above :data:`BINARY_POW_MAX`, else the left-to-right binary chain.
 
-    For each bit of m after the leading one: "sq" squares the power so
+    For each bit of m after the leading one, "sq" squares the power so
     far, and "mul", for a set bit, multiplies it by y. m = 6 (binary 110)
     is ("sq", "mul", "sq"): y^2, y^3, y^6. m = 1 is the empty chain.
     """
+    if m > BINARY_POW_MAX:
+        return ("pow",)
     return tuple(op for bit in bin(m)[3:] for op in (("sq", "mul") if bit == "1" else ("sq",)))
-
-
-def binary_pow_steps(
-    y: Sequence[float], m: int, count: OpCount | None = None
-) -> Iterator[float]:
-    """Yield W(0), W(1), ... of y(x)^m by binary powering, one coefficient per step.
-
-    Every stage of :func:`power_chain` is a square or product stepper over
-    the previous stage's buffer, and step k advances each stage to order k
-    in turn, so step k reads y[0..k] only. A product stage reads the power
-    so far forward and y backwards, as ``mul(power, y)`` in
-    :func:`pow_naive` does. A stage that overflows at index k makes every
-    later stage non-finite at k (its term with that coefficient is inf or
-    NaN), so the output reports it there.
-    """
-    stages = []
-    power = y
-    for op in power_chain(m):
-        out: list[float] = []
-        steps = sq_steps(power, count) if op == "sq" else mul_steps(power, y, count)
-        stages.append((out.append, steps))
-        power = out
-    for k in itertools.count():
-        for append, steps in stages:
-            append(next(steps))
-        yield power[k]
 
 
 def pow_steps(
@@ -242,13 +218,14 @@ def _power_zero(a: Series) -> Series:
 def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     """Coefficients of a(x)^m truncated at order(a).
 
-    2 <= m <= :data:`BINARY_POW_MAX` runs binary powering, larger m
-    Miller's recurrence (module docstring). m = 0 returns the constant-one
+    Runs each stage of :func:`power_chain` over the whole series in turn,
+    the last one into the overflow check. m = 0 returns the constant-one
     series (algebraic convention) unless a is identically zero, in which
-    case 0^0 raises :class:`DomainError`. m = 1 returns ``a`` unchanged.
-    If the valuation times m exceeds the truncation order the result is
-    the zero series. Raises :class:`NonFiniteCoefficientError` naming the
-    first index that overflows.
+    case 0^0 raises :class:`DomainError`. m = 1 returns ``a`` unchanged; a
+    valuation v with v*m > order(a) gives the zero series. Raises
+    :class:`NonFiniteCoefficientError` naming the first index at which the
+    power is not finite (coefficient k of a stage reads the stage before
+    it up to index k only).
     """
     if m < 0:
         raise InvalidArgumentError("pow_int exponent must be a non-negative integer")
@@ -257,15 +234,25 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
         return _power_zero(a), count
     if m == 1:
         return a, count
-    steps = binary_pow_steps if m <= BINARY_POW_MAX else pow_steps
-    return collect(itertools.islice(steps(a.coeffs, m, count), len(a))), count
+    y = power = a.coeffs
+    for op in power_chain(m):
+        power = list(power)
+        if op == "pow":
+            steps = pow_steps(y, m, count)
+        else:
+            steps = sq_steps(power, count) if op == "sq" else mul_steps(power, y, count)
+        power = itertools.islice(steps, len(a))
+    return collect(power), count
 
 
 def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
     """Oracle power: fold the Cauchy product over m copies of a.
 
     Performs exactly m - 1 full convolutions, (N+1)(N+2)/2 multiplies each.
-    Same 0^0 error contract as :func:`pow_int`.
+    Same 0^0 error contract as :func:`pow_int`. The error on overflow
+    names the first index at which any partial product overflows, which
+    can come before the power's own: for [1e80, 0, 0, 0, 0, 1e230, 0] and
+    m = 4 that is 5, where a^2 overflows, and :func:`pow_int` names 0.
     """
     if m < 0:
         raise InvalidArgumentError("pow_naive exponent must be a non-negative integer")
@@ -310,9 +297,11 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
         for m in range(1, n + 1):
             if m > 1:
                 power = mul(power, atil, count)
-            inv = 1.0 / math.factorial(m)
-            pc = power.coeffs
-            for k in range(m, n + 1):
-                total[k] += pc[k] * inv
+            try:
+                inv = 1.0 / math.factorial(m)
+                terms = [c * inv for c in power.coeffs[m:]]
+            except OverflowError:  # m > 170: m! has no float
+                terms = [_div_exact(c, math.factorial(m)) for c in power.coeffs[m:]]
+            total[m:] = map(operator.add, total[m:], terms)
     # The generator evaluates exp, so collect also reports its overflow.
     return collect(math.exp(a.coeffs[0]) * t for t in total)

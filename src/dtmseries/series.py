@@ -29,6 +29,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -72,6 +73,11 @@ def _finite_float(value: float, what: str) -> float:
     if not math.isfinite(f):
         raise InvalidArgumentError(f"{what} is {f!r}, not a finite float")
     return f
+
+
+def _div_exact(x: float, n: int) -> float:
+    """x / n correctly rounded where n > 0 has no float; zero or non-finite x as is."""
+    return float(Fraction(x) / n) if x and math.isfinite(x) else x
 
 
 class Series:

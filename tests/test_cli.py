@@ -72,6 +72,12 @@ class TestOps:
         assert code == 0
         assert err.startswith("multiplies: ")
 
+    def test_exp_naive_beyond_order_170_exits_0(self, capsys, monkeypatch):
+        series = json.dumps({"order": 200, "coeffs": [0.5, 1.0] + [0.0] * 199})
+        code, out, _ = run_cli(["ops", "exp", "--naive"], capsys, series, monkeypatch)
+        assert code == 0
+        assert len(json.loads(out)["coeffs"]) == 201
+
     def test_csv_input(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["ops", "pow", "--m", "2"], capsys, "0,1.0\n1,2.5\n", monkeypatch
@@ -182,6 +188,15 @@ class TestSolve:
         )
         assert code == 0
         assert out == '{"order": 2, "coeffs": [1.0, 0.0, 0.0]}\n'
+
+    def test_derivative_order_171_exits_0(self, capsys):
+        # 171! has no float, yet U(171) = 1/171! is a finite subnormal.
+        ic = ",".join(["1"] * 171)
+        code, out, _ = run_cli(
+            ["solve", "--eq", "D(u,171) = u", "--ic", ic, "--order", "171"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["coeffs"][171] == 1 / math.factorial(171)
 
     def test_implicit_form_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -413,9 +428,9 @@ class TestBench:
         report = json.loads(out)
         assert report["op"] == "pow" and report["order"] == 64 and report["m"] == 8
         assert report["count_naive"] == 15015
-        # Miller's N(N+2) + m - 1, the paper's comparison, although pow_int
-        # raises to m = 8 by binary powering.
-        assert report["count_recurrence"] == 4231
+        # Miller's N(N+2), plus 3 squares for Y(0)^8: the paper's
+        # comparison, although pow_int raises to m = 8 by binary powering.
+        assert report["count_recurrence"] == 4227
         assert report["ratio"] >= 3.0
         assert report["time_recurrence_ns"] > 0 and report["time_naive_ns"] > 0
 

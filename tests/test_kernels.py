@@ -15,6 +15,7 @@ it tests one step at a time and stays meaningful on either version.
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -38,13 +39,6 @@ def loop_sum(terms):
     acc = 0.0
     for t in terms:
         acc += t
-    return acc
-
-
-def loop_product(factors):
-    acc = factors[0]
-    for f in factors[1:]:
-        acc *= f
     return acc
 
 
@@ -160,7 +154,10 @@ class TestMillerStep:
         shift = v * m
         assert all(c == 0.0 for c in w[:shift])
         ybar, wbar = y[v:], w[shift:]
-        assert wbar[0] == loop_product([ybar[0]] * m)
+        # W(0) = Y(0)^m, raised by squares and products: within m rounding
+        # errors of the exact power.
+        exact = Fraction(ybar[0]) ** m
+        assert abs(Fraction(wbar[0]) - exact) <= m * EPS * abs(exact)
         negative = 0
         for k in range(1, len(wbar)):
             terms = miller_terms(ybar, wbar, k, m)
@@ -192,7 +189,9 @@ class TestMillerStep:
 
     def test_large_exponent(self):
         # The weights run up to (m+1)*k - k; a large m costs no extra memory
-        # or time, and the weights stay exact integers below 2^53.
+        # or time, and the weights stay exact integers below 2^53. Y(0)^m
+        # costs one multiply per square and per set bit after the leading
+        # one: 19 squares and 6 products for m = 10^6.
         m = 10**6
         y = [1.0, 1e-7, -2e-8, 0.0, 3e-9, -0.0]
         got, count = pow_int(Series(y), m)
@@ -201,7 +200,15 @@ class TestMillerStep:
         for k in range(1, len(w)):
             terms = miller_terms(y, w, k, m)
             assert_matches_loop(w[k], loop_sum(terms) / k, terms, k)
-        assert count.multiplies == m - 1 + sum(2 * k + 1 for k in range(1, len(y)))
+        assert count.multiplies == 19 + 6 + sum(2 * k + 1 for k in range(1, len(y)))
+
+    def test_huge_exponent_is_quick(self):
+        # Y(0)^m takes 39 squares and 39 products for m = 2^40 - 1, not
+        # 2^40 - 2 multiplies.
+        m = 2**40 - 1
+        got, count = pow_int(Series([1.0, 1e-20, 0.0]), m)
+        assert got[0] == 1.0 and got[1] == m * 1e-20
+        assert count.multiplies == 78 + 3 + 5
 
     def test_weights_near_two_to_the_53(self):
         m, k = 2**40, 4000

@@ -580,6 +580,20 @@ class TestNonFinite:
             run(plan, [1e200])
         assert err.value.order == 1
 
+    def test_divisor_without_a_float_is_divided_exactly(self):
+        # U(171) = U(0) / 171!, and 171! has no float: the quotient is the
+        # correctly rounded subnormal 8.06e-310.
+        sol = run(lower(parse("D(u,171) = u"), 171), [1.0] * 171)
+        assert sol[171] == float(Fraction(1, math.factorial(171))) > 0.0
+        sol = run(lower(parse("D(u,171) = -0.0 * u"), 171), [1.0] * 171)
+        assert sol[171].hex() == (-0.0).hex()
+
+    def test_overflow_over_a_divisor_without_a_float_names_order(self):
+        plan = lower(parse("D(u,171) = 1e300 * pow(u,2)"), 172)
+        with pytest.raises(NonFiniteCoefficientError) as err:
+            run(plan, [1e10] * 171)
+        assert err.value.order == 171
+
 
 class TestBratuAgreement:
     def test_dsl_matches_exp_path_bitwise(self):

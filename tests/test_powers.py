@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,8 +39,9 @@ class TestPowInt:
 
     def test_multiply_count(self):
         a = oracle_series(random.Random(0), order=64)
-        # Miller: m - 1 for W(0), then 2k + 1 at step k: N(N+2) + m - 1 to order N.
-        assert pow_int(a, 9)[1].multiplies == 64 * 66 + 8
+        # Miller: 3 squares and 1 product for W(0) = Y(0)^9 (binary 1001),
+        # then 2k + 1 at step k: N(N+2) + 4 to order N.
+        assert pow_int(a, 9)[1].multiplies == 64 * 66 + 4
         # Binary powering: floor((N+2)^2/4) per square, (N+1)(N+2)/2 per product.
         square, product = 66 * 66 // 4, 65 * 66 // 2
         for m, (squares, products) in {2: (1, 0), 3: (1, 1), 4: (2, 0), 5: (2, 1),
@@ -70,6 +72,13 @@ class TestPowInt:
         # (x^2)^2 = x^4 truncates away entirely at order 2.
         assert pow_int(Series([0, 0, 1]), 2)[0] == zeros(2)
 
+    def test_exponent_without_a_float_is_a_typed_overflow(self):
+        # Miller's weight (m+1)*j - k has no float for m = 10^400, and the
+        # true W(1) = m * 0.5 overflows there too.
+        with pytest.raises(NonFiniteCoefficientError) as err:
+            pow_int(Series([1.0, 0.5, 0.0]), 10**400)
+        assert err.value.order == 1
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             pow_int(Series([1, 1]), -1)
@@ -95,9 +104,9 @@ def overflow_index(power, a, m):
 
 class TestBinaryPowering:
     def test_chain(self):
-        assert [power_chain(m) for m in (1, 2, 3, 5, 6, 7, 8)] == [
+        assert [power_chain(m) for m in (1, 2, 3, 5, 6, 7, 8, 9)] == [
             (), ("sq",), ("sq", "mul"), ("sq", "sq", "mul"), ("sq", "mul", "sq"),
-            ("sq", "mul", "sq", "mul"), ("sq", "sq", "sq"),
+            ("sq", "mul", "sq", "mul"), ("sq", "sq", "sq"), ("pow",),
         ]
 
     @pytest.mark.parametrize("m", range(2, BINARY_POW_MAX + 1))
@@ -119,6 +128,14 @@ class TestBinaryPowering:
         # Miller named index 1 for m = 3. The geometric one, at index 7.
         a = Series(coeffs)
         assert overflow_index(pow_int, a, m) == overflow_index(pow_naive, a, m)
+
+    def test_overflow_names_the_index_of_the_power(self):
+        # y^4(0) = 1e320 overflows, so the power is not finite from index 0.
+        # The fold's partial product y^2 overflows first at index 5, where
+        # pow_naive stops; the chain checks only its last stage.
+        a = Series([1e80, 0, 0, 0, 0, 1e230, 0])
+        assert overflow_index(pow_int, a, 4) == 0
+        assert overflow_index(pow_naive, a, 4) == 5
 
     def test_above_the_cutoff_is_miller_bitwise(self):
         a = oracle_series(random.Random(9), order=40)
@@ -188,6 +205,15 @@ class TestExpNaive:
         exp_naive(oracle_series(random.Random(0), order=16), count)
         # m = 2..16 each cost one convolution of (17*18)/2 multiplies
         assert count.multiplies == 15 * (17 * 18 // 2)
+
+    def test_orders_beyond_float_factorials(self):
+        # From m = 171 on, m! has no float; e^{0.5 + 3x} has the normal
+        # coefficient e^0.5 * 3^180 / 180! = 6.25e-244 at order 180.
+        a = Series([0.5, 3.0] + [0.0] * 179)
+        got = exp_naive(a)
+        assert relgap(got, exp_series(a)[0]) <= 1e-10
+        want = math.exp(0.5) * float(Fraction(3) ** 180 / math.factorial(180))
+        assert abs(got[180] - want) <= 1e-14 * want
 
 
 class TestOracleEquivalence:
