@@ -639,9 +639,9 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
         except OverflowError:
             raise NonFiniteCoefficientError(k + m) from None
         try:
-            value = root[k] / math.perm(k + m, m)
-        except OverflowError:  # k + m > 170: the divisor has no float
-            value = _div_exact(root[k], math.perm(k + m, m))
+            value = root[k] / (d := math.perm(k + m, m))
+        except OverflowError:  # perm(k + m, m) > DBL_MAX: divide exactly
+            value = _div_exact(root[k], d)
         if not math.isfinite(value):
             raise NonFiniteCoefficientError(k + m)
         u[k + m] = value

@@ -232,14 +232,14 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     count = OpCount()
     if m == 0:
         return _power_zero(a), count
-    if m == 1:
+    if m == 1:  # the empty chain would give an equal copy; return a itself
         return a, count
     y = power = a.coeffs
     for op in power_chain(m):
-        power = list(power)
         if op == "pow":
             steps = pow_steps(y, m, count)
         else:
+            power = list(power)
             steps = sq_steps(power, count) if op == "sq" else mul_steps(power, y, count)
         power = itertools.islice(steps, len(a))
     return collect(power), count
@@ -298,10 +298,10 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
             if m > 1:
                 power = mul(power, atil, count)
             try:
-                inv = 1.0 / math.factorial(m)
+                inv = 1.0 / (f := math.factorial(m))
                 terms = [c * inv for c in power.coeffs[m:]]
             except OverflowError:  # m > 170: m! has no float
-                terms = [_div_exact(c, math.factorial(m)) for c in power.coeffs[m:]]
+                terms = [_div_exact(c, f) for c in power.coeffs[m:]]
             total[m:] = map(operator.add, total[m:], terms)
     # The generator evaluates exp, so collect also reports its overflow.
     return collect(math.exp(a.coeffs[0]) * t for t in total)

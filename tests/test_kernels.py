@@ -42,6 +42,17 @@ def loop_sum(terms):
     return acc
 
 
+def loop_power(base, m):
+    # Left-to-right binary powering: square per bit after the leading one,
+    # then multiply by the base where the bit is set.
+    acc = base
+    for bit in bin(m)[3:]:
+        acc *= acc
+        if bit == "1":
+            acc *= base
+    return acc
+
+
 def mul_terms(a, b, k):
     return [a[l] * b[k - l] for l in range(k + 1)]
 
@@ -145,7 +156,7 @@ class TestSqStep:
 
 
 class TestMillerStep:
-    @pytest.mark.parametrize("m", (2, 3, 5))
+    @pytest.mark.parametrize("m", (2, 3, 5, 6))
     @pytest.mark.parametrize("v", (0, 1, 2))
     def test_stepper_matches_loop(self, m, v):
         rng = random.Random(10 * m + v)
@@ -154,8 +165,9 @@ class TestMillerStep:
         shift = v * m
         assert all(c == 0.0 for c in w[:shift])
         ybar, wbar = y[v:], w[shift:]
-        # W(0) = Y(0)^m, raised by squares and products: within m rounding
-        # errors of the exact power.
+        # W(0) = Y(0)^m, raised by the left-to-right bits of m; it is also
+        # within m rounding errors of the exact power.
+        assert wbar[0].hex() == loop_power(ybar[0], m).hex()
         exact = Fraction(ybar[0]) ** m
         assert abs(Fraction(wbar[0]) - exact) <= m * EPS * abs(exact)
         negative = 0
