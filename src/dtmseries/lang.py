@@ -31,35 +31,55 @@ every node and builds an immutable program of slots in topological
 order, in which structurally equal subtrees share one slot (floats
 compared by their bits, so 0.0 and -0.0 stay apart). The program's keys
 are the equation's equality and hash. :func:`lower` only pairs the
-equation with a truncation order, checked by the plan. Each run gives
-every slot a buffer and every non-leaf slot a stepper, then
-advances the steppers once per order k in program order, so a subtree
-that occurs twice, like exp(u) in u*exp(u) + exp(u), is stepped once. A
-product, a square, a pow and an exp slot drive the steppers that the
-whole-series functions drive (``series.mul_steps``, ``series.sq_steps``,
-``powers.pow_steps``, ``powers.exp_steps``): one Cauchy coefficient or
-one single-sum recurrence step per order, which keeps a whole solve at
-O(N^2). A product of a slot with itself is its square, at about half the
+equation with a truncation order, checked by the plan.
+
+A product of a slot with itself is its square, at about half the
 multiplies. ``pow(e, m)`` is the slots of the stages that
 ``powers.power_chain`` gives and ``pow_int`` runs: square and product
 slots for a small m, so ``pow(u,2)`` and ``pow(u,3)`` share u's square,
 and one pow slot, Miller's recurrence, for a larger m. A product with
 ``x^p`` is a shift, W(k) = 0.0 + E(k-p), bit for bit the Cauchy
-coefficient while E is finite. Each of those steppers keeps the operand
-its inner sum reads backwards in a newest-first list, so a step is one
-dot product over two lists already in order. Every stepper reads only
-coefficients 0..k of its operands at step k, so a Miller pow of any
-operand, u or composite, finds its valuation and shifts as the operand's
-coefficients are produced.
+coefficient while E is finite.
+
+:func:`run` steps a plan in straight-line code, as Taylor integrators
+such as ATOMFT (Chang & Corliss, 1994) and Jorba & Zou's ``taylor``
+(2005) do: one generated Python function per program *shape*, which is
+the program with its float literals left out (slot kinds, integer
+parameters, operand indices, and lhs_order). Its loop runs k from 0 to
+the order minus lhs_order and computes every slot once per order, in
+program order, so a subtree that occurs twice, like exp(u) in u*exp(u) +
+exp(u), is computed once. A pointwise slot (u, a constant, x^p, D(u,j),
+a sum, a difference, a scaling) is a local variable. A product, a square
+and an exp call their one-step kernels (``series.mul_step``,
+``series.sq_step``, ``powers.exp_step``) directly, one Cauchy
+coefficient or one single-sum recurrence step per order, which keeps a
+whole solve at O(N^2). A pow and a shift advance the steppers
+``powers.pow_steps`` and ``_shift_steps``, which carry the valuation of
+the operand and the hand-over to the Cauchy sum as the orders come. Each
+kernel reads the history it needs from a list kept once per slot, newest
+first where its sum reads backwards, so a step is one dot product over
+two lists already in order; a slot that no kernel reads back has no list.
+
+The literals are the function's argument, never part of its source,
+which holds only names and integers checked when the equation was
+built. So Bratu's equation at every lambda, or ``-0.0*u`` and
+``0.0*u``, share one function and still compute with their own bits, and
+no literal can change the code that runs. The functions are kept in a
+``functools.lru_cache`` of 128 shapes. Generating and compiling one
+costs 0.23-0.44 ms (CPython 3.11, 2-vCPU Xeon), about one short run;
+a process that solves a handful of shapes pays it a handful of times,
+however many equations and plans of those shapes it builds, and a
+result never depends on whether its shape was cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     EquationSyntaxError,
@@ -67,8 +87,9 @@ from .errors import (
     InvalidArgumentError,
     NonFiniteCoefficientError,
 )
-from .powers import exp_steps, pow_steps, power_chain
-from .series import Series, _div_exact, _finite_float, monomial, mul_steps, sq_steps
+from . import powers
+from .powers import pow_steps, power_chain
+from .series import Series, _div_exact, _finite_float, mul_step, mul_steps, sq_step
 
 __all__ = [
     "Const",
@@ -167,13 +188,25 @@ Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 # the operand slots, all below the slot's own index.
 _Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 
+#: Slot kinds whose parameter is a float literal: left out of a program's
+#: shape and passed to its executor as an argument.
+_LITERAL_KINDS = ("const", "scale")
+
+
+def _int(value: object, what: str) -> int:
+    """``value``, which must be an int and not a bool; ``what`` names it in the error."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return value
+
 
 def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     """Check ``rhs`` and lower it: its slots in topological order, the root
     last, and their keys.
 
     Rejects the nodes the parser never produces (``Deriv(0)``, ``Pow(e,
-    0)``, a negative ``XPow``, a literal that is not a finite float) with
+    0)``, a negative ``XPow``, a power or order that is not an int, bools
+    included, a literal that is not a finite float) with
     :class:`InvalidArgumentError`, and a non-node with ``TypeError``.
     Structurally equal subtrees share one slot: slots are hash-consed
     bottom up on their key (kind, parameter, operand slots), with floats
@@ -211,18 +244,18 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
         if t is Const:
             return slot("const", _finite_float(e.value, "literal"))
         if t is Var or t is XPow:
-            p = 1 if t is Var else e.power
+            p = 1 if t is Var else _int(e.power, "x power")
             if p < 0:
                 raise InvalidArgumentError("x power must be non-negative")
             return slot("xpow", p)
         if t is Deriv:
-            if e.order < 1:
+            if _int(e.order, "derivative order") < 1:
                 raise InvalidArgumentError("derivative order must be positive")
             return slot("deriv", e.order)
         if t is Scale:
             return slot("scale", _finite_float(e.factor, "literal"), (visit(e.child),))
         if t is Pow:
-            if e.power < 1:
+            if _int(e.power, "pow exponent") < 1:
                 raise InvalidArgumentError("pow exponent must be positive")
             power = base = visit(e.child)
             for op in power_chain(e.power):
@@ -247,17 +280,22 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
 class Equation:
     """Explicit equation D(u, lhs_order) = rhs, checked and lowered when it is built.
 
-    Raises :class:`InvalidArgumentError` for ``lhs_order < 1``, a node the
-    parser never produces (``Deriv(0)``, ``Pow(e, 0)``, a negative
-    ``XPow``) or a ``Const``/``Scale`` literal that is not a finite float
-    (``10**400``, inf, NaN), ``TypeError`` for a non-node, and
+    Raises :class:`InvalidArgumentError` for an ``lhs_order`` that is not
+    an int of at least 1, a node the parser never produces (``Deriv(0)``,
+    ``Pow(e, 0)``, a negative ``XPow``, a ``Deriv``, ``XPow`` or ``Pow``
+    whose integer field is not an int, ``True`` and 2.0 included) or a
+    ``Const``/``Scale`` literal that is not a finite float (``10**400``,
+    inf, NaN), ``TypeError`` for a non-node, and
     :class:`ImplicitFormError` when the right-hand side reads D(u,j) with
     j >= lhs_order. So emitting R(k) reads solution coefficients of index
     below k + lhs_order, the one being produced.
 
     The one walk that checks the right-hand side also lowers it into an
     immutable program of slots (see :func:`_program`), which every plan of
-    the equation runs. Equations are equal, and hash equal, when their
+    the equation runs. The program splits into its shape (the slots with
+    their float literals left out, and lhs_order), which selects the
+    compiled executor, and the tuple of those literals, which the executor
+    takes as an argument. Equations are equal, and hash equal, when their
     orders and slot keys are: floats compare by their bits, so
     ``-0.0 * u`` and ``0.0 * u`` differ, while ``pow(u, 1)`` and ``u`` are
     one equation.
@@ -267,9 +305,11 @@ class Equation:
     rhs: Expr = field(compare=False)
     _program: tuple[_Slot, ...] = field(init=False, repr=False, compare=False)
     _keys: tuple[tuple, ...] = field(init=False, repr=False)
+    _shape: tuple[int, tuple[_Slot, ...]] = field(init=False, repr=False, compare=False)
+    _literals: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.lhs_order
+        m = _int(self.lhs_order, "equation order")
         if m < 1:
             raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
         program, keys = _program(self.rhs)
@@ -281,6 +321,11 @@ class Equation:
             )
         object.__setattr__(self, "_program", program)
         object.__setattr__(self, "_keys", keys)
+        shape = tuple((kind, None if kind in _LITERAL_KINDS else param, args)
+                      for kind, param, args in program)
+        object.__setattr__(self, "_shape", (m, shape))
+        object.__setattr__(self, "_literals", tuple(
+            param for kind, param, _ in program if kind in _LITERAL_KINDS))
 
 
 # ----------------------------------------------------------------------
@@ -524,8 +569,8 @@ class RecurrencePlan:
     lhs_order initial coefficients. The equation checked and lowered
     itself when it was built, so every plan is causal (emitting R(k) never
     reads a coefficient before it is produced) and shares its equation's
-    immutable program; :func:`run` gives each slot a fresh buffer and
-    stepper on every call, so one plan may be shared and run concurrently.
+    immutable program. :func:`run` keeps all stepping state in the locals
+    of one call, so one plan may be shared and run concurrently.
     Plans are equal when their equations and orders are.
     """
 
@@ -567,45 +612,143 @@ def _shift_steps(
         yield 0.0 if k < p else 0.0 + e[k - p]
 
 
-def _stepper(
-    kind: str, param, operands: list[Sequence[float]], u: list[float]
-) -> Iterator[float]:
-    """The stepper of a non-leaf slot: one coefficient per order k."""
-    ks = itertools.count()
-    if kind == "deriv":
-        j = param
-        return (math.perm(k + j, j) * u[k + j] for k in ks)
-    if kind == "add":
-        a, b = operands
-        return (a[k] + b[k] for k in ks)
-    if kind == "sub":
-        a, b = operands
-        return (a[k] - b[k] for k in ks)
-    if kind == "scale":
-        (c,) = operands
-        return (param * c[k] for k in ks)
-    if kind == "mul":
-        return mul_steps(*operands)
-    if kind == "sq":
-        return sq_steps(operands[0])
-    if kind == "shift":
-        return _shift_steps(*operands, param)
-    if kind == "pow":
-        return pow_steps(operands[0], param)
-    return exp_steps(operands[0])
+#: The globals of every generated executor. ``exp_step`` is reached through
+#: its module at call time, so a function that rebinds ``powers.exp_step``
+#: (a tracer, a test) sees every call. 0.0 and 1.0 are names, so the source
+#: holds no float at all.
+_EXECUTOR_GLOBALS = {
+    "ONE": 1.0,
+    "ZERO": 0.0,
+    "NonFiniteCoefficientError": NonFiniteCoefficientError,
+    "div_exact": _div_exact,
+    "exp": math.exp,
+    "isfinite": math.isfinite,
+    "mul_step": mul_step,
+    "perm": math.perm,
+    "pow_steps": pow_steps,
+    "powers": powers,
+    "shift_steps": _shift_steps,
+    "sq_step": sq_step,
+}
+
+
+def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
+    """The Python source of the executor of one program shape.
+
+    ``shape`` is (lhs_order, slots) with the float literals of "const" and
+    "scale" slots replaced by None; everything else in it is an integer
+    checked when the equation was built, or a name. The executor
+    ``steps(u, n, literals)`` appends U(m..n) to the list u of the initial
+    coefficients. Slot i's coefficient at order k is the local ``v<i>``.
+    A slot gets a history only where a kernel reads one: ``b<i>`` oldest
+    first (the left operand of a product, a square's operand, the operands
+    of a pow or a shift; u's is u itself) and ``r<i>`` newest first (the
+    right operand of a product, a square's operand, an exp's own output),
+    each shared by all its readers. An exp keeps dY in ``d<i>``, and a pow
+    or a shift is a stepper ``g<i>``, which finds the valuation or hands
+    over to the Cauchy sum as the orders come.
+    """
+    m, program = shape
+    forward: set[int] = set()
+    backward: set[int] = set()
+    for i, (kind, _, args) in enumerate(program):
+        if kind == "mul":
+            forward.add(args[0])
+            backward.add(args[1])
+        elif kind == "sq":
+            forward.add(args[0])
+            backward.add(args[0])
+        elif kind in ("pow", "shift"):
+            forward.update(args)
+        elif kind == "exp":
+            backward.add(i)
+
+    def hist(i: int) -> str:
+        return "u" if program[i][0] == "u" else f"b{i}"
+
+    head = ["def steps(u, n, literals):"]
+    literals = [f"c{i}" for i, (kind, _, _) in enumerate(program) if kind in _LITERAL_KINDS]
+    if literals:
+        head.append(f"    {', '.join(literals)}, = literals")
+    head += [f"    b{i} = []" for i in sorted(forward) if program[i][0] != "u"]
+    head += [f"    r{i} = []" for i in sorted(backward)]
+    body = []
+    for i, (kind, p, args) in enumerate(program):
+        v = f"v{i}"
+        a = f"v{args[0]}" if args else ""
+        if kind == "u":
+            body.append(f"{v} = u[k]")
+        elif kind == "const":
+            body.append(f"{v} = c{i} if k == 0 else ZERO")
+        elif kind == "xpow":
+            body.append(f"{v} = ONE if k == {p} else ZERO")
+        elif kind == "deriv":
+            body.append(f"{v} = perm(k + {p}, {p}) * u[k + {p}]")
+        elif kind == "add":
+            body.append(f"{v} = {a} + v{args[1]}")
+        elif kind == "sub":
+            body.append(f"{v} = {a} - v{args[1]}")
+        elif kind == "scale":
+            body.append(f"{v} = c{i} * {a}")
+        elif kind == "mul":
+            body.append(f"{v} = mul_step({hist(args[0])}, r{args[1]}, k)")
+        elif kind == "sq":
+            body.append(f"{v} = sq_step({hist(args[0])}, r{args[0]}, k)")
+        elif kind == "exp":
+            head.append(f"    d{i} = []")
+            body += ["if k:",
+                     f"    d{i}.append(k * {a})",
+                     f"    {v} = powers.exp_step(d{i}, r{i}, k)",
+                     "else:",
+                     f"    {v} = exp({a})"]
+        else:
+            if kind == "pow":
+                head.append(f"    g{i} = pow_steps({hist(args[0])}, {p})")
+            else:
+                head.append(f"    g{i} = shift_steps({', '.join(map(hist, args))}, {p})")
+            body.append(f"{v} = next(g{i})")
+        if i in forward and kind != "u":
+            body.append(f"b{i}.append({v})")
+        if i in backward:
+            body.append(f"r{i}.insert(0, {v})")
+    root = f"v{len(program) - 1}"
+    # U(k+m) = R(k) / perm(k+m, m), divided exactly where perm has no float.
+    body += [
+        "try:",
+        f"    value = {root} / (d := perm(k + {m}, {m}))",
+        "except OverflowError:",
+        f"    value = div_exact({root}, d)",
+        "if not isfinite(value):",
+        f"    raise NonFiniteCoefficientError(k + {m})",
+        "u.append(value)",
+    ]
+    return "\n".join(head + [
+        "    try:",
+        f"        for k in range(n - {m} + 1):",
+        *(" " * 12 + line for line in body),
+        "    except OverflowError:",
+        f"        raise NonFiniteCoefficientError(k + {m}) from None",
+        "",
+    ])
+
+
+@functools.lru_cache(maxsize=128)
+def _executor(shape: tuple[int, tuple[_Slot, ...]]) -> Callable[[list[float], int, tuple], None]:
+    """The compiled executor of a program shape (see :func:`_source`)."""
+    namespace = dict(_EXECUTOR_GLOBALS)
+    exec(compile(_source(shape), "<dtmseries plan>", "exec"), namespace)
+    return namespace["steps"]
 
 
 def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     """Step the plan from the initial coefficients U(0..m-1) to its order.
 
     The initial coefficients must be m finite floats, checked as a
-    :class:`Series` checks its coefficients. Every slot of the equation's
-    program gets one buffer: u's is the solution list itself, a
-    constant's or x^p's is filled in full, and every other slot's grows
-    by one coefficient per order from its own stepper. The steppers
-    advance once per order k in program order, so each reads operands
-    that already hold coefficient k, and a subtree that occurs more than
-    once is stepped once.
+    :class:`Series` checks its coefficients. The steps run in one
+    generated function, the executor of the equation's shape (see the
+    module docstring), which computes every slot once per order k in
+    program order, so each reads operands that already hold coefficient
+    k, and a subtree that occurs more than once is computed once.
 
     Raises :class:`NonFiniteCoefficientError` naming the first order at
     which a coefficient stops being finite.
@@ -616,33 +759,6 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
             f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}"
         )
     u = list(Series(initial).coeffs)
-    n = plan.order
-    u.extend(0.0 for _ in range(n + 1 - m))
-    bufs: list[Sequence[float]] = []
-    nodes: list[tuple[list[float], Iterator[float]]] = []
-    for kind, param, args in plan.equation._program:
-        if kind == "u":
-            buf: Sequence[float] = u
-        elif kind == "const":
-            buf = (param,) + (0.0,) * n
-        elif kind == "xpow":
-            buf = monomial(param, n).coeffs
-        else:
-            buf = []
-            nodes.append((buf, _stepper(kind, param, [bufs[i] for i in args], u)))
-        bufs.append(buf)
-    root = bufs[-1]
-    for k in range(n - m + 1):
-        try:
-            for buf, steps in nodes:
-                buf.append(next(steps))
-        except OverflowError:
-            raise NonFiniteCoefficientError(k + m) from None
-        try:
-            value = root[k] / (d := math.perm(k + m, m))
-        except OverflowError:  # perm(k + m, m) > DBL_MAX: divide exactly
-            value = _div_exact(root[k], d)
-        if not math.isfinite(value):
-            raise NonFiniteCoefficientError(k + m)
-        u[k + m] = value
+    equation = plan.equation
+    _executor(equation._shape)(u, plan.order, equation._literals)
     return Series._checked(u)

@@ -65,13 +65,16 @@ whatever m is. Every partial value is an integer, so the weights are
 exact while (m+1)*k <= 2^53; each term is ``weight * (Y(j) * W(k-j))``,
 in that order, as in the loop.
 
-Each recurrence is written once, as a stepper (:func:`pow_steps`,
-:func:`exp_steps`, and the square and product steppers of
-:mod:`dtmseries.series`) that yields one coefficient per step and reads
-only the operand's coefficients 0..k at step k. :func:`pow_int` and
-:func:`exp_series` drive them over whole series, a power's stages one
-after another; the plans of :mod:`dtmseries.lang` drive the same
-steppers over growing buffers, a power's stages as shared slots.
+Each recurrence is written once, as a one-step kernel
+(:func:`miller_step`, :func:`exp_step`, and the square and product steps
+of :mod:`dtmseries.series`), driven by a stepper (:func:`pow_steps`,
+:func:`exp_steps`, ``sq_steps``, ``mul_steps``) that yields one
+coefficient per step and reads only the operand's coefficients 0..k at
+step k. :func:`pow_int` and :func:`exp_series` drive the steppers over
+whole series, a power's stages one after another. The generated
+executors of :mod:`dtmseries.lang` call the square, product and exp
+steps directly, a power's stages as shared slots, and advance
+:func:`pow_steps` for Miller's recurrence.
 
 ``pow_naive`` and ``exp_naive`` build the same objects by brute force
 (repeated convolution; summed Taylor terms of exp) and serve as the

@@ -47,6 +47,16 @@ CHECKS = {
     "deriv_node": lambda: lower(Equation(2, Deriv(0)), 3),
     "pow_node": lambda: lower(Equation(1, Pow(U(), 0)), 3),
     "xpow_node": lambda: lower(Equation(1, XPow(-1)), 3),
+    # Integer fields must be ints, not floats or bools: the executor's
+    # source holds them as written.
+    "lhs_order_float": lambda: Equation(2.0, U()),
+    "lhs_order_bool": lambda: Equation(True, U()),
+    "deriv_float": lambda: Equation(2, Deriv(1.5)),
+    "deriv_bool": lambda: Equation(2, Deriv(True)),
+    "xpow_float": lambda: Equation(1, XPow(2.0)),
+    "xpow_bool": lambda: Equation(1, XPow(True)),
+    "pow_float": lambda: Equation(1, Pow(U(), 2.5)),
+    "pow_bool": lambda: Equation(1, Pow(U(), True)),
     "const_too_large": lambda: Equation(1, Const(10**400)),
     "scale_too_large": lambda: Equation(1, Scale(10**400, U())),
     "const_inf": lambda: Equation(1, Const(math.inf)),

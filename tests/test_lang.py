@@ -1,6 +1,11 @@
 """Equation DSL: grammar, printer, lowering, and stepping."""
 
+import io
 import math
+import sys
+import threading
+import tokenize
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -28,6 +33,7 @@ from dtmseries import (
     derivative_transform,
     exp_naive,
     format_equation,
+    lang,
     lower,
     monomial,
     mul,
@@ -36,7 +42,7 @@ from dtmseries import (
     powers,
     run,
 )
-from util import relgap
+from util import divide, relgap, slot_series
 
 
 class TestParseGolden:
@@ -607,3 +613,145 @@ class TestBratuAgreement:
     def test_dsl_matches_simplified_recurrence(self):
         sol = run(lower(parse("D(u,2) = -1 * exp(u)"), 10), [0.0, 0.7])
         assert relgap(sol, bratu_coeffs(1.0, 0.7, 10)) <= 1e-12
+
+
+def _executor(plan):
+    return lang._executor(plan.equation._shape)
+
+
+class TestExecutor:
+    """One compiled executor per program shape, with the literals passed in."""
+
+    def test_bratu_plans_share_one_executor(self):
+        one, two = bratu_plan(1.0, 20), bratu_plan(2.5, 30)
+        assert one.equation != two.equation
+        assert one.equation._shape == two.equation._shape
+        assert _executor(one) is _executor(two)
+        hits = lang._executor.cache_info().hits
+        run(bratu_plan(3.0, 10), (0.0, 1.0))
+        assert lang._executor.cache_info().hits == hits + 1
+
+    def test_signed_zero_literals_keep_their_bits(self):
+        minus, plus = (lower(parse(f"D(u,1) = {c}*u"), 3) for c in ("-0.0", "0.0"))
+        assert _executor(minus) is _executor(plus)
+        # U(k) = (+-0.0)^k: the signs alternate for -0.0 only.
+        assert _hex(run(minus, (1.0,)))[1:] == ["-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+        assert _hex(run(plus, (1.0,)))[1:] == ["0x0.0p+0"] * 3
+
+    @pytest.mark.parametrize("text", [
+        "D(u,2) = -1.5*exp(u) + 0.1 - 1e-300*x^3*D(u,1)",
+        "D(u,1) = -0.0 + pow(2.5*u, 9) + 7*pow(u, 3)",
+    ])
+    def test_no_float_in_the_source(self, text):
+        source = lang._source(parse(text)._shape)
+        numbers = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                   if tok.type == tokenize.NUMBER]
+        assert numbers and all(number.isdigit() for number in numbers)
+
+
+class TestReentrant:
+    """The executor keeps no state between calls, nor within one."""
+
+    TEXT = "D(u,2) = -1*u*exp(u) + exp(u) + 0.001*pow(u,9) - x*u"
+    INITIAL = [(0.1 * i, 0.2) for i in range(8)]
+
+    def _want(self, plan):
+        return [_hex(run(plan, ic)) for ic in self.INITIAL]
+
+    def test_four_threads_match_sequential_runs(self):
+        plan = lower(parse(self.TEXT), 200)
+        want = self._want(plan)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def job(t):
+            barrier.wait()
+            return [_hex(run(plan, self.INITIAL[(t + j) % 8])) for j in range(8)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads within runs, not only between
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(job, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        for t in range(4):
+            assert got[t] == [want[(t + j) % 8] for j in range(8)]
+
+    def test_interleaved_runs_match_sequential_runs(self, monkeypatch):
+        # A run of the plan is started from inside another one's exp step,
+        # at every order of the outer run.
+        plan = lower(parse(self.TEXT), 60)
+        want = self._want(plan)
+        exp_step = powers.exp_step
+        inner, running = [], []
+
+        def nested(*args, **kwargs):
+            if not running:  # inside the outer run, not an inner one
+                running.append(True)
+                i = len(inner) % 8
+                inner.append(_hex(run(plan, self.INITIAL[i])) == want[i])
+                running.pop()
+            return exp_step(*args, **kwargs)
+
+        monkeypatch.setattr(powers, "exp_step", nested)
+        assert _hex(run(plan, self.INITIAL[3])) == want[3]
+        assert len(inner) == 58 and all(inner)  # exp steps k = 1..58
+
+
+# (equation, initial coefficients): every slot kind, shared subtrees, pow
+# above BINARY_POW_MAX with a valuation, x^p shifts, overflow, and a
+# divisor perm(k + m, m) without a float.
+ORACLE_CASES = {
+    "u": ("D(u,1) = u", (1.0,)),
+    "const": ("D(u,1) = 2.5", (0.5,)),
+    "signed-zeros": ("D(u,2) = -0.0 + 0.0*u - -0.0*D(u,1)", (-0.0, 0.0)),
+    "xpow-sub": ("D(u,1) = x^3 - x + x^0", (0.0,)),
+    "deriv-scale-mul": ("D(u,3) = -0.5*u*D(u,2) + D(u,1)", (0.0, 0.0, 1.0)),
+    "shared-exp": ("D(u,2) = -1*u*exp(u) + exp(u)", (0.1, 0.2)),
+    "shared-square": ("D(u,1) = 0.1*pow(u,2) + 0.01*pow(u,3)", (0.5,)),
+    "sq": ("D(u,1) = exp(u)*exp(u)", (-1.0,)),
+    "chain-7": ("D(u,1) = 0.01*pow(u - 1, 7)", (0.0,)),
+    "miller": ("D(u,1) = -1*pow(u, 9)", (0.5,)),
+    "miller-valuation": ("D(u,1) = pow(x*u, 9) + 1", (0.0,)),
+    "miller-valuation-u": ("D(u,2) = pow(u, 10)", (0.0, 0.5)),
+    "shifts": ("D(u,1) = pow(u,3) - x*u + x^2*exp(u)", (0.25,)),
+    "shift-of-composite": ("D(u,2) = x^3*(u + D(u,1)) - x*u", (1.0, -1.0)),
+    "exp-of-x": ("D(u,1) = exp(x) - 2*exp(x^2)*u", (1.0,)),
+    "overflow-exp": ("D(u,1) = exp(u)", (710.0,)),
+    "overflow-mid-run": ("D(u,1) = pow(u,2)", (1e10,)),
+    "overflow-shift": ("D(u,2) = x*(1e300*pow(u,2))", (1e10, 1e10)),
+    "big-divisor": ("D(u,171) = u", (1.0,) * 171),
+}
+
+
+class TestOracle:
+    """U(k+m) is R(k) / perm(k+m, m), R built by the whole-series operators."""
+
+    @pytest.mark.parametrize("case,n", [
+        pytest.param(case, n, id=f"{case}-{n}")
+        for case, (_, initial) in ORACLE_CASES.items()
+        for n in sorted({len(initial) - 1, 10, 80, 400}) if n >= len(initial) - 1
+    ])
+    def test_run_matches_whole_series_operators(self, case, n):
+        text, initial = ORACLE_CASES[case]
+        eq = parse(text)
+        m = eq.lhs_order
+        try:
+            sol = run(lower(eq, n), initial)
+        except NonFiniteCoefficientError as err:
+            # The run to the order before is the same steps; R(K-m) reads
+            # U(0..K-1) only, so a padded U(K) is never read.
+            sol = run(lower(eq, err.order - 1), initial)
+            padded = Series(sol.coeffs + (0.0,))
+            k = err.order - m
+            try:
+                root = slot_series(eq, padded)[-1]
+            except NonFiniteCoefficientError as slot_err:
+                assert slot_err.order == k
+            else:
+                assert not math.isfinite(divide(root[k], math.perm(k + m, m)))
+        assert _hex(sol[:m]) == _hex(initial)
+        if sol.order >= m:
+            root = slot_series(eq, sol)[-1]
+            want = [divide(root[k], math.perm(k + m, m)) for k in range(len(root))]
+            assert _hex(sol[m:]) == _hex(want)

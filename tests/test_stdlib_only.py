@@ -1,0 +1,39 @@
+"""The package is standard-library only: no import outside it, no dependency."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dtmseries"
+
+
+def _imports(path: Path):
+    """(line, top-level module) of every absolute import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_relative_or_stdlib(path):
+    outside = [(line, name) for line, name in _imports(path)
+               if name not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports outside the standard library: {outside}"
+
+
+def test_the_package_has_no_dependencies():
+    project = ROOT / "pyproject.toml"
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10: read the one line
+        assert re.search(r"^dependencies = \[\]$", project.read_text(), re.M)
+    else:
+        with project.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["dependencies"] == []

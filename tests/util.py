@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
-from dtmseries import Series
+from dtmseries import (
+    Series,
+    add,
+    derivative_transform,
+    exp_series,
+    monomial,
+    mul,
+    pow_int,
+    scale,
+    sub,
+)
 
 
 def relgap(got: Series, want: Series) -> float:
@@ -29,3 +41,52 @@ def oracle_series_valuation(rng: random.Random, order: int = 32) -> Series:
         [0.0, 0.0, rng.uniform(0.5, 2.0)]
         + [rng.uniform(-1.0, 1.0) for _ in range(order - 2)]
     )
+
+
+def slot_series(equation, sol: Series) -> list[Series]:
+    """Every slot of ``equation``'s program as a whole series of order N - m.
+
+    N is ``sol.order`` and m the equation's lhs_order. Each slot is built
+    from ``sol`` by the whole-series operators, with no buffers or steps of
+    :func:`~dtmseries.lang.run`: a product or a shift is ``mul``, a square
+    ``pow_int(a, 2)``, a pow ``pow_int``, an exp ``exp_series``, and
+    D(u,j) is ``derivative_transform`` cut to order N - m. The root, the
+    last slot, is then R(0..N-m), and R(k) reads U(0..k+m-1) only. Raises
+    :class:`NonFiniteCoefficientError` at the first index at which a slot
+    is not finite.
+    """
+    m = equation.lhs_order
+    n = sol.order - m
+    slots: list[Series] = []
+    for kind, p, args in equation._program:
+        a = [slots[i] for i in args]
+        if kind == "u":
+            s = Series(sol.coeffs[:n + 1])
+        elif kind == "const":
+            s = Series([p] + [0.0] * n)
+        elif kind == "xpow":
+            s = monomial(p, n)
+        elif kind == "deriv":
+            s = Series(derivative_transform(sol, p).coeffs[:n + 1])
+        elif kind in ("add", "sub"):
+            s = (add if kind == "add" else sub)(a[0], a[1])
+        elif kind == "scale":
+            s = scale(p, a[0])
+        elif kind in ("mul", "shift"):
+            s = mul(a[0], a[1])
+        elif kind in ("sq", "pow"):
+            s = pow_int(a[0], 2 if kind == "sq" else p)[0]
+        else:
+            assert kind == "exp", kind
+            s = exp_series(a[0])[0]
+        slots.append(s)
+    return slots
+
+
+def divide(r: float, d: int) -> float:
+    """r / d as the recurrence divides: the float quotient, or the exact
+    one rounded when the integer d has no float."""
+    try:
+        return r / d
+    except OverflowError:
+        return float(Fraction(r) / d) if r and math.isfinite(r) else r
