@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import BranchNotFoundError, InvalidArgumentError, NonFiniteCoefficientError
 from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
-from .series import Series, evaluate
+from .series import Series, _int, evaluate
 
 __all__ = [
     "BratuSolution",
@@ -83,7 +83,7 @@ def _require_lambda(lam: float) -> None:
 
 
 def _require_order(order: int) -> None:
-    if order < 3:
+    if _int(order, "order") < 3:
         raise InvalidArgumentError("order must be at least 3")
 
 

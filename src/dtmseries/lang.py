@@ -38,8 +38,10 @@ multiplies. ``pow(e, m)`` is the slots of the stages that
 ``powers.power_chain`` gives and ``pow_int`` runs: square and product
 slots for a small m, so ``pow(u,2)`` and ``pow(u,3)`` share u's square,
 and one pow slot, Miller's recurrence, for a larger m. A product with
-``x^p`` is a shift, W(k) = 0.0 + E(k-p), bit for bit the Cauchy
-coefficient while E is finite.
+``x^p``, p >= 1, is a shift, W(k) = 0.0 + E(k-p), bit for bit the Cauchy
+coefficient while E(k) is finite, and NaN, as the Cauchy sum's 0 * E(k)
+is, where it is not. A product with ``x^0`` is the Cauchy product, which
+keeps a non-finite E(k) as it is.
 
 :func:`run` steps a plan in straight-line code, as Taylor integrators
 such as ATOMFT (Chang & Corliss, 1994) and Jorba & Zou's ``taylor``
@@ -49,16 +51,16 @@ parameters, operand indices, and lhs_order). Its loop runs k from 0 to
 the order minus lhs_order and computes every slot once per order, in
 program order, so a subtree that occurs twice, like exp(u) in u*exp(u) +
 exp(u), is computed once. A pointwise slot (u, a constant, x^p, D(u,j),
-a sum, a difference, a scaling) is a local variable. A product, a square
-and an exp call their one-step kernels (``series.mul_step``,
-``series.sq_step``, ``powers.exp_step``) directly, one Cauchy
-coefficient or one single-sum recurrence step per order, which keeps a
-whole solve at O(N^2). A pow and a shift advance the steppers
-``powers.pow_steps`` and ``_shift_steps``, which carry the valuation of
-the operand and the hand-over to the Cauchy sum as the orders come. Each
-kernel reads the history it needs from a list kept once per slot, newest
-first where its sum reads backwards, so a step is one dot product over
-two lists already in order; a slot that no kernel reads back has no list.
+a sum, a difference, a scaling, a shift) is a local variable, the shift
+read from its operand's history. A product, a square and an exp call
+their one-step kernels (``series.mul_step``, ``series.sq_step``,
+``powers.exp_step``) directly, one Cauchy coefficient or one single-sum
+recurrence step per order, which keeps a whole solve at O(N^2). A pow
+advances the one stepper, ``powers.pow_steps``, which finds the
+valuation of its operand as the orders come. Each kernel reads the
+history it needs from a list kept once per slot, newest first where its
+sum reads backwards, so a step is one dot product over two lists already
+in order; a slot that nothing reads back has no list.
 
 The literals are the function's argument, never part of its source,
 which holds only names and integers checked when the equation was
@@ -75,11 +77,10 @@ result never depends on whether its shape was cached.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import (
     EquationSyntaxError,
@@ -89,7 +90,7 @@ from .errors import (
 )
 from . import powers
 from .powers import pow_steps, power_chain
-from .series import Series, _div_exact, _finite_float, mul_step, mul_steps, sq_step
+from .series import Series, _div_exact, _finite_float, _int, mul_step, sq_step
 
 __all__ = [
     "Const",
@@ -193,13 +194,6 @@ _Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 _LITERAL_KINDS = ("const", "scale")
 
 
-def _int(value: object, what: str) -> int:
-    """``value``, which must be an int and not a bool; ``what`` names it in the error."""
-    if type(value) is not int:
-        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     """Check ``rhs`` and lower it: its slots in topological order, the root
     last, and their keys.
@@ -211,9 +205,11 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     Structurally equal subtrees share one slot: slots are hash-consed
     bottom up on their key (kind, parameter, operand slots), with floats
     keyed by ``float.hex`` so that 0.0 and -0.0 stay apart, as their
-    products do. ``x`` is ``x^1``. A product with an ``x^p`` operand is a
-    "shift" slot whose args are the left operand, the right operand and
-    the other one; a product of one slot with itself is a "sq" slot.
+    products do. ``x`` is ``x^1``. A product with an ``x^p`` operand, p >=
+    1, is a "shift" slot whose args are the left operand, the right
+    operand and the other one, so ``x*u`` and ``u*x`` stay two slots and
+    their product is not a square; a product with ``x^0`` is a "mul" slot,
+    and a product of one slot with itself is a "sq" slot.
     ``pow(e, m)`` is the stages of :func:`~dtmseries.powers.power_chain`:
     "sq" and "mul" are products (so ``pow(e, 1)`` is ``e``'s own slot, and
     ``pow(u, 2)`` and ``pow(u, 3)`` share ``u``'s square), and "pow" is a
@@ -231,9 +227,9 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
 
     def product(a: int, b: int) -> int:
         (left, p, _), (right, q, _) = slots[a], slots[b]
-        if left == "xpow":
+        if left == "xpow" and p:
             return slot("shift", p, (a, b, b))
-        if right == "xpow":
+        if right == "xpow" and q:
             return slot("shift", q, (a, b, a))
         return slot("sq", None, (a,)) if a == b else slot("mul", None, (a, b))
 
@@ -565,13 +561,13 @@ def format_equation(eq: Equation) -> str:
 class RecurrencePlan:
     """An equation and the truncation order it is solved to.
 
-    Building a plan checks the order, which must hold the equation's
-    lhs_order initial coefficients. The equation checked and lowered
-    itself when it was built, so every plan is causal (emitting R(k) never
-    reads a coefficient before it is produced) and shares its equation's
-    immutable program. :func:`run` keeps all stepping state in the locals
-    of one call, so one plan may be shared and run concurrently.
-    Plans are equal when their equations and orders are.
+    Building a plan checks the order, an int that must hold the
+    equation's lhs_order initial coefficients. The equation checked and
+    lowered itself when it was built, so every plan is causal (emitting
+    R(k) never reads a coefficient before it is produced) and shares its
+    equation's immutable program. :func:`run` keeps all stepping state in
+    the locals of one call, so one plan may be shared and run
+    concurrently. Plans are equal when their equations and orders are.
     """
 
     equation: Equation
@@ -579,7 +575,7 @@ class RecurrencePlan:
 
     def __post_init__(self) -> None:
         m = self.equation.lhs_order
-        if self.order < m - 1:
+        if _int(self.order, "order") < m - 1:
             raise InvalidArgumentError(
                 f"order {self.order} cannot hold the {m} initial coefficients U(0..{m - 1})"
             )
@@ -594,29 +590,12 @@ def lower(equation: Equation, order: int) -> RecurrencePlan:
     return RecurrencePlan(equation, order)
 
 
-def _shift_steps(
-    a: Sequence[float], b: Sequence[float], e: Sequence[float], p: int
-) -> Iterator[float]:
-    """Yield W(0), W(1), ... of a * b where the operand other than ``e`` is x^p.
-
-    W(k) is 0.0 for k < p and 0.0 + E(k-p) after, which is bit for bit the
-    Cauchy sum while E(0..k) are finite (every other term is a signed zero).
-    At the first E(k) that is not, the stepper hands over to
-    ``mul_steps(a, b)``, advanced to k, since 0 * inf is NaN.
-    """
-    isfinite = math.isfinite
-    for k in itertools.count():
-        if not isfinite(e[k]):
-            yield from itertools.islice(mul_steps(a, b), k, None)
-            return
-        yield 0.0 if k < p else 0.0 + e[k - p]
-
-
 #: The globals of every generated executor. ``exp_step`` is reached through
 #: its module at call time, so a function that rebinds ``powers.exp_step``
 #: (a tracer, a test) sees every call. 0.0 and 1.0 are names, so the source
 #: holds no float at all.
 _EXECUTOR_GLOBALS = {
+    "NAN": math.nan,
     "ONE": 1.0,
     "ZERO": 0.0,
     "NonFiniteCoefficientError": NonFiniteCoefficientError,
@@ -627,7 +606,6 @@ _EXECUTOR_GLOBALS = {
     "perm": math.perm,
     "pow_steps": pow_steps,
     "powers": powers,
-    "shift_steps": _shift_steps,
     "sq_step": sq_step,
 }
 
@@ -640,13 +618,16 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     checked when the equation was built, or a name. The executor
     ``steps(u, n, literals)`` appends U(m..n) to the list u of the initial
     coefficients. Slot i's coefficient at order k is the local ``v<i>``.
-    A slot gets a history only where a kernel reads one: ``b<i>`` oldest
-    first (the left operand of a product, a square's operand, the operands
+    A slot gets a history only where it is read back: ``b<i>`` oldest
+    first (the left operand of a product, a square's operand, the operand
     of a pow or a shift; u's is u itself) and ``r<i>`` newest first (the
     right operand of a product, a square's operand, an exp's own output),
-    each shared by all its readers. An exp keeps dY in ``d<i>``, and a pow
-    or a shift is a stepper ``g<i>``, which finds the valuation or hands
-    over to the Cauchy sum as the orders come.
+    each shared by all its readers. A shift by x^p is the one line
+    ``v = (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else NaN``,
+    which is the Cauchy coefficient's value where E(k) is finite and its
+    NaN, 0 * E(k), where it is not; the x^p slot itself keeps no history.
+    An exp keeps dY in ``d<i>``, and a pow is a stepper ``g<i>``, which
+    finds the valuation as the orders come.
     """
     m, program = shape
     forward: set[int] = set()
@@ -658,8 +639,8 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
         elif kind == "sq":
             forward.add(args[0])
             backward.add(args[0])
-        elif kind in ("pow", "shift"):
-            forward.update(args)
+        elif kind in ("pow", "shift"):  # the operand, other than x^p, is the last arg
+            forward.add(args[-1])
         elif kind == "exp":
             backward.add(i)
 
@@ -694,6 +675,9 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
             body.append(f"{v} = mul_step({hist(args[0])}, r{args[1]}, k)")
         elif kind == "sq":
             body.append(f"{v} = sq_step({hist(args[0])}, r{args[0]}, k)")
+        elif kind == "shift":
+            body.append(f"{v} = (ZERO + {hist(args[2])}[k - {p}] if k >= {p} else ZERO) "
+                        f"if isfinite(v{args[2]}) else NAN")
         elif kind == "exp":
             head.append(f"    d{i} = []")
             body += ["if k:",
@@ -702,10 +686,7 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
                      "else:",
                      f"    {v} = exp({a})"]
         else:
-            if kind == "pow":
-                head.append(f"    g{i} = pow_steps({hist(args[0])}, {p})")
-            else:
-                head.append(f"    g{i} = shift_steps({', '.join(map(hist, args))}, {p})")
+            head.append(f"    g{i} = pow_steps({hist(args[0])}, {p})")
             body.append(f"{v} = next(g{i})")
         if i in forward and kind != "u":
             body.append(f"b{i}.append({v})")

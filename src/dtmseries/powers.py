@@ -89,7 +89,7 @@ import operator
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InvalidArgumentError
-from .series import OpCount, Series, _div_exact, collect, monomial, mul, mul_steps, sq_steps
+from .series import OpCount, Series, _div_exact, _int, collect, monomial, mul, mul_steps, sq_steps
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
 
@@ -230,7 +230,7 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     power is not finite (coefficient k of a stage reads the stage before
     it up to index k only).
     """
-    if m < 0:
+    if _int(m, "pow_int exponent") < 0:
         raise InvalidArgumentError("pow_int exponent must be a non-negative integer")
     count = OpCount()
     if m == 0:
@@ -257,7 +257,7 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
     can come before the power's own: for [1e80, 0, 0, 0, 0, 1e230, 0] and
     m = 4 that is 5, where a^2 overflows, and :func:`pow_int` names 0.
     """
-    if m < 0:
+    if _int(m, "pow_naive exponent") < 0:
         raise InvalidArgumentError("pow_naive exponent must be a non-negative integer")
     count = OpCount()
     if m == 0:

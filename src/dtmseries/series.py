@@ -75,6 +75,13 @@ def _finite_float(value: float, what: str) -> float:
     return f
 
 
+def _int(value: object, what: str) -> int:
+    """``value``, which must be an int and not a bool; ``what`` names it in the error."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _div_exact(x: float, n: int) -> float:
     """x / n correctly rounded where n > 0 has no float; zero or non-finite x as is."""
     return float(Fraction(x) / n) if x and math.isfinite(x) else x
@@ -144,7 +151,7 @@ class Series:
 
 def zeros(order: int) -> Series:
     """The zero series of the given order."""
-    if order < 0:
+    if _int(order, "order") < 0:
         raise InvalidArgumentError("order must be non-negative")
     return Series([0.0] * (order + 1))
 
@@ -155,9 +162,9 @@ def monomial(m: int, order: int) -> Series:
     W(k) is the Kronecker delta at k = m. If m exceeds the order, the
     monomial truncates to the zero series; that is not an error.
     """
-    if m < 0:
+    if _int(m, "monomial power") < 0:
         raise InvalidArgumentError("monomial power must be non-negative")
-    if order < 0:
+    if _int(order, "order") < 0:
         raise InvalidArgumentError("order must be non-negative")
     cs = [0.0] * (order + 1)
     if m <= order:
@@ -292,7 +299,7 @@ def derivative_transform(a: Series, m: int) -> Series:
     The result has order N - m. The factorial ratio (k+m)!/k! is the exact
     integer ``math.perm(k + m, m)``, so large orders do not overflow.
     """
-    if m < 0:
+    if _int(m, "derivative order") < 0:
         raise InvalidArgumentError("derivative order must be non-negative")
     if m > a.order:
         raise OrderMismatchError(

@@ -78,3 +78,24 @@ def test_argument_check_raises_typed_error(call):
         call()
     assert isinstance(err.value, DtmError)
     assert isinstance(err.value, ValueError)
+
+
+# Orders, powers and exponents must be ints, not floats or bools.
+INT_CHECKS = {
+    "lower_float": lambda: lower(parse("D(u,1) = u"), 10.0),
+    "lower_bool": lambda: lower(parse("D(u,1) = u"), True),
+    "pow_int_float": lambda: pow_int(S, 2.5),
+    "pow_int_bool": lambda: pow_int(S, True),
+    "pow_naive_float": lambda: pow_naive(S, 2.5),
+    "derivative_float": lambda: derivative_transform(S, 1.5),
+    "monomial_power_float": lambda: monomial(1.5, 3),
+    "monomial_order_float": lambda: monomial(1, 3.0),
+    "zeros_float": lambda: zeros(2.5),
+    "shoot_order_float": lambda: shoot(1.0, 30.0, "lower"),
+}
+
+
+@pytest.mark.parametrize("call", INT_CHECKS.values(), ids=INT_CHECKS.keys())
+def test_integer_argument_must_be_an_int(call):
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        call()

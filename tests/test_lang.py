@@ -1,7 +1,9 @@
 """Equation DSL: grammar, printer, lowering, and stepping."""
 
+import dataclasses
 import io
 import math
+import random
 import sys
 import threading
 import tokenize
@@ -522,7 +524,8 @@ def _no_monomial(x):
 
 
 class TestShiftProduct:
-    """A product with x^p is a shift, bitwise equal to the Cauchy product."""
+    """A product with x^p, p >= 1, is a shift, bitwise equal to the Cauchy
+    product; a product with x^0 is the Cauchy product itself."""
 
     @pytest.mark.parametrize(
         "m,initial,build",
@@ -543,7 +546,10 @@ class TestShiftProduct:
         n = 30
         shifted = lower(Equation(m, build(x)), n)
         summed = lower(Equation(m, build(_no_monomial(x))), n)
-        assert "shift" in _kinds(shifted) and not _cauchy_products_of_x(shifted)
+        if x == XPow(0):
+            assert "shift" not in _kinds(shifted) and _cauchy_products_of_x(shifted)
+        else:
+            assert "shift" in _kinds(shifted) and not _cauchy_products_of_x(shifted)
         assert "shift" not in _kinds(summed)
         assert _hex(run(shifted, initial)) == _hex(run(summed, initial))
 
@@ -554,23 +560,90 @@ class TestShiftProduct:
         assert got[3].hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize(
-        "m,initial,build,order",
+        "m,initial,x,build,order",
         [
             # E(0) = inf and 0 * inf is NaN, so the Cauchy sum is not finite
-            # at k = 0 already: the shift must hand over there, not at k = 1.
-            (1, [1.0], lambda x: Mul(x, Scale(1e308, Scale(1e308, U()))), 1),
-            (1, [1.0], lambda x: Mul(Scale(1e308, Scale(1e308, U())), x), 1),
+            # at k = 0 already: the shift must be NaN there, not at k = 1.
+            (1, [1.0], Var(), lambda x: Mul(x, Scale(1e308, Scale(1e308, U()))), 1),
+            (1, [1.0], Var(), lambda x: Mul(Scale(1e308, Scale(1e308, U())), x), 1),
             # E = 1e600 * (u - 1) is 0 at k = 0 and inf from k = 1: the sum
             # is NaN at k = 1 (order 3); a shift would see inf only at k = 2.
-            (2, [1.0, 1.0], lambda x: Mul(x, Scale(1e300, Scale(1e300, Sub(U(), Const(1.0))))), 3),
+            (2, [1.0, 1.0], Var(),
+             lambda x: Mul(x, Scale(1e300, Scale(1e300, Sub(U(), Const(1.0))))), 3),
+            # Miller's power of x * exp(u) overflows at W(9) = (e^700)^9.
+            (1, [700.0], Var(), lambda x: Pow(Mul(x, Exp(U())), 9), 10),
+            # E = 1e600 * (u - 1) is inf at k = 1, where x * E is NaN; Miller's
+            # leading zero keeps the NaN out of the power until order 10, and a
+            # shift that raised at k = 1 would name order 2.
+            (1, [1.0], Var(),
+             lambda x: Add(Pow(Mul(x, Scale(1e300, Scale(1e300, Sub(U(), Const(1.0))))), 9),
+                           Const(1.0)), 10),
+            # x^0 * E keeps E(0) = -inf where a shift would hold NaN, and
+            # exp(-inf) is 0.0, so the run fails at order 2, not 1.
+            (1, [1.0], XPow(0), lambda x: Exp(Mul(x, Scale(-1e300, Scale(1e300, U())))), 2),
         ],
-        ids=["x-left", "x-right", "after-finite-steps"],
+        ids=["x-left", "x-right", "after-finite-steps", "miller", "hidden-by-miller", "x^0"],
     )
-    def test_overflow_names_the_order_of_the_product(self, m, initial, build, order):
-        for x in (Var(), _no_monomial(Var())):
+    def test_overflow_names_the_order_of_the_product(self, m, initial, x, build, order):
+        for factor in (x, _no_monomial(x)):
             with pytest.raises(NonFiniteCoefficientError) as err:
-                run(lower(Equation(m, build(x)), 10), initial)
+                run(lower(Equation(m, build(factor)), 10), initial)
             assert err.value.order == order
+
+
+_LITERALS = (1e300, -1e300, 1.0, -1.0, 0.1, -0.3, -0.0)
+
+
+def _random_rhs(rng, m, depth):
+    """A random right-hand side for D(u,m): products with x^p (p = 0..5) on
+    either side, alone or times their mirror image, pow up to 12, exp."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([U(), Var(), XPow(rng.randrange(6)), Const(rng.choice(_LITERALS)),
+                           Deriv(1) if m == 2 else U()])
+    e = _random_rhs(rng, m, depth - 1)
+    op = rng.randrange(8)
+    if op < 2:
+        x = rng.choice([Var(), XPow(rng.randrange(6))])
+        return (Mul(x, e), Mul(e, x), Mul(Mul(x, e), Mul(e, x)))[rng.randrange(3)]
+    if op == 2:
+        return Mul(e, _random_rhs(rng, m, depth - 1))
+    if op == 3:
+        return (Add if rng.random() < 0.5 else Sub)(e, _random_rhs(rng, m, depth - 1))
+    if op == 4:
+        return Scale(rng.choice(_LITERALS), e)
+    if op == 5:
+        return Pow(e, rng.randint(1, 12))
+    return Exp(e) if op == 6 else e
+
+
+def _without_monomials(e):
+    # Every x^p node as x^p + 0.0, so each of its products is a Cauchy sum.
+    if isinstance(e, (Var, XPow)):
+        return _no_monomial(e)
+    return type(e)(*(_without_monomials(v) if dataclasses.is_dataclass(v) else v
+                     for v in vars(e).values()))
+
+
+def _outcome(equation, initial, n):
+    try:
+        return _hex(run(lower(equation, n), initial))
+    except NonFiniteCoefficientError as err:
+        return err.order
+
+
+class TestShiftProperty:
+    def test_random_equations_match_their_cauchy_copies(self):
+        # x*u and u*x keep apart: as one slot, (x*u)*(u*x) would be a square,
+        # which is not bitwise the product.
+        rng = random.Random(1)
+        for _ in range(300):
+            m = rng.randint(1, 2)
+            rhs = _random_rhs(rng, m, 4)
+            initial = [rng.choice((0.0, -0.0, 1.0, 700.0, 1e10)) for _ in range(m)]
+            n = rng.choice((5, 20, 60))
+            got = _outcome(Equation(m, rhs), initial, n)
+            want = _outcome(Equation(m, _without_monomials(rhs)), initial, n)
+            assert got == want, (format_equation(Equation(m, rhs)), initial, n)
 
 
 class TestNonFinite:
@@ -647,6 +720,17 @@ class TestExecutor:
         numbers = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                    if tok.type == tokenize.NUMBER]
         assert numbers and all(number.isdigit() for number in numbers)
+
+    def test_every_global_is_read_by_some_executor(self):
+        names = {tok.string for text, _ in ORACLE_CASES.values()
+                 for tok in tokenize.generate_tokens(
+                     io.StringIO(lang._source(parse(text)._shape)).readline)
+                 if tok.type == tokenize.NAME}
+        assert not set(lang._EXECUTOR_GLOBALS) - names
+
+    def test_shift_is_one_line_without_state(self):
+        source = lang._source(parse("D(u,2) = x*u")._shape)
+        assert "next(" not in source and "[]" not in source
 
 
 class TestReentrant:
