@@ -29,9 +29,10 @@ An :class:`Equation` is checked and lowered when it is built, whether
 parsed or built by hand: one bottom-up walk of the right-hand side checks
 every node and builds an immutable program of slots in topological
 order, in which structurally equal subtrees share one slot (floats
-compared by their bits, so 0.0 and -0.0 stay apart). The program's keys
-are the equation's equality and hash. :func:`lower` only pairs the
-equation with a truncation order, checked by the plan.
+compared by their bits, so 0.0 and -0.0 stay apart), and, in the same
+walk, its shape and literals (below). The program's keys are the
+equation's equality and hash. :func:`lower` only pairs the equation with
+a truncation order, checked by the plan.
 
 A product of a slot with itself is its square, at about half the
 multiplies. ``pow(e, m)`` is the slots of the stages that
@@ -71,7 +72,10 @@ no literal can change the code that runs. The functions are kept in a
 costs 0.23-0.44 ms (CPython 3.11, 2-vCPU Xeon), about one short run;
 a process that solves a handful of shapes pays it a handful of times,
 however many equations and plans of those shapes it builds, and a
-result never depends on whether its shape was cached.
+result never depends on whether its shape was cached. The front end is
+paid per text: :func:`parse` of ``D(u,2) = -1*u*exp(u) + exp(u)`` (22
+tokens, one regex pass) takes about 26 us, 10 of them tokens and 7 the
+Equation, against about 60 us for its run to N = 30.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
     EquationSyntaxError,
@@ -194,9 +198,10 @@ _Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 _LITERAL_KINDS = ("const", "scale")
 
 
-def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
+def _program(rhs: Expr) -> tuple:
     """Check ``rhs`` and lower it: its slots in topological order, the root
-    last, and their keys.
+    last, their keys, its shape slots (the slots with their float literals
+    left out) and those literals, and the highest derivative order it reads.
 
     Rejects the nodes the parser never produces (``Deriv(0)``, ``Pow(e,
     0)``, a negative ``XPow``, a power or order that is not an int, bools
@@ -216,13 +221,20 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
     "pow" slot, Miller's recurrence.
     """
     slots: list[_Slot] = []
+    shape: list[_Slot] = []
+    literals: list[float] = []
     index: dict[tuple, int] = {}
+    top = 0
 
     def slot(kind: str, param: float | int | None = None, args: tuple[int, ...] = ()) -> int:
-        key = (kind, param.hex() if type(param) is float else param, args)
+        literal = kind in _LITERAL_KINDS
+        key = (kind, param.hex() if literal else param, args)
         i = index.setdefault(key, len(slots))
         if i == len(slots):
             slots.append((kind, param, args))
+            shape.append((kind, None, args) if literal else slots[i])
+            if literal:
+                literals.append(param)
         return i
 
     def product(a: int, b: int) -> int:
@@ -234,11 +246,20 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
         return slot("sq", None, (a,)) if a == b else slot("mul", None, (a, b))
 
     def visit(e: Expr) -> int:
+        nonlocal top
         t = type(e)
         if t is U:
             return slot("u")
         if t is Const:
             return slot("const", _finite_float(e.value, "literal"))
+        if t is Scale:
+            return slot("scale", _finite_float(e.factor, "literal"), (visit(e.child),))
+        if t is Mul:
+            return product(visit(e.left), visit(e.right))
+        if t is Add or t is Sub:
+            return slot("add" if t is Add else "sub", None, (visit(e.left), visit(e.right)))
+        if t is Exp:
+            return slot("exp", None, (visit(e.child),))
         if t is Var or t is XPow:
             p = 1 if t is Var else _int(e.power, "x power")
             if p < 0:
@@ -247,9 +268,8 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
         if t is Deriv:
             if _int(e.order, "derivative order") < 1:
                 raise InvalidArgumentError("derivative order must be positive")
+            top = max(top, e.order)
             return slot("deriv", e.order)
-        if t is Scale:
-            return slot("scale", _finite_float(e.factor, "literal"), (visit(e.child),))
         if t is Pow:
             if _int(e.power, "pow exponent") < 1:
                 raise InvalidArgumentError("pow exponent must be positive")
@@ -260,16 +280,10 @@ def _program(rhs: Expr) -> tuple[tuple[_Slot, ...], tuple[tuple, ...]]:
                 else:
                     power = product(power, power if op == "sq" else base)
             return power
-        if t is Exp:
-            return slot("exp", None, (visit(e.child),))
-        if t is Mul:
-            return product(visit(e.left), visit(e.right))
-        if t is Add or t is Sub:
-            return slot("add" if t is Add else "sub", None, (visit(e.left), visit(e.right)))
         raise TypeError(f"not an expression node: {e!r}")
 
     visit(rhs)
-    return tuple(slots), tuple(index)
+    return tuple(slots), tuple(index), tuple(shape), tuple(literals), top
 
 
 @dataclass(frozen=True)
@@ -308,193 +322,167 @@ class Equation:
         m = _int(self.lhs_order, "equation order")
         if m < 1:
             raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
-        program, keys = _program(self.rhs)
-        offset = max((j for kind, j, _ in program if kind == "deriv"), default=0)
-        if offset >= m:
+        program, keys, shape, literals, top = _program(self.rhs)
+        if top >= m:
             raise ImplicitFormError(
-                f"implicit form: right-hand side contains D(u,{offset}) but the "
+                f"implicit form: right-hand side contains D(u,{top}) but the "
                 f"left-hand side isolates order {m}"
             )
-        object.__setattr__(self, "_program", program)
-        object.__setattr__(self, "_keys", keys)
-        shape = tuple((kind, None if kind in _LITERAL_KINDS else param, args)
-                      for kind, param, args in program)
-        object.__setattr__(self, "_shape", (m, shape))
-        object.__setattr__(self, "_literals", tuple(
-            param for kind, param, _ in program if kind in _LITERAL_KINDS))
+        # One update sets the derived fields past the frozen __setattr__.
+        self.__dict__.update(_program=program, _keys=keys, _shape=(m, shape), _literals=literals)
 
 
 # ----------------------------------------------------------------------
 # Lexer / parser
 # ----------------------------------------------------------------------
 
-# A number, a name, or any other non-space character; finditer skips the
-# spaces between tokens, since no alternative matches one.
+# A number, a name, a punctuation character (whose kind is itself), or any
+# other non-space character, BAD; finditer skips the spaces between
+# tokens, since no alternative matches one.
 _TOKEN_RE = re.compile(
     r"(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|\S"
+    r"|[(),^*+\-=]"
+    r"|(?P<BAD>\S)"
 )
 
-
-class _Token(NamedTuple):
-    kind: str  # "NUMBER", "NAME", "END", or the punctuation character itself
-    text: str
-    pos: int
+#: The fieldless nodes, one instance each.
+_U, _VAR = U(), Var()
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup or m.group()
-        if len(kind) == 1 and kind not in "(),^*+-=":
-            raise EquationSyntaxError(f"unexpected character {kind!r}", m.start())
-        tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("END", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of ``text``, closed by an END token."""
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, char, pos in tokens:
+        if kind == "BAD":
+            raise EquationSyntaxError(f"unexpected character {char!r}", pos)
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the tokens by ``_i``, which never passes END.
+
+    A numeric literal is a float until a product folds it into a ``Scale``
+    or its term ends as a ``Const``.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self._tokens = tokens
         self._i = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        if tok.kind != "END":
-            self._i += 1
-        return tok
-
     def _error(self, what: str) -> EquationSyntaxError:
-        tok = self._peek()
-        got = tok.text or "end of input"
-        return EquationSyntaxError(f"expected {what}, got {got!r}", tok.pos)
+        _, text, pos = self._tokens[self._i]
+        return EquationSyntaxError(f"expected {what}, got {text or 'end of input'!r}", pos)
 
     def _expect(self, text: str) -> None:
         # Only a NAME token can spell a name, and a punctuation token's
         # text is its kind, so the text alone identifies the token.
-        if self._peek().text != text:
+        if self._tokens[self._i][1] != text:
             raise self._error(repr(text))
-        self._advance()
+        self._i += 1
 
     def _int(self, what: str) -> int:
-        tok = self._peek()
-        if tok.kind != "NUMBER" or not tok.text.isdigit():
+        kind, text, _ = self._tokens[self._i]
+        if kind != "NUMBER" or not text.isdigit():
             raise self._error(f"a non-negative integer for {what}")
-        self._advance()
-        return int(tok.text)
+        self._i += 1
+        return int(text)
 
-    def _u_order(self, what: str) -> tuple[int, int]:
-        """Parse ``(u, INT)`` after a D; return INT and its position."""
-        self._expect("(")
-        self._expect("u")
-        self._expect(",")
-        pos = self._peek().pos
+    def _u_order(self, what: str) -> int:
+        """Parse ``(u, INT)`` after a D; return INT."""
+        for text in "(u,":
+            self._expect(text)
         j = self._int(what)
         self._expect(")")
-        return j, pos
+        return j
 
     def parse_equation(self) -> Equation:
         self._expect("D")
-        m, m_pos = self._u_order("the left-hand derivative order")
+        m = self._u_order("the left-hand derivative order")
         if m < 1:
+            # The order is the token before the closing ")".
             raise EquationSyntaxError(
-                "left-hand derivative order must be at least 1", m_pos
+                "left-hand derivative order must be at least 1", self._tokens[self._i - 2][2]
             )
         self._expect("=")
         rhs = self.expr()
-        tail = self._peek()
-        if tail.kind != "END":
-            raise EquationSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
+        kind, text, pos = self._tokens[self._i]
+        if kind != "END":
+            raise EquationSyntaxError(f"unexpected trailing input {text!r}", pos)
         return Equation(m, rhs)
 
     def expr(self) -> Expr:
         node = self.term()
-        while self._peek().kind in ("+", "-"):
-            op = self._advance()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+        tokens = self._tokens
+        while (op := tokens[self._i][0]) == "+" or op == "-":
+            self._i += 1
+            node = (Add if op == "+" else Sub)(node, self.term())
         return node
 
     def term(self) -> Expr:
-        node = self.factor()
-        while self._peek().kind == "*":
-            op = self._advance()
-            node = _fold_mul(node, self.factor(), op.pos)
-        return node
-
-    def factor(self) -> Expr:
-        tok = self._peek()
-        if tok.kind in ("+", "-", "NUMBER"):
-            # A sign belongs to a numeric literal only.
-            if tok.kind != "NUMBER":
-                self._advance()
-            num = self._peek()
-            if num.kind != "NUMBER":
-                raise self._error("a numeric literal after the sign")
-            self._advance()
-            value = float(num.text)
-            if not math.isfinite(value):
+        a = self.factor()
+        tokens = self._tokens
+        while (tok := tokens[self._i])[0] == "*":
+            self._i += 1
+            b = self.factor()
+            if type(a) is not float:
+                a = Scale(b, a) if type(b) is float else Mul(a, b)
+            elif type(b) is not float:
+                a = Scale(a, b)
+            elif not math.isfinite(a := a * b):
                 raise EquationSyntaxError(
-                    f"numeric literal {num.text!r} is not a finite float", num.pos
+                    f"product of numeric literals is {a!r}, not a finite float", tok[2]
                 )
-            return Const(-value if tok.kind == "-" else value)
-        if tok.kind == "(":
-            self._advance()
-            node = self.expr()
-            self._expect(")")
-            return node
-        if tok.kind == "NAME":
-            return self._named_factor()
-        raise self._error("a factor")
+        return Const(a) if type(a) is float else a
 
-    def _named_factor(self) -> Expr:
-        tok = self._advance()
-        name = tok.text
-        if name == "x":
-            if self._peek().kind == "^":
-                self._advance()
+    def factor(self) -> Expr | float:
+        tokens = self._tokens
+        kind, text, pos = tokens[self._i]
+        if kind == "NAME":
+            self._i += 1
+            if text == "u":
+                return _U
+            if text == "x":
+                if tokens[self._i][0] != "^":
+                    return _VAR
+                self._i += 1
                 return XPow(self._int("the power of x"))
-            return Var()
-        if name == "u":
-            return U()
-        if name == "D":
-            j, _ = self._u_order("the derivative order")
-            # The 0th derivative is the function itself.
-            return U() if j == 0 else Deriv(j)
-        if name == "pow":
+            if text == "D":
+                j = self._u_order("the derivative order")
+                # The 0th derivative is the function itself.
+                return _U if j == 0 else Deriv(j)
+            if text != "pow" and text != "exp":
+                raise EquationSyntaxError(f"unsupported operator {text!r}", pos)
             self._expect("(")
             child = self.expr()
+            if text == "exp":
+                self._expect(")")
+                return Exp(child)
             self._expect(",")
             p = self._int("the exponent")
             self._expect(")")
             # pow(e, 0) folds to the constant one by the algebraic convention.
-            return Const(1.0) if p == 0 else Pow(child, p)
-        if name == "exp":
-            self._expect("(")
-            child = self.expr()
+            return 1.0 if p == 0 else Pow(child, p)
+        if kind == "(":
+            self._i += 1
+            node = self.expr()
             self._expect(")")
-            return Exp(child)
-        raise EquationSyntaxError(f"unsupported operator {name!r}", tok.pos)
-
-
-def _fold_mul(a: Expr, b: Expr, pos: int) -> Expr:
-    # Numeric literals fold into Const/Scale at parse time; pos is the "*" they fold at.
-    if isinstance(a, Const) and isinstance(b, Const):
-        value = a.value * b.value
+            # A parenthesized literal folds like a bare one.
+            return node.value if type(node) is Const else node
+        if kind == "+" or kind == "-":
+            # A sign belongs to a numeric literal only.
+            self._i += 1
+            if tokens[self._i][0] != "NUMBER":
+                raise self._error("a numeric literal after the sign")
+            _, text, pos = tokens[self._i]
+        elif kind != "NUMBER":
+            raise self._error("a factor")
+        self._i += 1
+        value = float(text)
         if not math.isfinite(value):
-            raise EquationSyntaxError(
-                f"product of numeric literals is {value!r}, not a finite float", pos
-            )
-        return Const(value)
-    if isinstance(a, Const):
-        return Scale(a.value, b)
-    if isinstance(b, Const):
-        return Scale(b.value, a)
-    return Mul(a, b)
+            raise EquationSyntaxError(f"numeric literal {text!r} is not a finite float", pos)
+        return -value if kind == "-" else value
 
 
 def parse(text: str) -> Equation:
@@ -507,18 +495,10 @@ def parse(text: str) -> Equation:
 # ----------------------------------------------------------------------
 
 
-def _fmt_operand(e: Expr) -> str:
-    # Operands of * must reparse as single factors.
-    if isinstance(e, (Add, Sub, Mul, Scale)):
-        return f"({format_expr(e)})"
-    return format_expr(e)
-
-
-def _fmt_addend(e: Expr) -> str:
-    # Right operands of +/- must not swallow the rest of the sum.
-    if isinstance(e, (Add, Sub)):
-        return f"({format_expr(e)})"
-    return format_expr(e)
+def _operand(e: Expr, grouped: tuple[type, ...] = (Add, Sub, Mul, Scale)) -> str:
+    # Parenthesized where it would not reparse as one operand: a sum or a
+    # product as a factor of *, a sum as the right operand of + or -.
+    return f"({format_expr(e)})" if isinstance(e, grouped) else format_expr(e)
 
 
 def format_expr(e: Expr) -> str:
@@ -534,13 +514,13 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Deriv):
         return f"D(u,{e.order})"
     if isinstance(e, Add):
-        return f"{format_expr(e.left)} + {_fmt_addend(e.right)}"
+        return f"{format_expr(e.left)} + {_operand(e.right, (Add, Sub))}"
     if isinstance(e, Sub):
-        return f"{format_expr(e.left)} - {_fmt_addend(e.right)}"
+        return f"{format_expr(e.left)} - {_operand(e.right, (Add, Sub))}"
     if isinstance(e, Mul):
-        return f"{_fmt_operand(e.left)} * {_fmt_operand(e.right)}"
+        return f"{_operand(e.left)} * {_operand(e.right)}"
     if isinstance(e, Scale):
-        return f"{e.factor!r} * {_fmt_operand(e.child)}"
+        return f"{e.factor!r} * {_operand(e.child)}"
     if isinstance(e, Pow):
         return f"pow({format_expr(e.child)}, {e.power})"
     if isinstance(e, Exp):
@@ -617,22 +597,29 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     "scale" slots replaced by None; everything else in it is an integer
     checked when the equation was built, or a name. The executor
     ``steps(u, n, literals)`` appends U(m..n) to the list u of the initial
-    coefficients. Slot i's coefficient at order k is the local ``v<i>``.
-    A slot gets a history only where it is read back: ``b<i>`` oldest
-    first (the left operand of a product, a square's operand, the operand
-    of a pow or a shift; u's is u itself) and ``r<i>`` newest first (the
-    right operand of a product, a square's operand, an exp's own output),
-    each shared by all its readers. A shift by x^p is the one line
-    ``v = (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else NaN``,
-    which is the Cauchy coefficient's value where E(k) is finite and its
-    NaN, 0 * E(k), where it is not; the x^p slot itself keeps no history.
-    An exp keeps dY in ``d<i>``, and a pow is a stepper ``g<i>``, which
-    finds the valuation as the orders come.
+    coefficients. Slot i's coefficient at order k is the local ``v<i>``,
+    left out where nothing reads it (a shift's x^p, and u read by shifts
+    only). A slot gets a history only where it is read back: ``b<i>``
+    oldest first (the left operand of a product, a square's operand, the
+    operand of a pow or a shift; u's is u itself) and ``r<i>`` newest
+    first (the right operand of a product, a square's operand, an exp's
+    own output), each shared by all its readers. A shift by x^p is the one
+    line ``v = (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else
+    NaN``, which is the Cauchy coefficient's value where E(k) is finite and
+    its NaN, 0 * E(k), where it is not; u needs no test, as every U(k) is
+    checked finite before it is appended. An exp keeps dY in ``d<i>``, and
+    a pow is a stepper ``g<i>``, which finds the valuation as the orders
+    come.
     """
     m, program = shape
     forward: set[int] = set()
     backward: set[int] = set()
+    read = {len(program) - 1}
     for i, (kind, _, args) in enumerate(program):
+        if kind != "shift":
+            read.update(args)
+        elif program[args[2]][0] != "u":  # the finiteness test reads the operand
+            read.add(args[2])
         if kind == "mul":
             forward.add(args[0])
             backward.add(args[1])
@@ -655,6 +642,9 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     head += [f"    r{i} = []" for i in sorted(backward)]
     body = []
     for i, (kind, p, args) in enumerate(program):
+        # Only a u or x^p slot can go unread: any other is the root or an operand.
+        if i not in read:
+            continue
         v = f"v{i}"
         a = f"v{args[0]}" if args else ""
         if kind == "u":
@@ -676,8 +666,10 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
         elif kind == "sq":
             body.append(f"{v} = sq_step({hist(args[0])}, r{args[0]}, k)")
         elif kind == "shift":
-            body.append(f"{v} = (ZERO + {hist(args[2])}[k - {p}] if k >= {p} else ZERO) "
-                        f"if isfinite(v{args[2]}) else NAN")
+            e = args[2]
+            line = f"ZERO + {hist(e)}[k - {p}] if k >= {p} else ZERO"
+            body.append(f"{v} = {line}" if program[e][0] == "u"
+                        else f"{v} = ({line}) if isfinite(v{e}) else NAN")
         elif kind == "exp":
             head.append(f"    d{i} = []")
             body += ["if k:",

@@ -97,6 +97,8 @@ __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
 #: Up to 8 the chain costs 0.25-1.0x Miller's multiplies, except m = 7
 #: (1.5x), which stays on the chain for stability (module docstring).
 BINARY_POW_MAX = 8
+#: Largest exponent :func:`pow_naive` folds, one full convolution per factor.
+POW_NAIVE_MAX = 1024
 
 
 def _int_pow(base: float, m: int, count: OpCount | None = None) -> float:
@@ -251,14 +253,15 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
 def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
     """Oracle power: fold the Cauchy product over m copies of a.
 
-    Performs exactly m - 1 full convolutions, (N+1)(N+2)/2 multiplies each.
+    Performs exactly m - 1 full convolutions, (N+1)(N+2)/2 multiplies each,
+    so m above :data:`POW_NAIVE_MAX` raises :class:`InvalidArgumentError`.
     Same 0^0 error contract as :func:`pow_int`. The error on overflow
     names the first index at which any partial product overflows, which
     can come before the power's own: for [1e80, 0, 0, 0, 0, 1e230, 0] and
     m = 4 that is 5, where a^2 overflows, and :func:`pow_int` names 0.
     """
-    if _int(m, "pow_naive exponent") < 0:
-        raise InvalidArgumentError("pow_naive exponent must be a non-negative integer")
+    if not 0 <= _int(m, "pow_naive exponent") <= POW_NAIVE_MAX:
+        raise InvalidArgumentError(f"pow_naive exponent must be in 0..{POW_NAIVE_MAX}, got {m}")
     count = OpCount()
     if m == 0:
         return _power_zero(a), count

@@ -464,6 +464,20 @@ class TestBench:
         code, out, err = run_cli(["bench", "--op", "pow", "--order", "8", "--m", "-2"], capsys)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["ops", "pow", "--naive", "--m", "1000000000000"],
+        ["bench", "--op", "pow", "--order", "4", "--m", "1000000000000"],
+    ], ids=["ops", "bench"])
+    def test_naive_fold_refuses_a_huge_m_at_once(self, argv):
+        # The fold runs m - 1 convolutions; without a bound these never return.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "dtmseries.cli", *argv], input=SQ_INPUT,
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: pow_naive exponent must be in 0..1024, got 1000000000000\n"
+
 
 class TestParser:
     def test_main_is_unaffected_by_changes_to_a_built_parser(self, capsys):

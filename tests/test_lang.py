@@ -17,6 +17,7 @@ from dtmseries import (
     Const,
     Deriv,
     Equation,
+    EquationError,
     EquationSyntaxError,
     Exp,
     ImplicitFormError,
@@ -181,6 +182,37 @@ class TestParseErrors:
     def test_non_finite_literal_rejected(self, text, position):
         with pytest.raises(EquationSyntaxError, match="not a finite float") as err:
             parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("D(u,1) = u & x", "unexpected character '&'", 11),
+        ("u = x", "expected 'D', got 'u'", 0),
+        ("D(v,1) = u", "expected 'u', got 'v'", 2),
+        ("D(u,x) = u",
+         "expected a non-negative integer for the left-hand derivative order, got 'x'", 4),
+        ("D(u,0) = u", "left-hand derivative order must be at least 1", 4),
+        ("D(u,1) u", "expected '=', got 'u'", 7),
+        ("D(u,1) = u u", "unexpected trailing input 'u'", 11),
+        ("D(u,1) = -u", "expected a numeric literal after the sign, got 'u'", 10),
+        ("D(u,1) = 1e999*u", "numeric literal '1e999' is not a finite float", 9),
+        ("D(u,1) = 1e200*1e200*u", "product of numeric literals is inf, not a finite float", 14),
+        ("D(u,1) = )", "expected a factor, got ')'", 9),
+        ("D(u,1) =", "expected a factor, got 'end of input'", 8),
+        ("D(u,1) = (u", "expected ')', got 'end of input'", 11),
+        ("D(u,1) = sin(u)", "unsupported operator 'sin'", 9),
+        ("D(u,1) = x^1.5", "expected a non-negative integer for the power of x, got '1.5'", 11),
+        ("D(u,2) = D(u,y)",
+         "expected a non-negative integer for the derivative order, got 'y'", 13),
+        ("D(u,1) = pow(u 2)", "expected ',', got '2'", 15),
+        ("D(u,1) = pow(u, x)", "expected a non-negative integer for the exponent, got 'x'", 16),
+        ("D(u,1) = exp u", "expected '(', got 'u'", 13),
+    ], ids=["character", "head", "dependent", "lhs-order", "lhs-order-zero", "equals",
+            "trailing", "sign", "literal", "literal-product", "factor", "factor-end", "paren",
+            "operator", "x-power", "derivative-order", "pow-comma", "pow-exponent", "exp-paren"])
+    def test_each_error_branch(self, text, message, position):
+        with pytest.raises(EquationSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
 
     @pytest.mark.parametrize(
@@ -644,6 +676,39 @@ class TestShiftProperty:
             got = _outcome(Equation(m, rhs), initial, n)
             want = _outcome(Equation(m, _without_monomials(rhs)), initial, n)
             assert got == want, (format_equation(Equation(m, rhs)), initial, n)
+
+
+#: Characters a mutation inserts or writes over: the grammar's own, a space
+#: and a tab, and characters it rejects.
+_MUTATION_CHARS = "Dux^()+-*=,.eE0123 \t&_s\u00e9\u0661"
+
+
+def _mutated(rng, text):
+    """``text`` with one random character deleted, inserted or replaced."""
+    i, c = rng.randrange(len(text)), rng.choice(_MUTATION_CHARS)
+    return rng.choice((text[:i] + text[i + 1:], text[:i] + c + text[i:],
+                       text[:i] + c + text[i + 1:]))
+
+
+class TestFrontEndContract:
+    def test_mutated_equations_parse_or_raise_a_positioned_error(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            m = rng.randint(1, 2)
+            text = format_equation(Equation(m, _random_rhs(rng, m, 4)))
+            try:
+                parse(text)
+            except EquationSyntaxError as err:
+                # A printed Mul of two literals folds when parsed, and
+                # 1e300 * 1e300 folds to inf, which the grammar rejects.
+                assert "product of numeric literals is" in str(err), text
+            for _ in range(4):
+                mutant = _mutated(rng, text)
+                try:
+                    parse(mutant)
+                except EquationError as err:
+                    assert isinstance(err, ImplicitFormError) or (
+                        0 <= err.position <= len(mutant)), (mutant, err)
 
 
 class TestNonFinite:
