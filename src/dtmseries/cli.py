@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import sys
 import time
@@ -39,9 +38,9 @@ from .errors import (
     NonFiniteCoefficientError,
     SeriesFormatError,
 )
-from .lang import lower, parse, run
-from .powers import OpCount, exp_naive, exp_series, pow_int, pow_naive, pow_steps
-from .series import Series, collect, format_series, load_series
+from .lang import _apply, lower, parse, run
+from .powers import OpCount, exp_naive, exp_series, pow_int, pow_naive
+from .series import Series, format_series, load_series
 
 __all__ = ["main", "main_entry", "build_parser"]
 
@@ -228,7 +227,7 @@ def _pow_miller(series: Series, m: int) -> tuple[Series, OpCount]:
     if m < 2:
         return pow_int(series, m)
     count = OpCount()
-    return collect(itertools.islice(pow_steps(series.coeffs, m, count), len(series))), count
+    return _apply("miller", (series.coeffs,), count, m), count
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -16,7 +16,8 @@ NUMBER is a decimal literal with an optional exponent, rejected when it,
 or a product of literals folded with it, overflows to an infinite float
 (e.g. "1e999" or "1e200*1e200"); a sign is recognized
 only immediately in front of a literal, so write "-1 * u" rather than "-u".
-INT is an unsigned decimal integer. Anything else (e.g. "sin(u)") is
+INT is an unsigned decimal integer of at most 4300 digits, and
+parentheses nest at most 200 deep. Anything else (e.g. "sin(u)") is
 rejected as an unsupported operator, and a right-hand side referencing
 D(u,j) with j >= m is rejected as implicit.
 
@@ -53,23 +54,26 @@ the order minus lhs_order and computes every slot once per order, in
 program order, so a subtree that occurs twice, like exp(u) in u*exp(u) +
 exp(u), is computed once. A pointwise slot (u, a constant, x^p, D(u,j),
 a sum, a difference, a scaling, a shift) is a local variable, the shift
-read from its operand's history. A product, a square and an exp call
-their one-step kernels (``series.mul_step``, ``series.sq_step``,
-``powers.exp_step``) directly, one Cauchy coefficient or one single-sum
-recurrence step per order, which keeps a whole solve at O(N^2). A pow
-advances the one stepper, ``powers.pow_steps``, which finds the
-valuation of its operand as the orders come. Each kernel reads the
-history it needs from a list kept once per slot, newest first where its
-sum reads backwards, so a step is one dot product over two lists already
-in order; a slot that nothing reads back has no list.
+read from its operand's history. A product, a square, an exp and a pow
+call their one-step kernels (``series.mul_step``, ``series.sq_step``,
+``powers.exp_step``, ``powers.miller_step``) directly, one Cauchy
+coefficient or one single-sum recurrence step per order, which keeps a
+whole solve at O(N^2); a pow finds its operand's valuation as the orders
+come. Each kernel reads the history it needs from a list kept once per
+slot, newest first where its sum reads backwards, so a step is one dot
+product over two lists already in order; a slot that nothing reads back
+has no list. This is the one driver of the kernels: ``series.mul``,
+``pow_int`` and ``exp_series`` are programs over input slots too.
 
 The literals are the function's argument, never part of its source,
 which holds only names and integers checked when the equation was
 built. So Bratu's equation at every lambda, or ``-0.0*u`` and
 ``0.0*u``, share one function and still compute with their own bits, and
 no literal can change the code that runs. The functions are kept in a
-``functools.lru_cache`` of 128 shapes. Generating and compiling one
-costs 0.23-0.44 ms (CPython 3.11, 2-vCPU Xeon), about one short run;
+``functools.lru_cache`` of 128 shapes; the whole-series operators add a
+product, an exp, a chain per m <= 8 and, since m is in the shape, one
+Miller shape per distinct m > 8. Generating and compiling one costs
+0.23-0.44 ms (CPython 3.11, 2-vCPU Xeon), about one short run;
 a process that solves a handful of shapes pays it a handful of times,
 however many equations and plans of those shapes it builds, and a
 result never depends on whether its shape was cached. The front end is
@@ -93,8 +97,8 @@ from .errors import (
     NonFiniteCoefficientError,
 )
 from . import powers
-from .powers import pow_steps, power_chain
-from .series import Series, _div_exact, _finite_float, _int, mul_step, sq_step
+from .powers import power_chain
+from .series import OpCount, Series, _div_exact, _finite_float, _int, mul_step, sq_step
 
 __all__ = [
     "Const",
@@ -188,14 +192,15 @@ Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 
 # A slot of a lowered equation is a tuple (kind, param, args): ``kind`` is
 # "u", "const", "xpow", "deriv", "add", "sub", "mul", "sq", "shift",
-# "scale", "pow" or "exp"; ``param`` is the literal, power, derivative
-# order or factor (None when there is none); ``args`` are the indices of
-# the operand slots, all below the slot's own index.
+# "scale", "pow", "exp" or, in a whole-series operator, "in"; ``param`` is
+# the literal, power, derivative order or factor (None when there is
+# none); ``args`` are the indices of the operand slots, all below the
+# slot's own index.
 _Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
 
-#: Slot kinds whose parameter is a float literal: left out of a program's
-#: shape and passed to its executor as an argument.
-_LITERAL_KINDS = ("const", "scale")
+#: Slot kinds whose parameter is left out of a program's shape and passed
+#: to its executor as an argument: a float literal, or an input's list.
+_LITERAL_KINDS = ("const", "scale", "in")
 
 
 def _program(rhs: Expr) -> tuple:
@@ -219,6 +224,9 @@ def _program(rhs: Expr) -> tuple:
     "sq" and "mul" are products (so ``pow(e, 1)`` is ``e``'s own slot, and
     ``pow(u, 2)`` and ``pow(u, 3)`` share ``u``'s square), and "pow" is a
     "pow" slot, Miller's recurrence.
+
+    The walk keeps its own stack, so a sum of thousands of terms costs no
+    Python frame per term, and visits the nodes as a recursive walk would.
     """
     slots: list[_Slot] = []
     shape: list[_Slot] = []
@@ -245,44 +253,52 @@ def _program(rhs: Expr) -> tuple:
             return slot("shift", q, (a, b, a))
         return slot("sq", None, (a,)) if a == b else slot("mul", None, (a, b))
 
-    def visit(e: Expr) -> int:
-        nonlocal top
+    # (node, its checked literal, whether its operands' slots are on ``done``)
+    todo: list[tuple] = [(rhs, None, False)]
+    done: list[int] = []
+    while todo:
+        e, literal, ready = todo.pop()
         t = type(e)
-        if t is U:
-            return slot("u")
-        if t is Const:
-            return slot("const", _finite_float(e.value, "literal"))
-        if t is Scale:
-            return slot("scale", _finite_float(e.factor, "literal"), (visit(e.child),))
-        if t is Mul:
-            return product(visit(e.left), visit(e.right))
-        if t is Add or t is Sub:
-            return slot("add" if t is Add else "sub", None, (visit(e.left), visit(e.right)))
-        if t is Exp:
-            return slot("exp", None, (visit(e.child),))
-        if t is Var or t is XPow:
+        if ready:
+            a = done.pop()
+            if t is Pow:
+                power = a
+                for op in power_chain(e.power):
+                    if op == "pow":
+                        power = slot("pow", e.power, (a,))
+                    else:
+                        power = product(power, power if op == "sq" else a)
+                done.append(power)
+            elif t is Mul:
+                done[-1] = product(done[-1], a)
+            elif t is Add or t is Sub:
+                done[-1] = slot("add" if t is Add else "sub", None, (done[-1], a))
+            else:
+                done.append(slot("scale" if t is Scale else "exp", literal, (a,)))
+        elif t is U:
+            done.append(slot("u"))
+        elif t is Const:
+            done.append(slot("const", _finite_float(e.value, "literal")))
+        elif t is Var or t is XPow:
             p = 1 if t is Var else _int(e.power, "x power")
             if p < 0:
                 raise InvalidArgumentError("x power must be non-negative")
-            return slot("xpow", p)
-        if t is Deriv:
+            done.append(slot("xpow", p))
+        elif t is Deriv:
             if _int(e.order, "derivative order") < 1:
                 raise InvalidArgumentError("derivative order must be positive")
             top = max(top, e.order)
-            return slot("deriv", e.order)
-        if t is Pow:
-            if _int(e.power, "pow exponent") < 1:
+            done.append(slot("deriv", e.order))
+        elif t is Add or t is Sub or t is Mul:
+            todo += [(e, None, True), (e.right, None, False), (e.left, None, False)]
+        elif t is Scale:
+            todo += [(e, _finite_float(e.factor, "literal"), True), (e.child, None, False)]
+        elif t is Exp or t is Pow:
+            if t is Pow and _int(e.power, "pow exponent") < 1:
                 raise InvalidArgumentError("pow exponent must be positive")
-            power = base = visit(e.child)
-            for op in power_chain(e.power):
-                if op == "pow":
-                    power = slot("pow", e.power, (base,))
-                else:
-                    power = product(power, power if op == "sq" else base)
-            return power
-        raise TypeError(f"not an expression node: {e!r}")
-
-    visit(rhs)
+            todo += [(e, None, True), (e.child, None, False)]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
     return tuple(slots), tuple(index), tuple(shape), tuple(literals), top
 
 
@@ -349,6 +365,11 @@ _TOKEN_RE = re.compile(
 #: The fieldless nodes, one instance each.
 _U, _VAR = U(), Var()
 
+#: The deepest nesting of parentheses (grouping, ``exp(`` and ``pow(``)
+#: that :func:`parse` accepts. Each level costs the parser three Python
+#: frames, so 200 stay far inside CPython's default recursion limit, 1000.
+_MAX_NESTING = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """The (kind, text, position) tokens of ``text``, closed by an END token."""
@@ -364,12 +385,13 @@ class _Parser:
     """Recursive descent over the tokens by ``_i``, which never passes END.
 
     A numeric literal is a float until a product folds it into a ``Scale``
-    or its term ends as a ``Const``.
+    or its term ends as a ``Const``. ``_depth`` counts the open expressions.
     """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self._tokens = tokens
         self._i = 0
+        self._depth = 0
 
     def _error(self, what: str) -> EquationSyntaxError:
         _, text, pos = self._tokens[self._i]
@@ -383,11 +405,14 @@ class _Parser:
         self._i += 1
 
     def _int(self, what: str) -> int:
-        kind, text, _ = self._tokens[self._i]
+        kind, text, pos = self._tokens[self._i]
         if kind != "NUMBER" or not text.isdigit():
             raise self._error(f"a non-negative integer for {what}")
         self._i += 1
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise EquationSyntaxError(f"{what} has too many digits ({len(text)})", pos) from None
 
     def _u_order(self, what: str) -> int:
         """Parse ``(u, INT)`` after a D; return INT."""
@@ -413,11 +438,16 @@ class _Parser:
         return Equation(m, rhs)
 
     def expr(self) -> Expr:
-        node = self.term()
         tokens = self._tokens
+        if self._depth > _MAX_NESTING:  # a nested expression follows its "("
+            pos = tokens[self._i - 1][2]
+            raise EquationSyntaxError(f"more than {_MAX_NESTING} nested parentheses", pos)
+        self._depth += 1
+        node = self.term()
         while (op := tokens[self._i][0]) == "+" or op == "-":
             self._i += 1
             node = (Add if op == "+" else Sub)(node, self.term())
+        self._depth -= 1
         return node
 
     def term(self) -> Expr:
@@ -570,10 +600,10 @@ def lower(equation: Equation, order: int) -> RecurrencePlan:
     return RecurrencePlan(equation, order)
 
 
-#: The globals of every generated executor. ``exp_step`` is reached through
-#: its module at call time, so a function that rebinds ``powers.exp_step``
-#: (a tracer, a test) sees every call. 0.0 and 1.0 are names, so the source
-#: holds no float at all.
+#: The globals of every generated executor. The kernels of ``powers`` are
+#: reached through their module at call time, so a function that rebinds
+#: ``powers.exp_step`` or ``powers.miller_step`` (a tracer, a test) sees
+#: every call. 0.0 and 1.0 are names, so the source holds no float at all.
 _EXECUTOR_GLOBALS = {
     "NAN": math.nan,
     "ONE": 1.0,
@@ -584,7 +614,6 @@ _EXECUTOR_GLOBALS = {
     "isfinite": math.isfinite,
     "mul_step": mul_step,
     "perm": math.perm,
-    "pow_steps": pow_steps,
     "powers": powers,
     "sq_step": sq_step,
 }
@@ -593,23 +622,28 @@ _EXECUTOR_GLOBALS = {
 def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     """The Python source of the executor of one program shape.
 
-    ``shape`` is (lhs_order, slots) with the float literals of "const" and
-    "scale" slots replaced by None; everything else in it is an integer
-    checked when the equation was built, or a name. The executor
-    ``steps(u, n, literals)`` appends U(m..n) to the list u of the initial
-    coefficients. Slot i's coefficient at order k is the local ``v<i>``,
-    left out where nothing reads it (a shift's x^p, and u read by shifts
-    only). A slot gets a history only where it is read back: ``b<i>``
-    oldest first (the left operand of a product, a square's operand, the
-    operand of a pow or a shift; u's is u itself) and ``r<i>`` newest
-    first (the right operand of a product, a square's operand, an exp's
-    own output), each shared by all its readers. A shift by x^p is the one
-    line ``v = (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else
-    NaN``, which is the Cauchy coefficient's value where E(k) is finite and
-    its NaN, 0 * E(k), where it is not; u needs no test, as every U(k) is
-    checked finite before it is appended. An exp keeps dY in ``d<i>``, and
-    a pow is a stepper ``g<i>``, which finds the valuation as the orders
-    come.
+    ``shape`` is (lhs_order, slots) with the parameters of "const",
+    "scale" and "in" slots replaced by None; everything else in it is an
+    integer checked when the program was built, or a name. The executor
+    ``steps(u, n, literals, count)`` appends U(m..n) to the list u of the
+    initial coefficients; ``literals`` holds those parameters in slot
+    order, and every kernel adds its multiplies to ``count`` (if not
+    None). Slot i's coefficient at order k is the local ``v<i>``, left out
+    where nothing reads it (a shift's x^p, and u read by shifts only). A
+    slot gets a history only where it is read back: ``b<i>`` oldest first
+    (the left operand of a product, a square's operand, the operand of a
+    pow or a shift; u's is u itself, and an input's is its list) and
+    ``r<i>`` newest first (the right operand of a product, a square's
+    operand, the output of an exp or a pow), each shared by all its
+    readers. A shift by x^p is the one line ``v = (0.0 + E(k-p) if k >= p
+    else 0.0) if E(k) is finite else NaN``, which is the Cauchy
+    coefficient's value where E(k) is finite and its NaN, 0 * E(k), where
+    it is not; u needs no test, as every U(k) is checked finite before it
+    is appended. An exp keeps dY in ``d<i>``. A pow keeps m in ``m<i>``,
+    takes the first k with Y(k) != 0 as the valuation v, sets its start
+    order ``s<i>`` = v*m and shift ``h<i>`` = v*(m-1), and from the start
+    runs Miller's recurrence on ybar(j) = Y(k - h), kept in ``y<i>``;
+    below it, it is 0.0.
     """
     m, program = shape
     forward: set[int] = set()
@@ -628,17 +662,20 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
             backward.add(args[0])
         elif kind in ("pow", "shift"):  # the operand, other than x^p, is the last arg
             forward.add(args[-1])
-        elif kind == "exp":
+        if kind in ("pow", "exp"):
             backward.add(i)
+    # Forward histories of their own: u's is u, and an input's is its list.
+    kept = {i for i in forward if program[i][0] not in ("u", "in")}
 
     def hist(i: int) -> str:
-        return "u" if program[i][0] == "u" else f"b{i}"
+        kind = program[i][0]
+        return "u" if kind == "u" else f"c{i}" if kind == "in" else f"b{i}"
 
-    head = ["def steps(u, n, literals):"]
+    head = ["def steps(u, n, literals, count):"]
     literals = [f"c{i}" for i, (kind, _, _) in enumerate(program) if kind in _LITERAL_KINDS]
     if literals:
         head.append(f"    {', '.join(literals)}, = literals")
-    head += [f"    b{i} = []" for i in sorted(forward) if program[i][0] != "u"]
+    head += [f"    b{i} = []" for i in sorted(kept)]
     head += [f"    r{i} = []" for i in sorted(backward)]
     body = []
     for i, (kind, p, args) in enumerate(program):
@@ -649,6 +686,8 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
         a = f"v{args[0]}" if args else ""
         if kind == "u":
             body.append(f"{v} = u[k]")
+        elif kind == "in":
+            body.append(f"{v} = c{i}[k]")
         elif kind == "const":
             body.append(f"{v} = c{i} if k == 0 else ZERO")
         elif kind == "xpow":
@@ -662,9 +701,9 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
         elif kind == "scale":
             body.append(f"{v} = c{i} * {a}")
         elif kind == "mul":
-            body.append(f"{v} = mul_step({hist(args[0])}, r{args[1]}, k)")
+            body.append(f"{v} = mul_step({hist(args[0])}, r{args[1]}, k, count)")
         elif kind == "sq":
-            body.append(f"{v} = sq_step({hist(args[0])}, r{args[0]}, k)")
+            body.append(f"{v} = sq_step({hist(args[0])}, r{args[0]}, k, count)")
         elif kind == "shift":
             e = args[2]
             line = f"ZERO + {hist(e)}[k - {p}] if k >= {p} else ZERO"
@@ -674,13 +713,24 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
             head.append(f"    d{i} = []")
             body += ["if k:",
                      f"    d{i}.append(k * {a})",
-                     f"    {v} = powers.exp_step(d{i}, r{i}, k)",
+                     f"    {v} = powers.exp_step(d{i}, r{i}, k, count)",
                      "else:",
                      f"    {v} = exp({a})"]
         else:
-            head.append(f"    g{i} = pow_steps({hist(args[0])}, {p})")
-            body.append(f"{v} = next(g{i})")
-        if i in forward and kind != "u":
+            try:
+                head.append(f"    m{i} = {p}")
+            except ValueError:  # m has more digits than str() converts; its hex has no limit
+                head.append(f'    m{i} = int("{p:x}", 16)')
+            head += [f"    s{i} = -1", f"    y{i} = []"]
+            body += [f"if s{i} < 0 and {a} != ZERO:",
+                     f"    s{i}, h{i} = k * m{i}, k * (m{i} - 1)",
+                     f"if k >= s{i} >= 0:",
+                     f"    y{i}.append({hist(args[0])}[k - h{i}])",
+                     f"    {v} = (powers.miller_step(y{i}, r{i}, k - s{i}, m{i}, count) if k > s{i}"
+                     f" else powers._int_pow(y{i}[0], m{i}, count))",
+                     "else:",
+                     f"    {v} = ZERO"]
+        if i in kept:
             body.append(f"b{i}.append({v})")
         if i in backward:
             body.append(f"r{i}.insert(0, {v})")
@@ -706,7 +756,7 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
 
 
 @functools.lru_cache(maxsize=128)
-def _executor(shape: tuple[int, tuple[_Slot, ...]]) -> Callable[[list[float], int, tuple], None]:
+def _executor(shape: tuple[int, tuple[_Slot, ...]]) -> Callable[..., None]:
     """The compiled executor of a program shape (see :func:`_source`)."""
     namespace = dict(_EXECUTOR_GLOBALS)
     exec(compile(_source(shape), "<dtmseries plan>", "exec"), namespace)
@@ -733,5 +783,31 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
         )
     u = list(Series(initial).coeffs)
     equation = plan.equation
-    _executor(equation._shape)(u, plan.order, equation._literals)
+    _executor(equation._shape)(u, plan.order, equation._literals, None)
+    return Series._checked(u)
+
+
+#: The leaf of a whole-series operator: a slot that reads a given list.
+_INPUT: _Slot = ("in", None, ())
+
+
+def _apply(kind: str, inputs: tuple, count: OpCount | None, m: int = 0) -> Series:
+    """One operator over whole series of one length, run by the executor.
+
+    The program has lhs_order 0, so U(k) = R(k) / perm(k, 0) is R(k)
+    exactly, and its input slots are its only literals. ``kind`` is "mul"
+    of two inputs (two slots even for one list: a square is not bitwise a
+    product), "exp" of one, or y^m of one, m >= 2, by the slots of ``pow(u,
+    m)`` with u read from the input ("pow") or by Miller's alone ("miller").
+    """
+    if kind == "mul":
+        slots = (_INPUT, _INPUT, ("mul", None, (0, 1)))
+    elif kind == "exp":
+        slots = (_INPUT, ("exp", None, (0,)))
+    elif kind == "miller":
+        slots = (_INPUT, ("pow", m, (0,)))
+    else:
+        slots = (_INPUT, *_program(Pow(_U, m))[2][1:])
+    u: list[float] = []
+    _executor((0, slots))(u, len(inputs[0]) - 1, inputs, count)
     return Series._checked(u)

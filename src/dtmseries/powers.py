@@ -55,26 +55,22 @@ coefficients.
 Each inner sum is one C-level dot product, ``sum(map(operator.mul, ...),
 0.0)``, which adds the terms left to right in one double, as a Python loop
 would; on CPython 3.11 the coefficients are bitwise those of the loop.
-Every stepper keeps its own output newest first, W(k-1), ..., W(0),
-growing it by one ``list.insert(0, ...)`` per step, so the dot product
-reads two lists that are already in order and no step builds a reversed
-copy, which matters most for the short steps. Miller's integer weights
-(m+1)*j - k are the float progression m+1-k, 2(m+1)-k, ... built by
-repeated addition (``itertools.count``), so they cost O(1) memory
+The driver keeps each recurrence's own output newest first, W(k-1), ...,
+W(0), growing it by one ``list.insert(0, ...)`` per step, so the dot
+product reads two lists that are already in order and no step builds a
+reversed copy, which matters most for the short steps. Miller's integer
+weights (m+1)*j - k are the float progression m+1-k, 2(m+1)-k, ... built
+by repeated addition (``itertools.count``), so they cost O(1) memory
 whatever m is. Every partial value is an integer, so the weights are
 exact while (m+1)*k <= 2^53; each term is ``weight * (Y(j) * W(k-j))``,
 in that order, as in the loop.
 
 Each recurrence is written once, as a one-step kernel
 (:func:`miller_step`, :func:`exp_step`, and the square and product steps
-of :mod:`dtmseries.series`), driven by a stepper (:func:`pow_steps`,
-:func:`exp_steps`, ``sq_steps``, ``mul_steps``) that yields one
-coefficient per step and reads only the operand's coefficients 0..k at
-step k. :func:`pow_int` and :func:`exp_series` drive the steppers over
-whole series, a power's stages one after another. The generated
-executors of :mod:`dtmseries.lang` call the square, product and exp
-steps directly, a power's stages as shared slots, and advance
-:func:`pow_steps` for Miller's recurrence.
+of :mod:`dtmseries.series`), and has one driver, the generated executor
+of :mod:`dtmseries.lang`: :func:`pow_int` and :func:`exp_series`, like a
+DSL run, are programs that it steps one order at a time, finding
+Miller's valuation as the orders come.
 
 ``pow_naive`` and ``exp_naive`` build the same objects by brute force
 (repeated convolution; summed Taylor terms of exp) and serve as the
@@ -86,10 +82,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InvalidArgumentError
-from .series import OpCount, Series, _div_exact, _int, collect, monomial, mul, mul_steps, sq_steps
+from .series import OpCount, Series, _div_exact, _int, collect, monomial, mul
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
 
@@ -169,50 +165,6 @@ def power_chain(m: int) -> tuple[str, ...]:
     return tuple(op for bit in bin(m)[3:] for op in (("sq", "mul") if bit == "1" else ("sq",)))
 
 
-def pow_steps(
-    y: Sequence[float], m: int, count: OpCount | None = None
-) -> Iterator[float]:
-    """Yield W(0), W(1), ... of y(x)^m for m >= 2 by Miller's recurrence.
-
-    Step k reads y[0..k] only, so ``y`` may be a buffer that grows by one
-    coefficient per step. The valuation v is found as y grows; Miller's
-    recurrence then runs on ybar(j) = y(v+j) and its output is shifted up
-    by v*m. v = 0 is the same path with no shift.
-    """
-    v = 0
-    while y[v] == 0.0:
-        yield 0.0
-        v += 1
-    for _ in range(v * (m - 1)):
-        yield 0.0
-    ybar = [y[v]]
-    w = _int_pow(ybar[0], m, count)
-    w_rev = [w]
-    yield w
-    for i in itertools.count(1):
-        ybar.append(y[v + i])
-        w = miller_step(ybar, w_rev, i, m, count)
-        w_rev.insert(0, w)
-        yield w
-
-
-def exp_steps(y: Sequence[float], count: OpCount | None = None) -> Iterator[float]:
-    """Yield W(0), W(1), ... of e^{y(x)}; step k reads y[0..k] only.
-
-    The stepper keeps dY(1..k), the coefficients of x*y'(x), and its own
-    output newest first, one entry each per step.
-    """
-    w = math.exp(y[0])
-    w_rev = [w]
-    dy: list[float] = []
-    yield w
-    for k in itertools.count(1):
-        dy.append(k * y[k])
-        w = exp_step(dy, w_rev, k, count)
-        w_rev.insert(0, w)
-        yield w
-
-
 def _power_zero(a: Series) -> Series:
     # a^0 is the constant one, except for the zero series.
     if not any(a.coeffs):
@@ -223,14 +175,14 @@ def _power_zero(a: Series) -> Series:
 def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     """Coefficients of a(x)^m truncated at order(a).
 
-    Runs each stage of :func:`power_chain` over the whole series in turn,
-    the last one into the overflow check. m = 0 returns the constant-one
-    series (algebraic convention) unless a is identically zero, in which
-    case 0^0 raises :class:`DomainError`. m = 1 returns ``a`` unchanged; a
-    valuation v with v*m > order(a) gives the zero series. Raises
-    :class:`NonFiniteCoefficientError` naming the first index at which the
-    power is not finite (coefficient k of a stage reads the stage before
-    it up to index k only).
+    Runs the stages of :func:`power_chain` as one program, one order per
+    step, by the executor of :mod:`dtmseries.lang`. m = 0 returns the
+    constant-one series (algebraic convention) unless a is identically
+    zero, in which case 0^0 raises :class:`DomainError`. m = 1 returns
+    ``a`` unchanged; a valuation v with v*m > order(a) gives the zero
+    series. Raises :class:`NonFiniteCoefficientError` naming the first
+    index at which the power is not finite (coefficient k of a stage reads
+    the stage before it up to index k only).
     """
     if _int(m, "pow_int exponent") < 0:
         raise InvalidArgumentError("pow_int exponent must be a non-negative integer")
@@ -239,15 +191,9 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
         return _power_zero(a), count
     if m == 1:  # the empty chain would give an equal copy; return a itself
         return a, count
-    y = power = a.coeffs
-    for op in power_chain(m):
-        if op == "pow":
-            steps = pow_steps(y, m, count)
-        else:
-            power = list(power)
-            steps = sq_steps(power, count) if op == "sq" else mul_steps(power, y, count)
-        power = itertools.islice(steps, len(a))
-    return collect(power), count
+    # lang imports this module when it loads, so pow_int imports it when it runs.
+    from .lang import _apply
+    return _apply("pow", (a.coeffs,), count, m), count
 
 
 def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
@@ -274,11 +220,14 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
 def exp_series(a: Series) -> tuple[Series, OpCount]:
     """Coefficients of e^{a(x)} truncated at order(a), via the single-sum recurrence.
 
-    Raises :class:`NonFiniteCoefficientError` naming the first index that
+    Run by the executor of :mod:`dtmseries.lang`. Raises
+    :class:`NonFiniteCoefficientError` naming the first index that
     overflows.
     """
     count = OpCount()
-    return collect(itertools.islice(exp_steps(a.coeffs, count), len(a))), count
+    # lang imports this module when it loads, so exp_series imports it when it runs.
+    from .lang import _apply
+    return _apply("exp", (a.coeffs,), count), count
 
 
 def exp_naive(a: Series, count: OpCount | None = None) -> Series:

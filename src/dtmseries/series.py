@@ -24,13 +24,12 @@ when a coefficient overflows.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
@@ -229,21 +228,6 @@ def mul_step(
     return sum(map(operator.mul, a, b_rev), 0.0)
 
 
-def mul_steps(
-    a: Sequence[float], b: Sequence[float], count: OpCount | None = None
-) -> Iterator[float]:
-    """Yield W(0), W(1), ... of the Cauchy product a * b; step k reads a[0..k], b[0..k].
-
-    The stepper keeps b's coefficients newest first, one insertion at the
-    front per step, so either operand may be a buffer that grows by one
-    coefficient per step.
-    """
-    b_rev: list[float] = []
-    for k in itertools.count():
-        b_rev.insert(0, b[k])
-        yield mul_step(a, b_rev, k, count)
-
-
 def sq_step(
     a: Sequence[float], a_rev: Sequence[float], k: int, count: OpCount | None = None
 ) -> float:
@@ -267,30 +251,19 @@ def sq_step(
     return acc
 
 
-def sq_steps(a: Sequence[float], count: OpCount | None = None) -> Iterator[float]:
-    """Yield W(0), W(1), ... of the square a * a; step k reads a[0..k].
-
-    The stepper keeps a's coefficients newest first, as :func:`mul_steps`
-    keeps b's, so ``a`` may be a buffer that grows by one coefficient per
-    step. To order N it costs floor((N+2)^2 / 4) multiplies, against
-    (N+1)(N+2)/2 for :func:`mul_steps`.
-    """
-    a_rev: list[float] = []
-    for k in itertools.count():
-        a_rev.insert(0, a[k])
-        yield sq_step(a, a_rev, k, count)
-
-
 def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:
     """Cauchy product truncated at the common order.
 
-    W(k) = sum_{l=0}^{k} Y(l) * Z(k-l). The full convolution performs
-    exactly (N+1)(N+2)/2 scalar multiplies, accumulated into ``count``
-    when one is supplied. Raises
+    W(k) = sum_{l=0}^{k} Y(l) * Z(k-l), run by the executor of
+    :mod:`dtmseries.lang`. The full convolution performs exactly
+    (N+1)(N+2)/2 scalar multiplies, ``a is b`` included, accumulated into
+    ``count`` when one is supplied. Raises
     :class:`~dtmseries.errors.NonFiniteCoefficientError` on overflow.
     """
     _require_same_order(a, b, "mul")
-    return collect(itertools.islice(mul_steps(a.coeffs, b.coeffs, count), len(a)))
+    # lang imports this module when it loads, so mul imports it when it runs.
+    from .lang import _apply
+    return _apply("mul", (a.coeffs, b.coeffs), count)
 
 
 def derivative_transform(a: Series, m: int) -> Series:

@@ -226,6 +226,31 @@ class TestSolve:
         assert out == ""
         assert "not a finite float" in err and "position 14" in err
 
+    @pytest.mark.parametrize("eq,position", [
+        ("D(u,{}) = u", 4), ("D(u,1) = x^{}", 11), ("D(u,1) = pow(u, {})", 16),
+    ], ids=["order", "x-power", "exponent"])
+    def test_integer_beyond_int_digit_limit_exits_2(self, capsys, eq, position):
+        code, out, err = run_cli(
+            ["solve", "--eq", eq.format("1" * 5000), "--ic", "1", "--order", "2"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "too many digits" in err and f"position {position}" in err
+
+    def test_sum_of_3000_terms_exits_0(self, capsys):
+        # A left-deep chain of 2999 Add nodes, lowered without recursion.
+        eq = "D(u,1) = " + " + ".join(["u"] * 3000)
+        code, out, _ = run_cli(["solve", "--eq", eq, "--ic", "1", "--order", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == [1.0, 3000.0, 4.5e6]
+
+    @pytest.mark.parametrize("opening,position", [("(", 209), ("exp(", 812)],
+                             ids=["paren", "exp"])
+    def test_2000_nested_parentheses_exit_2(self, capsys, opening, position):
+        eq = "D(u,1) = " + opening * 2000 + "u" + ")" * 2000
+        code, out, err = run_cli(["solve", "--eq", eq, "--ic", "1", "--order", "2"], capsys)
+        assert code == 2 and out == ""
+        assert f"more than 200 nested parentheses (at position {position})" in err
+
     def test_wrong_ic_count(self, capsys):
         code, _, _ = run_cli(
             ["solve", "--eq", "D(u,2) = u", "--ic", "1", "--order", "5"], capsys

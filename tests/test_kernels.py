@@ -8,20 +8,27 @@ below do, so every coefficient must agree bit for bit (compared with
 compensates its rounding; there each coefficient must agree within
 (k+1)*eps*sum|terms| of the loop, scaled by the divisor of the step.
 
-Each stepper check runs the loop on the stepper's own earlier outputs, so
-it tests one step at a time and stays meaningful on either version.
+The ``test_stepper_*`` checks drive the kernels through the one driver,
+the executor of ``dtmseries.lang``, by the whole-series functions ``mul``,
+``pow_int`` and ``exp_series`` (and ``cli._pow_miller`` where m <= 8 needs
+Miller's recurrence). Each runs the loop on the driver's own earlier
+outputs, so it tests one step at a time and stays meaningful on either
+version.
 """
 
-import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dtmseries import OpCount
-from dtmseries.powers import exp_steps, miller_step, pow_int, pow_steps
-from dtmseries.series import Series, mul, mul_step, mul_steps, sq_step, sq_steps
+from dtmseries.cli import _pow_miller
+from dtmseries.powers import exp_series, miller_step, pow_int
+from dtmseries.series import Series, mul, mul_step, sq_step
 
 EPS = sys.float_info.epsilon
 ORDER = 12
@@ -98,20 +105,29 @@ class TestMulStep:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stepper_over_growing_buffers_matches_loop(self, seed):
-        # Both operands grow by one coefficient per step, as in a DSL run.
+        # The executor grows b's newest-first history by one coefficient
+        # per step, as it does for a product in a DSL run.
         rng = random.Random(seed)
         a = coeffs(rng, ORDER + 1, lead_zeros=seed % 3)
         b = coeffs(rng, ORDER + 1)
-        buf_a, buf_b = [], []
         count = OpCount()
-        steps = mul_steps(buf_a, buf_b, count)
+        got = mul(Series(a), Series(b), count)
         for k in range(ORDER + 1):
-            buf_a.append(a[k])
-            buf_b.append(b[k])
-            got = next(steps)
             terms = mul_terms(a, b, k)
-            assert_matches_loop(got, loop_sum(terms), terms)
+            assert_matches_loop(got[k], loop_sum(terms), terms)
         assert count.multiplies == (ORDER + 1) * (ORDER + 2) // 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_with_itself_is_the_product_of_two_copies(self, seed):
+        # mul(a, a) runs two input slots, not a square, whose sum differs
+        # from the product's by rounding.
+        rng = random.Random(seed)
+        a = Series(coeffs(rng, 41, lead_zeros=seed % 3))
+        count, copies = OpCount(), OpCount()
+        got = mul(a, a, count)
+        want = mul(a, Series(list(a)), copies)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert count.multiplies == copies.multiplies == 41 * 42 // 2
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         # The loop starts from 0.0, and 0.0 + -0.0 is 0.0.
@@ -121,14 +137,12 @@ class TestMulStep:
 class TestSqStep:
     @pytest.mark.parametrize("seed", range(4))
     def test_stepper_over_growing_buffer_matches_loop(self, seed):
+        # pow_int(a, 2) is the one square slot, fed one coefficient per step.
         rng = random.Random(seed)
         a = coeffs(rng, ORDER + 1, lead_zeros=seed % 3)
-        buf = []
-        count = OpCount()
-        steps = sq_steps(buf, count)
+        w, count = pow_int(Series(a), 2)
         for k in range(ORDER + 1):
-            buf.append(a[k])
-            got = next(steps)
+            got = w[k]
             terms = [a[j] * a[k - j] for j in range(k + 1)]
             if sys.version_info < (3, 12):
                 assert got.hex() == sq_loop(a, k).hex()
@@ -148,7 +162,7 @@ class TestSqStep:
         # only by rounding; at k = 0 both are 0.0 + A(0)^2.
         rng = random.Random(7)
         a = coeffs(rng, 201, lead_zeros=1)
-        got = list(itertools.islice(sq_steps(a), len(a)))
+        got = pow_int(Series(a), 2)[0].coeffs
         want = mul(Series(a), Series(a)).coeffs
         bound = mul(Series(map(abs, a)), Series(map(abs, a))).coeffs
         assert got[0].hex() == want[0].hex()
@@ -159,9 +173,10 @@ class TestMillerStep:
     @pytest.mark.parametrize("m", (2, 3, 5, 6))
     @pytest.mark.parametrize("v", (0, 1, 2))
     def test_stepper_matches_loop(self, m, v):
+        # The one-slot Miller program, which finds v as the orders come.
         rng = random.Random(10 * m + v)
         y = coeffs(rng, ORDER + 1, lead_zeros=v)
-        w = list(itertools.islice(pow_steps(y, m), ORDER + 1))
+        w = _pow_miller(Series(y), m)[0].coeffs
         shift = v * m
         assert all(c == 0.0 for c in w[:shift])
         ybar, wbar = y[v:], w[shift:]
@@ -238,12 +253,31 @@ class TestExpStep:
     def test_stepper_matches_loop(self, v):
         rng = random.Random(v)
         y = coeffs(rng, ORDER + 1, lead_zeros=v)
-        w = list(itertools.islice(exp_steps(y), ORDER + 1))
+        w = exp_series(Series(y))[0].coeffs
         for k in range(1, ORDER + 1):
             terms = exp_terms(y, w, k)
             assert_matches_loop(w[k], loop_sum(terms) / k, terms, k)
 
     def test_count_is_k_plus_one_per_step(self):
-        count = OpCount()
-        list(itertools.islice(exp_steps([0.5, 1.0, -0.0, 2.0], count), 4))
+        _, count = exp_series(Series([0.5, 1.0, -0.0, 2.0]))
         assert count.multiplies == 2 + 3 + 4
+
+
+@pytest.mark.parametrize("module", ["series", "powers", "lang"])
+def test_the_driver_is_reached_whichever_module_loads_first(module):
+    # lang imports series and powers when it loads, so mul, pow_int and
+    # exp_series import lang's executor when they run; a module-level import
+    # would be a load-order cycle.
+    code = (f"import dtmseries.{module}\n"
+            "from dtmseries.series import Series, mul\n"
+            "from dtmseries.powers import exp_series, pow_int\n"
+            "a = Series([0.5, 1.0, -0.25, 2.0])\n"
+            "print([list(s.coeffs) for s in (mul(a, a), pow_int(a, 3)[0], pow_int(a, 9)[0],"
+            " exp_series(a)[0])])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    a = Series([0.5, 1.0, -0.25, 2.0])
+    want = [mul(a, a), pow_int(a, 3)[0], pow_int(a, 9)[0], exp_series(a)[0]]
+    assert done.stdout == f"{[list(s.coeffs) for s in want]}\n"

@@ -206,9 +206,15 @@ class TestParseErrors:
         ("D(u,1) = pow(u 2)", "expected ',', got '2'", 15),
         ("D(u,1) = pow(u, x)", "expected a non-negative integer for the exponent, got 'x'", 16),
         ("D(u,1) = exp u", "expected '(', got 'u'", 13),
+        # int() converts at most 4300 digits.
+        ("D(u," + "1" * 5000 + ") = u",
+         "the left-hand derivative order has too many digits (5000)", 4),
+        # The 201st "(" is at 9 + 200.
+        ("D(u,1) = " + "(" * 201 + "u" + ")" * 201, "more than 200 nested parentheses", 209),
     ], ids=["character", "head", "dependent", "lhs-order", "lhs-order-zero", "equals",
             "trailing", "sign", "literal", "literal-product", "factor", "factor-end", "paren",
-            "operator", "x-power", "derivative-order", "pow-comma", "pow-exponent", "exp-paren"])
+            "operator", "x-power", "derivative-order", "pow-comma", "pow-exponent", "exp-paren",
+            "digits", "nesting"])
     def test_each_error_branch(self, text, message, position):
         with pytest.raises(EquationSyntaxError) as err:
             parse(text)
@@ -551,7 +557,7 @@ class TestSharedSlots:
 
 def _no_monomial(x):
     # The coefficients of x^p in an Add node: equal values, no "xpow" slot
-    # under the product, so it runs series.mul_steps.
+    # under the product, so it is a "mul" slot, the Cauchy product.
     return Add(x, Const(0.0))
 
 

@@ -1,6 +1,5 @@
 """Binary powering, Miller's power recurrence, the exp recurrence, and their naive oracles."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +20,8 @@ from dtmseries import (
     pow_naive,
     zeros,
 )
-from dtmseries.powers import BINARY_POW_MAX, pow_steps, power_chain
+from dtmseries.cli import _pow_miller
+from dtmseries.powers import BINARY_POW_MAX, power_chain
 from util import oracle_series, oracle_series_valuation, relgap
 
 
@@ -74,10 +74,14 @@ class TestPowInt:
 
     def test_exponent_without_a_float_is_a_typed_overflow(self):
         # Miller's weight (m+1)*j - k has no float for m = 10^400, and the
-        # true W(1) = m * 0.5 overflows there too.
-        with pytest.raises(NonFiniteCoefficientError) as err:
-            pow_int(Series([1.0, 0.5, 0.0]), 10**400)
-        assert err.value.order == 1
+        # true W(1) = m * 0.5 overflows there too; 10^5000 has more decimal
+        # digits than int() converts, which the generated code must not need.
+        for m in (10**400, 10**5000):
+            with pytest.raises(NonFiniteCoefficientError) as err:
+                pow_int(Series([1.0, 0.5, 0.0]), m)
+            assert err.value.order == 1
+        assert pow_int(Series([-1.0]), 10**5000 + 1)[0] == Series([-1.0])
+        assert pow_int(Series([0.0, 1.0]), 10**5000)[0] == Series([0.0, 0.0])
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -140,8 +144,9 @@ class TestBinaryPowering:
     def test_above_the_cutoff_is_miller_bitwise(self):
         a = oracle_series(random.Random(9), order=40)
         m = BINARY_POW_MAX + 1
-        miller = itertools.islice(pow_steps(a.coeffs, m), len(a))
-        assert list(map(float.hex, pow_int(a, m)[0])) == list(map(float.hex, miller))
+        (power, count), (miller, miller_count) = pow_int(a, m), _pow_miller(a, m)
+        assert list(map(float.hex, power)) == list(map(float.hex, miller))
+        assert count == miller_count
 
 
 class TestPowNaive:
