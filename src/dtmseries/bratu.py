@@ -214,9 +214,11 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for a
     branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does not
     support, :class:`BranchNotFoundError` when no sign change exists, e.g.
-    for lambda beyond the critical value, and
-    :class:`NonFiniteCoefficientError` when a gamma the scan visits
-    overflows.
+    for lambda beyond the critical value, or when the refinement stops
+    with no gamma whose |residual| is within RESIDUAL_TOL (a truncated
+    series that does not converge at x = 1 can change sign across a pole
+    rather than a root), and :class:`NonFiniteCoefficientError` when a
+    gamma the scan visits overflows.
     """
     _require_branch(branch)
     _require_lambda(lam)
@@ -234,6 +236,12 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
             f"gamma in [0, {GAMMA_MAX:g}] at lambda={lam!r}, order={order}"
         )
     gamma, residual = _regula_falsi(trial, *bracket, RESIDUAL_TOL)
+    if not abs(residual) <= RESIDUAL_TOL:
+        raise BranchNotFoundError(
+            f"no root within tolerance: the smallest boundary residual found is "
+            f"{residual!r} at gamma={gamma!r}, above {RESIDUAL_TOL:g}, at "
+            f"lambda={lam!r}, order={order}"
+        )
     return BratuSolution(
         gamma=gamma,
         coeffs=runs[gamma],

@@ -13,10 +13,11 @@ Data goes to standard output (or the --out file); diagnostics and
 summaries go to standard error. Floating-point output uses shortest
 round-trip formatting, so identical invocations produce byte-identical
 data files. Exit codes: 0 success, 2 malformed input or usage, 3 domain
-error, 4 requested solution branch does not exist. Argument values are
-checked once, by the library call that uses them; its
-:class:`InvalidArgumentError` exits 2, as do the CLI's own checks (flag
-combinations, ``--reps``, ``--ic`` syntax, unwritable output files).
+error, 4 requested solution branch does not exist or has no root within
+tolerance. Argument values are checked once, by the library call that
+uses them; its :class:`InvalidArgumentError` exits 2, as do the CLI's own
+checks (flag combinations, ``--reps``, ``--ic`` syntax, unwritable output
+files).
 """
 
 from __future__ import annotations

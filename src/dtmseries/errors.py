@@ -58,4 +58,5 @@ class NonFiniteCoefficientError(DtmError):
 
 
 class BranchNotFoundError(DtmError):
-    """The requested solution branch does not exist at this parameter value."""
+    """The requested solution branch does not exist at this parameter value,
+    or shooting found no point on it whose residual is within tolerance."""

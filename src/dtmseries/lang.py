@@ -77,9 +77,12 @@ Miller shape per distinct m > 8. Generating and compiling one costs
 a process that solves a handful of shapes pays it a handful of times,
 however many equations and plans of those shapes it builds, and a
 result never depends on whether its shape was cached. The front end is
-paid per text: :func:`parse` of ``D(u,2) = -1*u*exp(u) + exp(u)`` (22
-tokens, one regex pass) takes about 26 us, 10 of them tokens and 7 the
-Equation, against about 60 us for its run to N = 30.
+paid once per text: :func:`parse` keeps the immutable Equations of the
+last 128 texts in a ``functools.lru_cache``, the same bounded policy, so
+a repeated text costs a lookup (about 0.1 us) where parsing
+``D(u,2) = -1*u*exp(u) + exp(u)`` (22 tokens, one regex pass) takes
+about 26 us, against about 60 us for its run to N = 30. A text that
+fails to parse is not kept, and raises afresh on every call.
 """
 
 from __future__ import annotations
@@ -515,8 +518,14 @@ class _Parser:
         return -value if kind == "-" else value
 
 
+@functools.lru_cache(maxsize=128)
 def parse(text: str) -> Equation:
-    """Parse the equation text into an :class:`Equation` AST."""
+    """Parse the equation text into an :class:`Equation` AST.
+
+    The last 128 texts parsed are remembered, so a repeated text returns
+    the same immutable :class:`Equation` without being parsed again. An
+    error is not remembered: a bad text raises afresh on every call.
+    """
     return _Parser(_tokenize(text)).parse_equation()
 
 
@@ -527,12 +536,40 @@ def parse(text: str) -> Equation:
 
 def _operand(e: Expr, grouped: tuple[type, ...] = (Add, Sub, Mul, Scale)) -> str:
     # Parenthesized where it would not reparse as one operand: a sum or a
-    # product as a factor of *, a sum as the right operand of + or -.
+    # product as the right factor of *, a sum as the right operand of + or
+    # -. A chain's left operands are printed in line (see format_expr).
     return f"({format_expr(e)})" if isinstance(e, grouped) else format_expr(e)
 
 
 def format_expr(e: Expr) -> str:
-    """Render an AST back to equation-grammar text."""
+    """Render an AST back to equation-grammar text.
+
+    The parser nests a chain of terms, or of factors, on the left, and
+    folds a literal factor after the first into a ``Scale`` of the chain
+    so far. So the left spine of a sum is printed as one chain of terms,
+    and the left spine of a product, through such a ``Scale``, as one
+    chain of factors with the literal in place: ``Scale(2.0, Mul(u, x))``
+    prints as ``u * x * 2.0``. The spines are walked in a loop, so a chain
+    of thousands of operands prints, and parses back to the same tree,
+    with no Python frame or parenthesis per operand.
+    """
+    if isinstance(e, (Add, Sub)):
+        tail = []
+        while isinstance(e, (Add, Sub)):
+            tail.append(f" {'+' if isinstance(e, Add) else '-'} {_operand(e.right, (Add, Sub))}")
+            e = e.left
+        return format_expr(e) + "".join(reversed(tail))
+    if isinstance(e, (Mul, Scale)):
+        tail = []
+        while isinstance(e, Mul) or isinstance(e, Scale) and isinstance(e.child, (Mul, Scale)):
+            if isinstance(e, Mul):
+                tail.append(_operand(e.right))
+                e = e.left
+            else:
+                tail.append(repr(e.factor))
+                e = e.child
+        head = f"{e.factor!r} * {_operand(e.child)}" if isinstance(e, Scale) else _operand(e)
+        return " * ".join([head, *reversed(tail)])
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
@@ -543,14 +580,6 @@ def format_expr(e: Expr) -> str:
         return "u"
     if isinstance(e, Deriv):
         return f"D(u,{e.order})"
-    if isinstance(e, Add):
-        return f"{format_expr(e.left)} + {_operand(e.right, (Add, Sub))}"
-    if isinstance(e, Sub):
-        return f"{format_expr(e.left)} - {_operand(e.right, (Add, Sub))}"
-    if isinstance(e, Mul):
-        return f"{_operand(e.left)} * {_operand(e.right)}"
-    if isinstance(e, Scale):
-        return f"{e.factor!r} * {_operand(e.child)}"
     if isinstance(e, Pow):
         return f"pow({format_expr(e.child)}, {e.power})"
     if isinstance(e, Exp):
@@ -619,6 +648,16 @@ _EXECUTOR_GLOBALS = {
 }
 
 
+def _int_source(n: int) -> str:
+    """``n`` as a Python expression: its decimal literal, or, where it has
+    more digits than ``str`` converts (``sys.get_int_max_str_digits``),
+    ``int`` of its hexadecimal digits, which have no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f'int("{n:x}", 16)'
+
+
 def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     """The Python source of the executor of one program shape.
 
@@ -628,8 +667,9 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     ``steps(u, n, literals, count)`` appends U(m..n) to the list u of the
     initial coefficients; ``literals`` holds those parameters in slot
     order, and every kernel adds its multiplies to ``count`` (if not
-    None). Slot i's coefficient at order k is the local ``v<i>``, left out
-    where nothing reads it (a shift's x^p, and u read by shifts only). A
+    None). Every integer is written by :func:`_int_source`. Slot i's
+    coefficient at order k is the local ``v<i>``, left out where nothing
+    reads it (a shift's x^p, and u read by shifts only). A
     slot gets a history only where it is read back: ``b<i>`` oldest first
     (the left operand of a product, a square's operand, the operand of a
     pow or a shift; u's is u itself, and an input's is its list) and
@@ -691,9 +731,10 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
         elif kind == "const":
             body.append(f"{v} = c{i} if k == 0 else ZERO")
         elif kind == "xpow":
-            body.append(f"{v} = ONE if k == {p} else ZERO")
+            body.append(f"{v} = ONE if k == {_int_source(p)} else ZERO")
         elif kind == "deriv":
-            body.append(f"{v} = perm(k + {p}, {p}) * u[k + {p}]")
+            j = _int_source(p)
+            body.append(f"{v} = perm(k + {j}, {j}) * u[k + {j}]")
         elif kind == "add":
             body.append(f"{v} = {a} + v{args[1]}")
         elif kind == "sub":
@@ -706,7 +747,8 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
             body.append(f"{v} = sq_step({hist(args[0])}, r{args[0]}, k, count)")
         elif kind == "shift":
             e = args[2]
-            line = f"ZERO + {hist(e)}[k - {p}] if k >= {p} else ZERO"
+            j = _int_source(p)
+            line = f"ZERO + {hist(e)}[k - {j}] if k >= {j} else ZERO"
             body.append(f"{v} = {line}" if program[e][0] == "u"
                         else f"{v} = ({line}) if isfinite(v{e}) else NAN")
         elif kind == "exp":
@@ -717,11 +759,7 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
                      "else:",
                      f"    {v} = exp({a})"]
         else:
-            try:
-                head.append(f"    m{i} = {p}")
-            except ValueError:  # m has more digits than str() converts; its hex has no limit
-                head.append(f'    m{i} = int("{p:x}", 16)')
-            head += [f"    s{i} = -1", f"    y{i} = []"]
+            head += [f"    m{i} = {_int_source(p)}", f"    s{i} = -1", f"    y{i} = []"]
             body += [f"if s{i} < 0 and {a} != ZERO:",
                      f"    s{i}, h{i} = k * m{i}, k * (m{i} - 1)",
                      f"if k >= s{i} >= 0:",
@@ -735,22 +773,27 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
         if i in backward:
             body.append(f"r{i}.insert(0, {v})")
     root = f"v{len(program) - 1}"
-    # U(k+m) = R(k) / perm(k+m, m), divided exactly where perm has no float.
+    lhs = _int_source(m)
+    if m == 0:  # U(k) = R(k) / perm(k, 0) is R(k) exactly, -0.0 included
+        body.append(f"value = {root}")
+    else:  # U(k+m) = R(k) / perm(k+m, m), divided exactly where perm has no float
+        body += [
+            "try:",
+            f"    value = {root} / (d := perm(k + {lhs}, {lhs}))",
+            "except OverflowError:",
+            f"    value = div_exact({root}, d)",
+        ]
     body += [
-        "try:",
-        f"    value = {root} / (d := perm(k + {m}, {m}))",
-        "except OverflowError:",
-        f"    value = div_exact({root}, d)",
         "if not isfinite(value):",
-        f"    raise NonFiniteCoefficientError(k + {m})",
+        f"    raise NonFiniteCoefficientError(k + {lhs})",
         "u.append(value)",
     ]
     return "\n".join(head + [
         "    try:",
-        f"        for k in range(n - {m} + 1):",
+        f"        for k in range(n - {lhs} + 1):",
         *(" " * 12 + line for line in body),
         "    except OverflowError:",
-        f"        raise NonFiniteCoefficientError(k + {m}) from None",
+        f"        raise NonFiniteCoefficientError(k + {lhs}) from None",
         "",
     ])
 
@@ -794,8 +837,8 @@ _INPUT: _Slot = ("in", None, ())
 def _apply(kind: str, inputs: tuple, count: OpCount | None, m: int = 0) -> Series:
     """One operator over whole series of one length, run by the executor.
 
-    The program has lhs_order 0, so U(k) = R(k) / perm(k, 0) is R(k)
-    exactly, and its input slots are its only literals. ``kind`` is "mul"
+    The program has lhs_order 0, so U(k) is R(k), and its input slots are
+    its only literals. ``kind`` is "mul"
     of two inputs (two slots even for one list: a square is not bitwise a
     product), "exp" of one, or y^m of one, m >= 2, by the slots of ``pow(u,
     m)`` with u read from the input ("pow") or by Miller's alone ("miller").
@@ -807,7 +850,13 @@ def _apply(kind: str, inputs: tuple, count: OpCount | None, m: int = 0) -> Serie
     elif kind == "miller":
         slots = (_INPUT, ("pow", m, (0,)))
     else:
-        slots = (_INPUT, *_program(Pow(_U, m))[2][1:])
+        slots = _pow_slots(m)
     u: list[float] = []
     _executor((0, slots))(u, len(inputs[0]) - 1, inputs, count)
     return Series._checked(u)
+
+
+@functools.lru_cache(maxsize=128)
+def _pow_slots(m: int) -> tuple[_Slot, ...]:
+    """The slots of ``pow(u, m)`` with u read from an input, built once per m."""
+    return (_INPUT, *_program(Pow(_U, m))[2][1:])

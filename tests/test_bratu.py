@@ -147,10 +147,22 @@ class TestShooting:
         assert abs(sol.residual) <= 1e-12
 
     def test_upper_branch_takes_largest_root(self):
-        lower = shoot(1.0, 30, "lower")
-        upper = shoot(1.0, 30, "upper")
+        # At N = 10 the upper-branch series still converges at x = 1.
+        lower = shoot(1.0, 10, "lower")
+        upper = shoot(1.0, 10, "upper")
         assert upper.branch == "upper"
         assert upper.gamma > lower.gamma
+
+    def test_non_root_is_a_typed_error(self):
+        # At N = 30 the upper-branch series diverges at x = 1: the residual
+        # changes sign near gamma = 40.6 across a pole, where the refinement
+        # stops at residual -794 (the true slope is 10.847).
+        with pytest.raises(BranchNotFoundError) as info:
+            shoot(1.0, 30, "upper")
+        message = str(info.value)
+        assert message.startswith("no root within tolerance")
+        for part in ("lambda=1.0", "order=30", "gamma=40.63", "-794.29"):
+            assert part in message
 
     def test_no_sign_change(self):
         # Above critical lambda at low order the truncated residual stays
@@ -195,7 +207,9 @@ class TestShooting:
     @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0, 3.0])
     def test_gamma_inside_full_scan_bracket(self, lam, order, branch):
         # Oracle: residuals on the whole gamma grid; the lower branch owns
-        # the first zero or sign change, the upper branch the last.
+        # the first zero or sign change, the upper branch the last. At
+        # N = 30 the upper bracket for lambda >= 1 holds no root (the
+        # series diverges at x = 1), so those cases raise.
         plan = bratu_plan(lam, order)
         step = bratu_module.GAMMA_STEP
         steps = int(round(bratu_module.GAMMA_MAX / step))
@@ -209,6 +223,10 @@ class TestShooting:
                 brackets.append((gammas[i], gammas[i + 1]))
         if not brackets:
             with pytest.raises(BranchNotFoundError):
+                shoot(lam, order, branch)
+            return
+        if (lam, order, branch) in {(1.0, 30, "upper"), (2.0, 30, "upper"), (3.0, 30, "upper")}:
+            with pytest.raises(BranchNotFoundError, match="no root within tolerance"):
                 shoot(lam, order, branch)
             return
         lo, hi = brackets[0] if branch == "lower" else brackets[-1]
@@ -384,7 +402,7 @@ class TestCompare:
     def test_upper_branch_reports_without_bound(self):
         # The upper-branch series need not converge on [0,1]; the comparison
         # must still run and report a finite number.
-        err = compare(1.0, 20, 21, "upper")
+        err = compare(1.0, 10, 21, "upper")
         assert math.isfinite(err)
 
     def test_grid_validation(self):

@@ -346,7 +346,7 @@ class TestBratu:
         json_path = tmp_path / "upper.json"
         code, _, _ = run_cli(
             [
-                "bratu", "--lambda", "1", "--order", "30", "--grid", "11",
+                "bratu", "--lambda", "1", "--order", "10", "--grid", "11",
                 "--branch", "upper", "--out-csv", str(tmp_path / "u.csv"),
                 "--out-json", str(json_path),
             ],
@@ -356,6 +356,18 @@ class TestBratu:
         upper = json.loads(json_path.read_text())
         assert upper["gamma"] > 0.6
         assert upper["theta"] > 10.0
+
+    def test_upper_branch_non_root_exits_4(self, capsys):
+        # The N = 30 upper-branch series diverges at x = 1; its best gamma,
+        # 40.634 with residual -794, is not a root (the true slope is 10.847).
+        code, out, err = run_cli(
+            ["bratu", "--lambda", "1", "--order", "30", "--grid", "5", "--branch", "upper"],
+            capsys,
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: no root within tolerance")
+        assert "Traceback" not in err
 
     def test_no_branch_exits_4(self, capsys):
         code, _, err = run_cli(

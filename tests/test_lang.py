@@ -23,6 +23,7 @@ from dtmseries import (
     ImplicitFormError,
     Mul,
     NonFiniteCoefficientError,
+    OpCount,
     Pow,
     Scale,
     Series,
@@ -33,6 +34,7 @@ from dtmseries import (
     add,
     bratu_coeffs,
     bratu_plan,
+    cli,
     derivative_transform,
     exp_naive,
     format_equation,
@@ -281,6 +283,35 @@ class TestPrinter:
 
     def test_canonical_form(self):
         assert format_equation(parse("D(u,2)=-1*exp(u)")) == "D(u,2) = -1.0 * exp(u)"
+
+    def test_chains_print_in_line(self):
+        # A literal after the first factor scales the chain so far, and
+        # prints where it stood.
+        text = "D(u,1) = 2 * u * x * (u - x) * -3 * u + u - x"
+        assert format_equation(parse(text)) == (
+            "D(u,1) = 2.0 * u * x * (u - x) * -3.0 * u + u - x")
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"], ids=["sum", "difference", "product"])
+    def test_chain_of_3000_operands_round_trips(self, op):
+        eq = parse("D(u,1) = " + f" {op} ".join(["u", "2.5", "x"] * 1000))
+        back = parse(format_equation(eq))
+        assert back == eq
+        assert _same_tree(back.rhs, eq.rhs)
+
+
+def _same_tree(a, b) -> bool:
+    """Whether two ASTs are equal, floats by their bits, walked with a stack
+    (the nodes' own == recurses once per level)."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if dataclasses.is_dataclass(a):
+            todo += [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)]
+        elif a.hex() != b.hex() if type(a) is float else a != b:
+            return False
+    return True
 
 
 class TestLower:
@@ -803,6 +834,17 @@ class TestExecutor:
         source = lang._source(parse("D(u,2) = x*u")._shape)
         assert "next(" not in source and "[]" not in source
 
+    def test_integers_beyond_the_str_digit_limit(self):
+        # str() converts at most 4300 digits; 10**5000 is written in hex.
+        big = 10**5000
+        sol = run(lower(Equation(1, Mul(XPow(big), U())), 3), [1.0])
+        assert _hex(sol) == _hex([1.0, 0.0, 0.0, 0.0])
+        sol = run(lower(Equation(1, Add(XPow(big), Pow(U(), big))), 3), [0.0])
+        assert _hex(sol) == _hex([0.0] * 4)
+        # Derivative and equation orders: the source compiles.
+        shape = Equation(big + 1, Deriv(big))._shape
+        compile(lang._source(shape), "<test>", "exec")
+
 
 class TestReentrant:
     """The executor keeps no state between calls, nor within one."""
@@ -910,3 +952,60 @@ class TestOracle:
             root = slot_series(eq, sol)[-1]
             want = [divide(root[k], math.perm(k + m, m)) for k in range(len(root))]
             assert _hex(sol[m:]) == _hex(want)
+
+
+def _counted_outcome(equation, initial, n):
+    """The bits and multiply count of a run of ``equation``, or the order
+    it overflows at."""
+    u, count = list(initial), OpCount()
+    try:
+        lang._executor(equation._shape)(u, n, equation._literals, count)
+    except NonFiniteCoefficientError as err:
+        return err.order
+    return _hex(u), count.multiplies
+
+
+class TestParseCache:
+    """parse keeps the Equations of its last 128 texts; errors are not kept."""
+
+    def test_a_repeated_text_returns_the_same_equation(self):
+        text = "D(u,2) = -1*u*exp(u) + exp(u) + 0.5*pow(u, 9)"
+        cached = parse(text)
+        assert parse(text) is cached
+        fresh = parse.__wrapped__(text)
+        assert fresh is not cached
+        assert fresh == cached and hash(fresh) == hash(cached)
+        assert _same_tree(fresh.rhs, cached.rhs)
+
+    def test_the_command_line_parses_through_the_cache(self):
+        assert cli.parse is lang.parse
+        assert lang.parse.cache_info().maxsize == 128
+
+    @pytest.mark.parametrize("text,error,position", [
+        ("D(u,1) = sin(u)", EquationSyntaxError, 9),
+        ("D(u,1) = (u", EquationSyntaxError, 11),
+        ("D(u,1) = 1e200*1e200*u", EquationSyntaxError, 14),
+        ("D(u,2) = D(u,3)", ImplicitFormError, None),
+    ], ids=["operator", "paren", "literal-product", "implicit"])
+    def test_a_bad_text_raises_on_every_call(self, text, error, position):
+        before = parse.cache_info()
+        raised = []
+        for _ in range(3):
+            with pytest.raises(error) as err:
+                parse(text)
+            raised.append(err.value)
+        after = parse.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 3)
+        assert raised[0] is not raised[1] is not raised[2]
+        assert len({str(e) for e in raised}) == 1
+        assert [getattr(e, "position", None) for e in raised] == [position] * 3
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_runs_from_a_cached_equation_are_bitwise_those_of_a_fresh_parse(self, case):
+        text, initial = ORACLE_CASES[case]
+        parse(text)
+        cached, fresh = parse(text), parse.__wrapped__(text)
+        assert cached is parse(text) and fresh is not cached
+        for n in sorted({len(initial) - 1, 10, 80}):
+            if n >= len(initial) - 1:
+                assert _counted_outcome(cached, initial, n) == _counted_outcome(fresh, initial, n)

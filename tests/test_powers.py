@@ -14,6 +14,7 @@ from dtmseries import (
     add,
     exp_naive,
     exp_series,
+    lang,
     monomial,
     mul,
     pow_int,
@@ -140,6 +141,22 @@ class TestBinaryPowering:
         a = Series([1e80, 0, 0, 0, 0, 1e230, 0])
         assert overflow_index(pow_int, a, 4) == 0
         assert overflow_index(pow_naive, a, 4) == 5
+
+    @pytest.mark.parametrize("m", [*range(2, 13), 10**6 + 3])
+    def test_chain_built_once_per_m_runs_as_a_fresh_build(self, m):
+        # The slots of pow(u, m) are kept per m: the first and a later call
+        # give the bits and counts of a program built afresh for the call.
+        rng = random.Random(m)
+        a = oracle_series(rng, 40) if m <= 12 else Series(
+            [1.0] + [rng.uniform(-1e-7, 1e-7) for _ in range(40)])
+        lang._pow_slots.cache_clear()
+        first, later = pow_int(a, m), pow_int(a, m)
+        assert lang._pow_slots.cache_info().misses == 1
+        u, count = [], OpCount()
+        lang._executor((0, lang._pow_slots.__wrapped__(m)))(u, a.order, (a.coeffs,), count)
+        for power, power_count in (first, later):
+            assert list(map(float.hex, power)) == list(map(float.hex, u))
+            assert power_count == count
 
     def test_above_the_cutoff_is_miller_bitwise(self):
         a = oracle_series(random.Random(9), order=40)
