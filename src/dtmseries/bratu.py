@@ -24,7 +24,7 @@ First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 gamma is fixed by the x = 1 boundary: the truncated residual
 sum_{k=0}^{N} U(k) is driven to zero by shooting: a scan over the gamma
 grid that ends at the branch's first sign change, followed by a bracketed
-secant (Illinois regula falsi). The closed-form reference solution is
+secant (Pegasus regula falsi). The closed-form reference solution is
 
     u(x) = -2 ln[ cosh((x - 1/2) theta/2) / cosh(theta/4) ]
 
@@ -32,13 +32,14 @@ where theta solves theta = sqrt(2 lambda) cosh(theta/4). That condition has
 zero, one or two roots depending on lambda, which is what gives the problem
 its lower/upper solution branches; u'(0) = theta * tanh(theta/4) links each
 theta to its shooting slope. The same regula falsi finds theta, with no
-grid, on two brackets split at the condition's closed-form maximum.
+grid, on two brackets split at the condition's closed-form maximum; a
+comparison with one branch solves only that branch's bracket.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .errors import BranchNotFoundError, InvalidArgumentError, NonFiniteCoefficientError
@@ -164,22 +165,36 @@ def _scan(
 def _regula_falsi(
     f: Callable[[float], float], a: float, fa: float, b: float, fb: float, tol: float
 ) -> tuple[float, float]:
-    """Illinois regula falsi for f on a bracket whose values fa, fb differ in sign.
+    """Pegasus regula falsi for f on a bracket whose values fa, fb differ in sign.
 
-    Dowell & Jarratt, BIT 11 (1971). Each step tries the secant point and
-    falls back to the midpoint when that is not strictly inside the bracket;
-    the step keeps the sign change, and an end kept twice in a row has its
-    value halved. Returns (x, f(x)) for the first point, an end included,
-    with |f(x)| <= tol; once the bracket cannot shrink, or after
-    MAX_BISECTIONS steps, the point of smallest |f| seen.
+    Dowell & Jarratt, BIT 12 (1972) 503-508, the same authors' refinement
+    of the Illinois method. b is always the newest point. Each step tries
+    the secant point x of (a, fa) and (b, fb). When x rounds to b, the root
+    is within rounding of b, so the step tries the float beside b towards
+    a; when x is otherwise not strictly inside the bracket, the midpoint.
+    If f changes sign between b and x, a becomes the old b; otherwise a
+    stays and its value is scaled by fb / (fb + f(x)). Then x becomes b.
+    Returns (x, f(x)) for the first point, an end included, with
+    |f(x)| <= tol; once the bracket cannot shrink, or after MAX_BISECTIONS
+    steps, the point of smallest |f| seen.
+
+    At tol = 0 a solve ends by collapsing the bracket onto two adjacent
+    floats; the float beside b does that in a step or two where bisecting
+    from the far end took up to 45. Anderson-Bjorck's scaling was tried in
+    place of Pegasus and rejected: at tol = 0 it stagnates on the steep
+    upper bracket of :func:`analytic_theta_roots`, about 110 evaluations
+    per solve.
     """
     best = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     if abs(best[1]) <= tol:
         return best
-    kept = None
     for _ in range(MAX_BISECTIONS):
         x = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < x < max(a, b):
+        if x == b:
+            x = math.nextafter(b, a)
+            if x == a:
+                break
+        elif not min(a, b) < x < max(a, b):
             x = 0.5 * (a + b)
             if x == a or x == b:
                 break
@@ -189,15 +204,10 @@ def _regula_falsi(
         if abs(fx) <= tol:
             return x, fx
         if (fx < 0.0) == (fb < 0.0):
-            b, fb = x, fx
-            if kept == "a":
-                fa *= 0.5
-            kept = "a"
+            fa *= fb / (fb + fx)
         else:
-            a, fa = x, fx
-            if kept == "b":
-                fb *= 0.5
-            kept = "b"
+            a, fa = b, fb
+        b, fb = x, fx
     return best
 
 
@@ -210,15 +220,16 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     end, upward for the lower branch and downward for the upper, and stops
     at the first sign change of the residual (or exact zero): the lower
     branch takes the smallest-gamma root, the upper branch the largest. A
-    bracketed secant (Illinois regula falsi) then refines it to
-    |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for a
-    branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does not
-    support, :class:`BranchNotFoundError` when no sign change exists, e.g.
-    for lambda beyond the critical value, or when the refinement stops
-    with no gamma whose |residual| is within RESIDUAL_TOL (a truncated
-    series that does not converge at x = 1 can change sign across a pole
-    rather than a root), and :class:`NonFiniteCoefficientError` when a
-    gamma the scan visits overflows.
+    bracketed secant (Pegasus regula falsi, :func:`_regula_falsi`) then
+    refines it to |residual| <= RESIDUAL_TOL. Raises
+    :class:`InvalidArgumentError` for a branch, order or lambda (outside
+    [LAMBDA_MIN, LAMBDA_MAX]) it does not support,
+    :class:`BranchNotFoundError` when no sign change exists, e.g. for
+    lambda beyond the critical value, or when the refinement stops with no
+    gamma whose |residual| is within RESIDUAL_TOL (a truncated series that
+    does not converge at x = 1 can change sign across a pole rather than a
+    root), and :class:`NonFiniteCoefficientError` when a gamma the scan
+    visits overflows.
     """
     _require_branch(branch)
     _require_lambda(lam)
@@ -250,16 +261,22 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     )
 
 
-def analytic_theta_roots(lam: float) -> list[float]:
-    """All roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
+def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
+    """Roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
 
     g(t) = t - s cosh(t/4), s = sqrt(2 lambda), is concave with g(0) < 0 and
     its maximum at t* = 4 asinh(4/s), so it has no root if g(t*) < 0 and
     else one on each side of t*. :func:`_regula_falsi` with tol = 0.0 solves
     [0, t*] and, if g(THETA_MAX) < 0, [t*, THETA_MAX] (t* capped at
-    THETA_MAX). Returns 0, 1 or 2 roots in ascending order. Raises
-    :class:`InvalidArgumentError` for lambda outside [LAMBDA_MIN, LAMBDA_MAX].
+    THETA_MAX). Without a branch, returns all 0, 1 or 2 roots in ascending
+    order. With one, solves only the bracket of the root that
+    :meth:`AnalyticBratu.for_branch` takes, the smallest for "lower" and
+    the largest for "upper", and returns it alone (or no root). Raises
+    :class:`InvalidArgumentError` for an unknown branch or a lambda
+    outside [LAMBDA_MIN, LAMBDA_MAX].
     """
+    if branch is not None:
+        _require_branch(branch)
     _require_lambda(lam)
     s = math.sqrt(2.0 * lam)
 
@@ -270,18 +287,26 @@ def analytic_theta_roots(lam: float) -> list[float]:
     g_top = g(top)
     if g_top < 0.0:
         return []
-    roots = [_regula_falsi(g, 0.0, -s, top, g_top, 0.0)[0]]
-    g_max = g(THETA_MAX)
+    # The lower branch never needs the upper bracket, nor g at its far end.
+    g_max = g(THETA_MAX) if branch != "lower" else 0.0
+    roots = []
+    if branch != "upper" or g_max >= 0.0:
+        roots.append(_regula_falsi(g, 0.0, -s, top, g_top, 0.0)[0])
     if g_max < 0.0:
         roots.append(_regula_falsi(g, top, g_top, THETA_MAX, g_max, 0.0)[0])
     return roots
 
 
+def _analytic_values(theta: float, xs: Iterable[float]) -> list[float]:
+    # The one closed-form expression for u; theta/2 and cosh(theta/4) are
+    # computed once for all of xs.
+    half, c = theta / 2.0, math.cosh(theta / 4.0)
+    return [-2.0 * math.log(math.cosh((x - 0.5) * half) / c) for x in xs]
+
+
 def analytic_u(theta: float, x: float) -> float:
     """Closed-form solution value at x for the branch with parameter theta."""
-    return -2.0 * math.log(
-        math.cosh((x - 0.5) * (theta / 2.0)) / math.cosh(theta / 4.0)
-    )
+    return _analytic_values(theta, (x,))[0]
 
 
 @dataclass(frozen=True)
@@ -294,14 +319,13 @@ class AnalyticBratu:
     @classmethod
     def for_branch(cls, lam: float, branch: str) -> "AnalyticBratu":
         """The smaller theta root for the lower branch, the larger for the upper."""
-        _require_branch(branch)
-        roots = analytic_theta_roots(lam)
+        roots = analytic_theta_roots(lam, branch)
         if not roots:
             raise BranchNotFoundError(
                 f"theta condition has no roots at lambda={lam!r}; "
                 "no analytic branch exists"
             )
-        return cls(theta=roots[0] if branch == "lower" else roots[-1], lam=lam)
+        return cls(theta=roots[0], lam=lam)
 
     def u(self, x: float) -> float:
         return analytic_u(self.theta, x)
@@ -316,11 +340,10 @@ def _comparison(
         raise InvalidArgumentError("grid must have at least 2 points")
     ref = AnalyticBratu.for_branch(lam, branch)
     sol = shoot(lam, order, branch)
+    xs = [i / (grid_points - 1) for i in range(grid_points)]
     rows = []
-    for i in range(grid_points):
-        x = i / (grid_points - 1)
+    for x, u_ref in zip(xs, _analytic_values(ref.theta, xs)):
         u_dtm = evaluate(sol.coeffs, x)
-        u_ref = ref.u(x)
         rows.append((x, u_dtm, u_ref, abs(u_dtm - u_ref)))
     return sol, ref, rows
 

@@ -189,8 +189,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_bratu(args: argparse.Namespace) -> int:
     solution, reference, rows = _comparison(args.lam, args.order, args.grid, args.branch)
-    lines = ["x,u_dtm,u_analytic,abs_err"]
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    csv = "x,u_dtm,u_analytic,abs_err\n" + "".join("%r,%r,%r,%r\n" % row for row in rows)
     summary = {
         "lambda": args.lam,
         "gamma": solution.gamma,
@@ -200,7 +199,7 @@ def _cmd_bratu(args: argparse.Namespace) -> int:
         "order": args.order,
     }
     _write_outputs(
-        ("\n".join(lines) + "\n", args.out_csv, sys.stdout),
+        (csv, args.out_csv, sys.stdout),
         (json.dumps(summary) + "\n", args.out_json, sys.stderr),
     )
     return EXIT_OK

@@ -534,11 +534,52 @@ def parse(text: str) -> Equation:
 # ----------------------------------------------------------------------
 
 
-def _operand(e: Expr, grouped: tuple[type, ...] = (Add, Sub, Mul, Scale)) -> str:
+def _operand(e: Expr, grouped: tuple[type, ...] = (Add, Sub, Mul, Scale)) -> list:
     # Parenthesized where it would not reparse as one operand: a sum or a
     # product as the right factor of *, a sum as the right operand of + or
     # -. A chain's left operands are printed in line (see format_expr).
-    return f"({format_expr(e)})" if isinstance(e, grouped) else format_expr(e)
+    return ["(", e, ")"] if isinstance(e, grouped) else [e]
+
+
+def _pieces(e: Expr) -> list:
+    # One node's text, left to right: strings, and the operands still to print.
+    if isinstance(e, (Add, Sub)):
+        tail = []
+        while isinstance(e, (Add, Sub)):
+            tail.append((" + " if isinstance(e, Add) else " - ", e.right))
+            e = e.left
+        pieces = [e]
+        for op, right in reversed(tail):
+            pieces += [op, *_operand(right, (Add, Sub))]
+        return pieces
+    if isinstance(e, (Mul, Scale)):
+        tail = []
+        while isinstance(e, Mul) or isinstance(e, Scale) and isinstance(e.child, (Mul, Scale)):
+            if isinstance(e, Mul):
+                tail.append(_operand(e.right))
+                e = e.left
+            else:
+                tail.append([repr(e.factor)])
+                e = e.child
+        pieces = [f"{e.factor!r} * ", *_operand(e.child)] if isinstance(e, Scale) else _operand(e)
+        for factor in reversed(tail):
+            pieces += [" * ", *factor]
+        return pieces
+    if isinstance(e, Pow):
+        return ["pow(", e.child, f", {e.power})"]
+    if isinstance(e, Exp):
+        return ["exp(", e.child, ")"]
+    if isinstance(e, Const):
+        return [repr(e.value)]
+    if isinstance(e, Var):
+        return ["x"]
+    if isinstance(e, XPow):
+        return [f"x^{e.power}"]
+    if isinstance(e, U):
+        return ["u"]
+    if isinstance(e, Deriv):
+        return [f"D(u,{e.order})"]
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def format_expr(e: Expr) -> str:
@@ -549,42 +590,21 @@ def format_expr(e: Expr) -> str:
     so far. So the left spine of a sum is printed as one chain of terms,
     and the left spine of a product, through such a ``Scale``, as one
     chain of factors with the literal in place: ``Scale(2.0, Mul(u, x))``
-    prints as ``u * x * 2.0``. The spines are walked in a loop, so a chain
-    of thousands of operands prints, and parses back to the same tree,
-    with no Python frame or parenthesis per operand.
+    prints as ``u * x * 2.0``. The tree is walked with an explicit stack,
+    so a chain of thousands of operands, or a hand-built nest of thousands
+    of ``exp``, ``pow`` or parenthesized operands, prints with no Python
+    frame per node; a chain prints, and parses back to the same tree,
+    with no parenthesis per operand.
     """
-    if isinstance(e, (Add, Sub)):
-        tail = []
-        while isinstance(e, (Add, Sub)):
-            tail.append(f" {'+' if isinstance(e, Add) else '-'} {_operand(e.right, (Add, Sub))}")
-            e = e.left
-        return format_expr(e) + "".join(reversed(tail))
-    if isinstance(e, (Mul, Scale)):
-        tail = []
-        while isinstance(e, Mul) or isinstance(e, Scale) and isinstance(e.child, (Mul, Scale)):
-            if isinstance(e, Mul):
-                tail.append(_operand(e.right))
-                e = e.left
-            else:
-                tail.append(repr(e.factor))
-                e = e.child
-        head = f"{e.factor!r} * {_operand(e.child)}" if isinstance(e, Scale) else _operand(e)
-        return " * ".join([head, *reversed(tail)])
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, XPow):
-        return f"x^{e.power}"
-    if isinstance(e, U):
-        return "u"
-    if isinstance(e, Deriv):
-        return f"D(u,{e.order})"
-    if isinstance(e, Pow):
-        return f"pow({format_expr(e.child)}, {e.power})"
-    if isinstance(e, Exp):
-        return f"exp({format_expr(e.child)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    out = []
+    todo: list = [e]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo.extend(reversed(_pieces(item)))
+    return "".join(out)
 
 
 def format_equation(eq: Equation) -> str:

@@ -183,6 +183,24 @@ class TestShooting:
         assert abs(sol.residual) <= 1e-12
         assert len(calls) <= 20
 
+    def test_residual_evaluations_over_the_timed_range(self, monkeypatch):
+        # 21 evenly spaced lambda each for N = 30 on [0.05, 1.75] and N = 60
+        # on [0.05, 2.4], the ranges the benchmark draws from. The total is
+        # pinned, so a change to the scan or the refinement shows here.
+        calls = []
+        real = bratu_module.boundary_residual
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return real(coeffs)
+
+        monkeypatch.setattr(bratu_module, "boundary_residual", counted)
+        for order, top in ((30, 1.75), (60, 2.4)):
+            for i in range(21):
+                sol = shoot(0.05 + (top - 0.05) * i / 20, order, "lower")
+                assert abs(sol.residual) <= 1e-12
+        assert len(calls) == 307
+
     def test_one_run_per_trial(self, monkeypatch):
         # The accepted gamma's series is the run its trial already made.
         runs, trials = [], []
@@ -324,6 +342,66 @@ class TestThetaRoots:
         assert len(roots) == 2
         assert len(calls) <= 64
 
+    def test_every_bracket_within_forty_evaluations(self, monkeypatch):
+        # Both brackets of 2,001 lambda evenly spaced on [LAMBDA_MIN, 3.5138].
+        # Bisecting the last step at tol = 0 took up to 50 evaluations with
+        # Illinois and 66 with Pegasus alone; Anderson-Bjorck stagnates.
+        counts = []
+        real = bratu_module._regula_falsi
+
+        def counted(f, *bracket):
+            calls = []
+
+            def g(t):
+                calls.append(t)
+                return f(t)
+
+            result = real(g, *bracket)
+            counts.append(len(calls))
+            return result
+
+        monkeypatch.setattr(bratu_module, "_regula_falsi", counted)
+        lo = bratu_module.LAMBDA_MIN
+        for i in range(2001):
+            assert len(analytic_theta_roots(lo + (3.5138 - lo) * i / 2000)) == 2
+        assert len(counts) == 4002
+        assert max(counts) <= 40
+
+    @pytest.mark.parametrize("lam", [bratu_module.LAMBDA_MIN, 0.05, 1.0, 3.5,
+                                     LAMBDA_CRITICAL - 1e-8])
+    def test_branch_solves_its_own_root_bitwise(self, lam):
+        roots = analytic_theta_roots(lam)
+        assert len(roots) == 2
+        assert analytic_theta_roots(lam, "lower") == roots[:1]
+        assert analytic_theta_roots(lam, "upper") == roots[1:]
+        assert AnalyticBratu.for_branch(lam, "lower").theta == roots[0]
+        assert AnalyticBratu.for_branch(lam, "upper").theta == roots[-1]
+
+    def test_single_root_serves_both_branches(self, monkeypatch):
+        # With the search cut at theta = 10, g(THETA_MAX) > 0 at lambda = 1:
+        # only the lower bracket exists, and both branches take its root.
+        monkeypatch.setattr(bratu_module, "THETA_MAX", 10.0)
+        roots = analytic_theta_roots(1.0)
+        assert len(roots) == 1
+        for branch in ("lower", "upper"):
+            assert analytic_theta_roots(1.0, branch) == roots
+            assert AnalyticBratu.for_branch(1.0, branch).theta == roots[0]
+
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_no_root_for_either_branch(self, branch):
+        lam = 3.5138308
+        assert analytic_theta_roots(lam) == analytic_theta_roots(lam, branch) == []
+        with pytest.raises(BranchNotFoundError, match="no analytic branch"):
+            AnalyticBratu.for_branch(lam, branch)
+
+    def test_branch_validation(self):
+        # The branch is checked first, as in shoot.
+        for lam in (1.0, math.nan):
+            with pytest.raises(InvalidArgumentError, match="branch must be"):
+                analytic_theta_roots(lam, "middle")
+            with pytest.raises(InvalidArgumentError, match="branch must be"):
+                AnalyticBratu.for_branch(lam, "middle")
+
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             analytic_theta_roots(0.0)
@@ -351,7 +429,69 @@ class TestRegulaFalsi:
 
         assert bratu_module._regula_falsi(f, 1.0, 0.0, 3.0, 2.0, 0.0) == (1.0, 0.0)
         assert bratu_module._regula_falsi(f, 0.0, -1e-13, 3.0, 2.0, 1e-12) == (0.0, -1e-13)
+        assert bratu_module._regula_falsi(f, 0.0, -1.0, 1.0, 0.0, 0.0) == (1.0, 0.0)
         assert calls == []
+
+    def test_pegasus_steps_on_t_squared_minus_two(self):
+        # Secant points of t^2 - 2 on [1, 2]: 4/3 changes sign, so the old b
+        # becomes a; 1.4 does not, so f(a) = 2 is scaled by fb / (fb + fx).
+        # (Illinois would halve it instead, and try 1.4231 third.)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t * t - 2.0
+
+        x, fx = bratu_module._regula_falsi(f, 1.0, -1.0, 2.0, 2.0, 1e-12)
+        assert abs(fx) <= 1e-12 and fx == x * x - 2.0
+        b, fb = 4.0 / 3.0, 16.0 / 9.0 - 2.0
+        assert abs(calls[0] - b) <= 1e-15
+        assert abs(calls[1] - 1.4) <= 1e-15
+        fa = 2.0 * (fb / (fb + (1.4 * 1.4 - 2.0)))
+        third = 1.4 - (1.4 * 1.4 - 2.0) * (1.4 - 2.0) / ((1.4 * 1.4 - 2.0) - fa)
+        assert abs(calls[2] - third) <= 1e-14
+        assert abs(third - 1.41383) <= 1e-5
+        assert len(calls) <= 6
+
+    def test_zero_met_inside_is_returned_at_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 1.5
+
+        assert bratu_module._regula_falsi(f, 1.0, -0.5, 2.0, 0.5, 0.0) == (1.5, 0.0)
+        assert calls == [1.5]
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda t: t * t - 2.0, 0.0, 2.0),
+        (lambda t: t * t - 2.0, 1.0, 2.0),
+        (lambda t: math.exp(t) - 10.0, 0.0, 5.0),
+        (lambda t: t ** 3 - 0.1, 0.0, 1.0),
+    ], ids=["sqrt2-wide", "sqrt2", "log10", "cube-root"])
+    def test_bracket_collapses_at_tol_zero(self, f, a, b):
+        # No float is a root: the solve ends on two adjacent floats whose
+        # values differ in sign, returning the one of smaller |f|, after a
+        # step beside the last point rather than a bisection of the bracket.
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return f(t)
+
+        x, fx = bratu_module._regula_falsi(g, a, f(a), b, f(b), 0.0)
+        assert fx == f(x) != 0.0
+        below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+        neighbour = below if (f(below) < 0.0) != (fx < 0.0) else above
+        assert (f(neighbour) < 0.0) != (fx < 0.0)
+        assert abs(fx) <= abs(f(neighbour))
+        assert len(calls) <= 12
+
+    def test_adjacent_ends_cost_no_evaluation(self):
+        calls = []
+        a, b = 1.0, math.nextafter(1.0, 2.0)
+        x = bratu_module._regula_falsi(calls.append, a, -1.0, b, 2.0, 0.0)
+        assert x == (a, -1.0) and calls == []
 
 
 class TestAnalyticSolution:
@@ -408,3 +548,17 @@ class TestCompare:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             compare(1.0, 30, 1, "lower")
+
+    @pytest.mark.parametrize("lam, order, grid, branch", [
+        (bratu_module.LAMBDA_MIN, 10, 2, "lower"),
+        (1.0, 30, 101, "lower"),
+        (1.0, 10, 21, "upper"),
+        (2.4, 60, 37, "lower"),
+    ])
+    def test_rows_use_the_closed_form_bitwise(self, lam, order, grid, branch):
+        sol, ref, rows = bratu_module._comparison(lam, order, grid, branch)
+        assert [row[0] for row in rows] == [i / (grid - 1) for i in range(grid)]
+        for x, u_dtm, u_ref, err in rows:
+            assert u_dtm == evaluate(sol.coeffs, x)
+            assert u_ref == analytic_u(ref.theta, x) == ref.u(x)
+            assert err == abs(u_dtm - u_ref)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dtmseries import load_series
+from dtmseries.bratu import _comparison
 from dtmseries.cli import build_parser, main
 
 
@@ -401,6 +402,31 @@ class TestBratu:
         assert code == 0 and err == ""
         summary = json.loads(json_path.read_text())
         assert abs(summary["gamma"] - summary["theta"] * math.tanh(summary["theta"] / 4)) <= 1e-6
+
+    @pytest.mark.parametrize("lam, order, branch, grid", [
+        ("1", "30", "lower", "101"),
+        ("0.001", "10", "lower", "2"),
+        ("2.4", "60", "lower", "37"),
+        ("1", "10", "upper", "21"),
+    ])
+    def test_csv_bytes_are_the_repr_of_each_row(self, capsys, lam, order, branch, grid):
+        code, out, _ = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", grid,
+                                "--branch", branch], capsys)
+        assert code == 0
+        _, _, rows = _comparison(float(lam), int(order), int(grid), branch)
+        want = ["x,u_dtm,u_analytic,abs_err"] + [",".join(map(repr, row)) for row in rows]
+        assert out == "\n".join(want) + "\n"
+
+    # Wrong answers with tiny residuals (ROADMAP item 1): the truncated
+    # series diverges at x = 1 (radius below 1 once lambda > 3.172 on the
+    # lower branch), or converges too slowly at N = 30, yet each of these
+    # exits 0. The fix makes each a typed error or a right answer.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("lam, order", [("3.5", "60"), ("3.0", "30"), ("3.5138307", "30")])
+    def test_wrong_answer_with_tiny_residual(self, capsys, lam, order):
+        code, _, err = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", "101",
+                                "--branch", "lower"], capsys)
+        assert code in (3, 4) or json.loads(err)["max_abs_err"] <= 1e-6
 
     def test_lambda_range(self, capsys):
         for bad in ("0.0005", "11", "nan", "inf", "-1"):

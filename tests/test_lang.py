@@ -298,6 +298,34 @@ class TestPrinter:
         assert back == eq
         assert _same_tree(back.rhs, eq.rhs)
 
+    # Each wraps one node around its argument, and prints as prefix + inner + suffix.
+    NESTS = {
+        "exp": (Exp, "exp(", ")"),
+        "square": (lambda e: Pow(e, 2), "pow(", ", 2)"),
+        "scaled-exp": (lambda e: Scale(2.0, Exp(e)), "2.0 * exp(", ")"),
+        "grouped-sum": (lambda e: Mul(U(), Add(U(), e)), "u * (u + ", ")"),
+    }
+
+    @pytest.mark.parametrize("kind", NESTS)
+    def test_hand_built_nest_of_1500_prints(self, kind):
+        # Built by hand: the parser stops at 200 nested parentheses.
+        wrap, prefix, suffix = self.NESTS[kind]
+        e = U()
+        for _ in range(1500):
+            e = wrap(e)
+        text = format_equation(Equation(1, e))
+        assert text == "D(u,1) = " + prefix * 1500 + "u" + suffix * 1500
+
+    @pytest.mark.parametrize("depth", [1, 2, 50, 200])
+    @pytest.mark.parametrize("kind", NESTS)
+    def test_nest_up_to_200_deep_round_trips(self, kind, depth):
+        wrap = self.NESTS[kind][0]
+        e = U()
+        for _ in range(depth):
+            e = wrap(e)
+        back = parse(format_equation(Equation(1, e)))
+        assert back.lhs_order == 1 and _same_tree(back.rhs, e)
+
 
 def _same_tree(a, b) -> bool:
     """Whether two ASTs are equal, floats by their bits, walked with a stack

@@ -15,8 +15,12 @@ seed 3, whose exact counts are compared key by key.
 The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles (``statistics.quantiles(n=4,
 method='inclusive')``), the ratio of the medians and the number of pairs
-the change wins, ties counting for neither. It is written to
-``.benchmarks/BENCH_<pr>.json``.
+the change wins, ties counting for neither. Two verdicts follow from
+those: ``gain_shown`` when the change wins at least 9 in 10 of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range, and ``within_bound`` when the change's median is
+worse than the parent's by no more than the metric's relative ``bound``
+in ``BENCHMARK.json``. It is written to ``.benchmarks/BENCH_<pr>.json``.
 """
 
 from __future__ import annotations
@@ -57,14 +61,21 @@ def summary(runs: list[float]) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def compare(results: dict, better: dict) -> dict:
-    """Per-metric summaries of one workload's pairs."""
+def compare(results: dict, end_to_end: list[dict]) -> dict:
+    """Per-metric summaries and verdicts of one workload's pairs.
+
+    ``end_to_end`` holds the ``BENCHMARK.json`` entries, each with its
+    ``name``, ``better`` ("lower" or "higher") and relative ``bound``.
+    """
     metrics = {}
-    for name, unit_better in better.items():
+    for spec in end_to_end:
+        name, unit_better = spec["name"], spec["better"]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         sign = 1 if unit_better == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
         parent, change = summary(runs["parent"]), summary(runs["change"])
+        # How much worse the change's median is than the parent's (negative: better).
+        worse = sign * (change["median"] - parent["median"])
         metrics[name] = {
             "unit": results["parent"][0]["metrics"][name]["unit"],
             "better": unit_better,
@@ -72,6 +83,9 @@ def compare(results: dict, better: dict) -> dict:
             "change": change,
             "change_over_parent": round(change["median"] / parent["median"], 4),
             "change_better_pairs": wins,
+            "gain_shown": (10 * wins >= 9 * len(runs["parent"])
+                           and -worse > parent["q3"] - parent["q1"]),
+            "within_bound": worse <= spec["bound"] * abs(parent["median"]),
             "runs": {side: [round(v, 6) for v in runs[side]] for side in SIDES},
         }
     return metrics
@@ -114,7 +128,6 @@ def main() -> int:
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     unknown = sorted(set(workloads) - set(known_workloads()))
     if unknown:
@@ -150,7 +163,11 @@ def main() -> int:
                        "unmodified bench/; pairs alternate which side runs first (parent first "
                        "on the 1st, 3rd, ... pair); quartiles are statistics.quantiles(n=4, "
                        "method='inclusive') over the runs of one side; change_better_pairs "
-                       "counts pairs where the change is better, ties counting for neither"),
+                       "counts pairs where the change is better, ties counting for neither; "
+                       "gain_shown: the change wins >= 9/10 of the pairs and its median is "
+                       "better by more than the parent's q3 - q1; within_bound: the change's "
+                       "median is worse than the parent's by at most bound x the parent's "
+                       "median"),
             "traced": {
                 "command": (f"python3 bench/run.py --workload W --seed {TRACE_SEED} "
                             f"--seconds {TRACE_SECONDS} --trace 1"),
@@ -164,7 +181,7 @@ def main() -> int:
                     "correct": {s: all(r["correct"] for r in results[w][s]) for s in SIDES},
                     "attempted": {s: sum(r["attempted"] for r in results[w][s]) for s in SIDES},
                     "failed": {s: sum(r["failed"] for r in results[w][s]) for s in SIDES},
-                    "metrics": compare(results[w], better),
+                    "metrics": compare(results[w], spec["end_to_end"]),
                 }
                 for w in workloads
             },
