@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import BranchNotFoundError, InvalidArgumentError, NonFiniteCoefficientError
 from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
-from .series import Series, _int, evaluate
+from .series import Series, _finite_float, _int, evaluate
 
 __all__ = [
     "BratuSolution",
@@ -79,7 +79,11 @@ _BRANCHES = ("lower", "upper")
 
 
 def _require_lambda(lam: float) -> None:
-    if not LAMBDA_MIN <= lam <= LAMBDA_MAX:
+    try:
+        supported = LAMBDA_MIN <= lam <= LAMBDA_MAX
+    except TypeError:  # lam does not compare with floats
+        supported = False
+    if not supported:
         raise InvalidArgumentError(f"lambda must lie in [{LAMBDA_MIN:g}, {LAMBDA_MAX:g}]")
 
 
@@ -112,11 +116,14 @@ def bratu_plan(lam: float, order: int) -> RecurrencePlan:
 def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
     """Coefficients by the simplified recurrence (exponential eliminated).
 
-    Raises :class:`NonFiniteCoefficientError` naming the order that overflows.
+    Raises :class:`InvalidArgumentError` for a lambda or gamma that is not
+    a finite float, as a run of :func:`bratu_plan` does, and
+    :class:`NonFiniteCoefficientError` naming the order that overflows.
     """
     _require_order(order)
+    lam = _finite_float(lam, "lambda")
     u = [0.0] * (order + 1)
-    u[1] = float(gamma)
+    u[1] = _finite_float(gamma, "gamma")
     u[2] = -(lam / 2.0) * math.exp(u[0])
     for k in range(1, order - 1):
         acc = 0.0
@@ -336,7 +343,7 @@ def _comparison(
 ) -> tuple[BratuSolution, AnalyticBratu, list[tuple[float, float, float, float]]]:
     """Shot solution, analytic branch, and rows (x, u_dtm, u_analytic, abs_err)
     on the grid {i/(grid_points-1)}; checks the grid before either solve."""
-    if grid_points < 2:
+    if _int(grid_points, "grid") < 2:
         raise InvalidArgumentError("grid must have at least 2 points")
     ref = AnalyticBratu.for_branch(lam, branch)
     sol = shoot(lam, order, branch)

@@ -39,8 +39,8 @@ from .errors import (
     NonFiniteCoefficientError,
     SeriesFormatError,
 )
-from .lang import _apply, lower, parse, run
-from .powers import OpCount, exp_naive, exp_series, pow_int, pow_naive
+from .lang import lower, parse, run
+from .powers import OpCount, _pow_miller, exp_naive, exp_series, pow_int, pow_naive
 from .series import Series, format_series, load_series
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -219,15 +219,6 @@ def _time_best(fn, reps: int) -> int:
         if best is None or dt < best:
             best = dt
     return best
-
-
-def _pow_miller(series: Series, m: int) -> tuple[Series, OpCount]:
-    # Miller's recurrence for every m >= 2, past pow_int's binary cutoff:
-    # the bench compares the paper's single sum with the naive fold.
-    if m < 2:
-        return pow_int(series, m)
-    count = OpCount()
-    return _apply("miller", (series.coeffs,), count, m), count
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -70,12 +70,12 @@ which holds only names and integers checked when the equation was
 built. So Bratu's equation at every lambda, or ``-0.0*u`` and
 ``0.0*u``, share one function and still compute with their own bits, and
 no literal can change the code that runs. The functions are kept in a
-``functools.lru_cache`` of 128 shapes; the whole-series operators add a
-product, an exp, a chain per m <= 8 and, since m is in the shape, one
-Miller shape per distinct m > 8. Generating and compiling one costs
-0.23-0.44 ms (CPython 3.11, 2-vCPU Xeon), about one short run;
-a process that solves a handful of shapes pays it a handful of times,
-however many equations and plans of those shapes it builds, and a
+``functools.lru_cache`` of 128 shapes, and one cached executor per
+whole-series ``(kind, m)``, so such a call builds no slots: a product, an
+exp, a chain per m <= 8 and one Miller program per m > 8. Generating and
+compiling one costs 0.23-0.44 ms (CPython 3.11, 2-vCPU Xeon), about one
+short run; a process that solves a handful of shapes pays it a handful of
+times, however many equations and plans of those shapes it builds, and a
 result never depends on whether its shape was cached. The front end is
 paid once per text: :func:`parse` keeps the immutable Equations of the
 last 128 texts in a ``functools.lru_cache``, the same bounded policy, so
@@ -854,14 +854,14 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
 _INPUT: _Slot = ("in", None, ())
 
 
-def _apply(kind: str, inputs: tuple, count: OpCount | None, m: int = 0) -> Series:
-    """One operator over whole series of one length, run by the executor.
+@functools.lru_cache(maxsize=128)
+def _whole_series(kind: str, m: int) -> Callable[..., None]:
+    """The executor of one whole-series operator, compiled once per (kind, m).
 
-    The program has lhs_order 0, so U(k) is R(k), and its input slots are
-    its only literals. ``kind`` is "mul"
-    of two inputs (two slots even for one list: a square is not bitwise a
-    product), "exp" of one, or y^m of one, m >= 2, by the slots of ``pow(u,
-    m)`` with u read from the input ("pow") or by Miller's alone ("miller").
+    Its program has lhs_order 0, so U(k) is R(k), and its input slots are
+    its only literals: "mul" of two inputs (two slots even for one list: a
+    square is not bitwise a product), "exp" of one, or y^m of one, m >= 2,
+    by the slots of ``pow(u, m)`` ("pow") or Miller's alone ("miller").
     """
     if kind == "mul":
         slots = (_INPUT, _INPUT, ("mul", None, (0, 1)))
@@ -870,13 +870,13 @@ def _apply(kind: str, inputs: tuple, count: OpCount | None, m: int = 0) -> Serie
     elif kind == "miller":
         slots = (_INPUT, ("pow", m, (0,)))
     else:
-        slots = _pow_slots(m)
+        slots = (_INPUT, *_program(Pow(_U, m))[2][1:])
+    return _executor((0, slots))
+
+
+def _apply(kind: str, inputs: tuple, count: OpCount | None, m: int = 0) -> Series:
+    """Run the :func:`_whole_series` operator ``(kind, m)`` over ``inputs``,
+    lists of one length, adding its multiplies to ``count`` (if not None)."""
     u: list[float] = []
-    _executor((0, slots))(u, len(inputs[0]) - 1, inputs, count)
+    _whole_series(kind, m)(u, len(inputs[0]) - 1, inputs, count)
     return Series._checked(u)
-
-
-@functools.lru_cache(maxsize=128)
-def _pow_slots(m: int) -> tuple[_Slot, ...]:
-    """The slots of ``pow(u, m)`` with u read from an input, built once per m."""
-    return (_INPUT, *_program(Pow(_U, m))[2][1:])

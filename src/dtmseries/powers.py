@@ -70,7 +70,9 @@ Each recurrence is written once, as a one-step kernel
 of :mod:`dtmseries.series`), and has one driver, the generated executor
 of :mod:`dtmseries.lang`: :func:`pow_int` and :func:`exp_series`, like a
 DSL run, are programs that it steps one order at a time, finding
-Miller's valuation as the orders come.
+Miller's valuation as the orders come, each compiled once per process
+(per m for a power). ``_pow_miller`` runs Miller's one-slot program, the
+paper's recurrence, for any m >= 2, below the binary cutoff too.
 
 ``pow_naive`` and ``exp_naive`` build the same objects by brute force
 (repeated convolution; summed Taylor terms of exp) and serve as the
@@ -85,6 +87,7 @@ import operator
 from typing import Sequence
 
 from .errors import DomainError, InvalidArgumentError
+from . import lang  # circular: lang loads first, imports this module, and is in sys.modules
 from .series import OpCount, Series, _div_exact, _int, collect, monomial, mul
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
@@ -176,7 +179,7 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     """Coefficients of a(x)^m truncated at order(a).
 
     Runs the stages of :func:`power_chain` as one program, one order per
-    step, by the executor of :mod:`dtmseries.lang`. m = 0 returns the
+    step, compiled by :mod:`dtmseries.lang` once per m. m = 0 returns the
     constant-one series (algebraic convention) unless a is identically
     zero, in which case 0^0 raises :class:`DomainError`. m = 1 returns
     ``a`` unchanged; a valuation v with v*m > order(a) gives the zero
@@ -191,9 +194,16 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
         return _power_zero(a), count
     if m == 1:  # the empty chain would give an equal copy; return a itself
         return a, count
-    # lang imports this module when it loads, so pow_int imports it when it runs.
-    from .lang import _apply
-    return _apply("pow", (a.coeffs,), count, m), count
+    return lang._apply("pow", (a.coeffs,), count, m), count
+
+
+def _pow_miller(a: Series, m: int) -> tuple[Series, OpCount]:
+    """a^m by Miller's recurrence for every m >= 2, below the binary cutoff
+    too, as the CLI bench runs it; m < 2 is :func:`pow_int`'s."""
+    if m < 2:
+        return pow_int(a, m)
+    count = OpCount()
+    return lang._apply("miller", (a.coeffs,), count, m), count
 
 
 def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
@@ -220,14 +230,12 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
 def exp_series(a: Series) -> tuple[Series, OpCount]:
     """Coefficients of e^{a(x)} truncated at order(a), via the single-sum recurrence.
 
-    Run by the executor of :mod:`dtmseries.lang`. Raises
-    :class:`NonFiniteCoefficientError` naming the first index that
-    overflows.
+    Run by the exp program of :mod:`dtmseries.lang`, compiled once per
+    process. Raises :class:`NonFiniteCoefficientError` naming the first
+    index that overflows.
     """
     count = OpCount()
-    # lang imports this module when it loads, so exp_series imports it when it runs.
-    from .lang import _apply
-    return _apply("exp", (a.coeffs,), count), count
+    return lang._apply("exp", (a.coeffs,), count), count
 
 
 def exp_naive(a: Series, count: OpCount | None = None) -> Series:

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 from .errors import (
     InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
 )
+from . import lang  # circular: lang loads first, imports this module, and is in sys.modules
 
 __all__ = [
     "Series",
@@ -254,16 +255,14 @@ def sq_step(
 def mul(a: Series, b: Series, count: OpCount | None = None) -> Series:
     """Cauchy product truncated at the common order.
 
-    W(k) = sum_{l=0}^{k} Y(l) * Z(k-l), run by the executor of
-    :mod:`dtmseries.lang`. The full convolution performs exactly
-    (N+1)(N+2)/2 scalar multiplies, ``a is b`` included, accumulated into
-    ``count`` when one is supplied. Raises
+    W(k) = sum_{l=0}^{k} Y(l) * Z(k-l), run by the product program of
+    :mod:`dtmseries.lang`, compiled once per process. The full convolution
+    performs exactly (N+1)(N+2)/2 scalar multiplies, ``a is b`` included,
+    accumulated into ``count`` when one is supplied. Raises
     :class:`~dtmseries.errors.NonFiniteCoefficientError` on overflow.
     """
     _require_same_order(a, b, "mul")
-    # lang imports this module when it loads, so mul imports it when it runs.
-    from .lang import _apply
-    return _apply("mul", (a.coeffs, b.coeffs), count)
+    return lang._apply("mul", (a.coeffs, b.coeffs), count)
 
 
 def derivative_transform(a: Series, m: int) -> Series:
@@ -300,7 +299,7 @@ def evaluate(a: Series, x: float) -> float:
 # CSV form:          one "k,coefficient" line per index, k = 0..N contiguous.
 
 
-def _series_from_json(obj: object) -> Series:
+def _coeffs_from_json(obj: object) -> list:
     if not isinstance(obj, dict):
         raise SeriesFormatError("series JSON must be an object")
     try:
@@ -317,26 +316,18 @@ def _series_from_json(obj: object) -> Series:
     for c in coeffs:
         if not isinstance(c, (int, float)) or isinstance(c, bool):
             raise SeriesFormatError(f"coefficient {c!r} is not a number")
-    try:
-        return Series(coeffs)
-    except ValueError as exc:
-        raise SeriesFormatError(str(exc)) from None
+    return coeffs
 
 
-def _series_from_csv(text: str) -> Series:
+def _coeffs_from_csv(text: str) -> list[float]:
     coeffs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise SeriesFormatError(
-                f"line {lineno}: expected 'k,coefficient', got {raw!r}"
-            )
         try:
-            k = int(parts[0])
-            c = float(parts[1])
+            index, value = line.split(",")  # ValueError unless two fields
+            k, c = int(index), float(value)
         except ValueError:
             raise SeriesFormatError(
                 f"line {lineno}: expected 'k,coefficient', got {raw!r}"
@@ -346,26 +337,26 @@ def _series_from_csv(text: str) -> Series:
                 f"line {lineno}: index {k} out of order; indices must run 0..N contiguously"
             )
         coeffs.append(c)
-    if not coeffs:
-        raise SeriesFormatError("empty series input")
-    try:
-        return Series(coeffs)
-    except ValueError as exc:
-        raise SeriesFormatError(str(exc)) from None
+    return coeffs
 
 
 def load_series(text: str) -> Series:
     """Parse a series from its file format (JSON object or CSV lines)."""
     stripped = text.lstrip()
-    if not stripped:
+    if not stripped:  # else, as line separators are whitespace, a line is not blank
         raise SeriesFormatError("empty series input")
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SeriesFormatError(f"bad series JSON: {exc}") from None
-        return _series_from_json(obj)
-    return _series_from_csv(text)
+        coeffs = _coeffs_from_json(obj)
+    else:
+        coeffs = _coeffs_from_csv(text)
+    try:
+        return Series(coeffs)
+    except ValueError as exc:
+        raise SeriesFormatError(str(exc)) from None
 
 
 def format_series(a: Series) -> str:

@@ -38,12 +38,16 @@ def test_unknown_workload_is_rejected_before_any_run(tmp_path, monkeypatch, caps
     assert not (tmp_path / ".benchmarks").exists()
 
 
-def _verdicts(parent, change, better="higher", bound=0.24):
+def _metric(parent, change, better="higher", bound=0.24):
     def runs(values):
         return [{"metrics": {"m": {"value": v, "unit": "u"}}} for v in values]
 
     spec = [{"name": "m", "better": better, "bound": bound}]
-    result = _bench_pairs().compare({"parent": runs(parent), "change": runs(change)}, spec)["m"]
+    return _bench_pairs().compare({"parent": runs(parent), "change": runs(change)}, spec)["m"]
+
+
+def _verdicts(parent, change, better="higher", bound=0.24):
+    result = _metric(parent, change, better, bound)
     return result["change_better_pairs"], result["gain_shown"], result["within_bound"]
 
 
@@ -76,3 +80,28 @@ def test_lower_is_better_reverses_both_verdicts():
     assert _verdicts(PARENT, [90.0] * 10, better="lower") == (10, True, True)
     assert _verdicts(PARENT, [110.0] * 10, better="lower", bound=0.1) == (0, False, True)
     assert _verdicts(PARENT, [111.0] * 10, better="lower", bound=0.1) == (0, False, False)
+
+
+def test_a_parent_spread_inside_the_bound_is_resolved():
+    # Parent q3 - q1 = 1.75 against 0.24 x 100: every verdict above stands.
+    for change in (PARENT, [v * 0.7 for v in PARENT], [110.0] * 10):
+        assert _metric(PARENT, change)["unresolved"] is False
+
+
+# Bimodal, like bratu peak_rss_mb (lower is better): q1 22, median 23, q3 24.
+BIMODAL = [22.0, 24.0] * 5
+
+
+def test_a_bimodal_parent_wider_than_the_bound_is_unresolved():
+    # q3 - q1 = 2 is above 0.05 x 23 = 1.15, and no verdict holds for a
+    # change that reads like the parent, or better but not in every run.
+    for change in (BIMODAL, [24.0, 22.0] * 5, [21.0] * 9 + [22.0]):
+        assert _metric(BIMODAL, change, better="lower", bound=0.05)["unresolved"] is True
+    # Within 0.1 x 23 = 2.3 the same spread is resolved.
+    assert _metric(BIMODAL, BIMODAL, better="lower", bound=0.1)["unresolved"] is False
+
+
+def test_a_change_better_in_every_run_is_resolved_whatever_the_spread():
+    assert _metric(BIMODAL, [21.9] * 10, better="lower", bound=0.05)["unresolved"] is False
+    assert _metric(BIMODAL, [24.1] * 10, better="higher", bound=0.05)["unresolved"] is False
+    assert _metric(BIMODAL, [24.0] * 10, better="higher", bound=0.05)["unresolved"] is True

@@ -17,6 +17,7 @@ from dtmseries import (
     U,
     XPow,
     analytic_theta_roots,
+    bratu_coeffs,
     bratu_plan,
     compare,
     derivative_transform,
@@ -68,7 +69,11 @@ CHECKS = {
     "bratu_order": lambda: bratu_plan(1.0, 2),
     "branch": lambda: shoot(1.0, 30, "middle"),
     "lambda": lambda: analytic_theta_roots(0.0),
+    # A lambda that does not compare with floats, a string or None.
+    "lambda_str": lambda: shoot("1", 30, "lower"),
+    "lambda_none": lambda: analytic_theta_roots(None),
     "grid": lambda: compare(1.0, 30, 1, "lower"),
+    "grid_str": lambda: compare(1.0, 30, "5", "lower"),
 }
 
 
@@ -92,6 +97,8 @@ INT_CHECKS = {
     "monomial_order_float": lambda: monomial(1, 3.0),
     "zeros_float": lambda: zeros(2.5),
     "shoot_order_float": lambda: shoot(1.0, 30.0, "lower"),
+    "grid_float": lambda: compare(1.0, 30, 5.5, "lower"),
+    "grid_bool": lambda: compare(1.0, 30, True, "lower"),
 }
 
 
@@ -99,3 +106,15 @@ INT_CHECKS = {
 def test_integer_argument_must_be_an_int(call):
     with pytest.raises(InvalidArgumentError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("name", ["lambda", "gamma"])
+def test_bratu_paths_reject_a_non_finite_parameter_alike(name, value):
+    # Both forms of the Bratu recurrence raise the same typed error, before
+    # any coefficient is computed.
+    lam, gamma = (value, 0.5) if name == "lambda" else (1.0, value)
+    for call in (lambda: bratu_coeffs(lam, gamma, 30),
+                 lambda: run(bratu_plan(lam, 30), (0.0, gamma))):
+        with pytest.raises(InvalidArgumentError):
+            call()

@@ -10,7 +10,7 @@ compensates its rounding; there each coefficient must agree within
 
 The ``test_stepper_*`` checks drive the kernels through the one driver,
 the executor of ``dtmseries.lang``, by the whole-series functions ``mul``,
-``pow_int`` and ``exp_series`` (and ``cli._pow_miller`` where m <= 8 needs
+``pow_int`` and ``exp_series`` (and ``powers._pow_miller`` where m <= 8 needs
 Miller's recurrence). Each runs the loop on the driver's own earlier
 outputs, so it tests one step at a time and stays meaningful on either
 version.
@@ -26,8 +26,7 @@ from pathlib import Path
 import pytest
 
 from dtmseries import OpCount
-from dtmseries.cli import _pow_miller
-from dtmseries.powers import exp_series, miller_step, pow_int
+from dtmseries.powers import _pow_miller, exp_series, miller_step, pow_int
 from dtmseries.series import Series, mul, mul_step, sq_step
 
 EPS = sys.float_info.epsilon

@@ -21,8 +21,7 @@ from dtmseries import (
     pow_naive,
     zeros,
 )
-from dtmseries.cli import _pow_miller
-from dtmseries.powers import BINARY_POW_MAX, power_chain
+from dtmseries.powers import BINARY_POW_MAX, _pow_miller, power_chain
 from util import oracle_series, oracle_series_valuation, relgap
 
 
@@ -142,18 +141,33 @@ class TestBinaryPowering:
         assert overflow_index(pow_int, a, 4) == 0
         assert overflow_index(pow_naive, a, 4) == 5
 
-    @pytest.mark.parametrize("m", [*range(2, 13), 10**6 + 3])
-    def test_chain_built_once_per_m_runs_as_a_fresh_build(self, m):
-        # The slots of pow(u, m) are kept per m: the first and a later call
-        # give the bits and counts of a program built afresh for the call.
+    @pytest.mark.parametrize("kind,m", [
+        *(pytest.param("pow", m, id=str(m)) for m in [*range(2, 13), 10**6 + 3]),
+        pytest.param("mul", 0, id="mul"),
+        pytest.param("exp", 0, id="exp"),
+        pytest.param("miller", 3, id="miller-3"),
+        pytest.param("miller", 10**6 + 3, id="miller-1000003"),
+    ])
+    def test_chain_built_once_per_m_runs_as_a_fresh_build(self, kind, m):
+        # Each whole-series program is compiled once per (kind, m): the first
+        # and a later call give the bits and counts of a program compiled
+        # afresh, with the shape cache emptied, for the call.
         rng = random.Random(m)
         a = oracle_series(rng, 40) if m <= 12 else Series(
             [1.0] + [rng.uniform(-1e-7, 1e-7) for _ in range(40)])
-        lang._pow_slots.cache_clear()
-        first, later = pow_int(a, m), pow_int(a, m)
-        assert lang._pow_slots.cache_info().misses == 1
+        b = oracle_series(rng, 40)
+        call, inputs = {
+            "pow": (lambda: pow_int(a, m), (a.coeffs,)),
+            "mul": (lambda: (mul(a, b, count := OpCount()), count), (a.coeffs, b.coeffs)),
+            "exp": (lambda: exp_series(a), (a.coeffs,)),
+            "miller": (lambda: _pow_miller(a, m), (a.coeffs,)),
+        }[kind]
+        lang._whole_series.cache_clear()
+        first, later = call(), call()
+        assert lang._whole_series.cache_info().misses == 1
+        lang._executor.cache_clear()
         u, count = [], OpCount()
-        lang._executor((0, lang._pow_slots.__wrapped__(m)))(u, a.order, (a.coeffs,), count)
+        lang._whole_series.__wrapped__(kind, m)(u, a.order, inputs, count)
         for power, power_count in (first, later):
             assert list(map(float.hex, power)) == list(map(float.hex, u))
             assert power_count == count

@@ -49,6 +49,12 @@ class TestSeriesType:
         with pytest.raises(SeriesFormatError, match="index 0"):
             load_series('{"order":0,"coeffs":[' + "9" * 400 + "]}")
 
+    @pytest.mark.parametrize("text", [" ", "\x1c", "\x1c\x1c", " \x1c \n"], ids=repr)
+    def test_whitespace_only_file_is_empty(self, text):
+        # "\x1c" is a line separator to splitlines and whitespace to lstrip.
+        with pytest.raises(SeriesFormatError, match="empty series input"):
+            load_series(text)
+
     def test_immutable_value_semantics(self):
         s = Series([1, 2])
         assert s == Series([1.0, 2.0])

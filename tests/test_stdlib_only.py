@@ -1,4 +1,5 @@
-"""The package is standard-library only: no import outside it, no dependency."""
+"""The package is standard-library only: no import outside it, no dependency,
+and no import inside a function."""
 
 import ast
 import re
@@ -26,6 +27,17 @@ def test_every_import_is_relative_or_stdlib(path):
     outside = [(line, name) for line, name in _imports(path)
                if name not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_at_call_time(path):
+    # Every module binds what it uses once, when it loads; the circular
+    # imports between lang, powers and series resolve from sys.modules.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = [(f.name, node.lineno)
+              for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(f) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inside, f"{path.name} imports inside a function: {inside}"
 
 
 def test_the_package_has_no_dependencies():

@@ -20,7 +20,11 @@ those: ``gain_shown`` when the change wins at least 9 in 10 of the pairs
 and its median is better than the parent's by more than the parent's
 interquartile range, and ``within_bound`` when the change's median is
 worse than the parent's by no more than the metric's relative ``bound``
-in ``BENCHMARK.json``. It is written to ``.benchmarks/BENCH_<pr>.json``.
+in ``BENCHMARK.json``. A third, ``unresolved``, marks a metric whose
+parent runs spread wider than the bound allows (q3 - q1 above ``bound``
+times the parent's median), unless every change run is better than every
+parent run: there, neither verdict tells a change from the spread. It is
+written to ``.benchmarks/BENCH_<pr>.json``.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ def compare(results: dict, end_to_end: list[dict]) -> dict:
         parent, change = summary(runs["parent"]), summary(runs["change"])
         # How much worse the change's median is than the parent's (negative: better).
         worse = sign * (change["median"] - parent["median"])
+        allowed = spec["bound"] * abs(parent["median"])
+        beats_all = all(sign * (c - p) < 0 for c in runs["change"] for p in runs["parent"])
         metrics[name] = {
             "unit": results["parent"][0]["metrics"][name]["unit"],
             "better": unit_better,
@@ -85,7 +91,8 @@ def compare(results: dict, end_to_end: list[dict]) -> dict:
             "change_better_pairs": wins,
             "gain_shown": (10 * wins >= 9 * len(runs["parent"])
                            and -worse > parent["q3"] - parent["q1"]),
-            "within_bound": worse <= spec["bound"] * abs(parent["median"]),
+            "within_bound": worse <= allowed,
+            "unresolved": parent["q3"] - parent["q1"] > allowed and not beats_all,
             "runs": {side: [round(v, 6) for v in runs[side]] for side in SIDES},
         }
     return metrics
@@ -167,7 +174,8 @@ def main() -> int:
                        "gain_shown: the change wins >= 9/10 of the pairs and its median is "
                        "better by more than the parent's q3 - q1; within_bound: the change's "
                        "median is worse than the parent's by at most bound x the parent's "
-                       "median"),
+                       "median; unresolved: the parent's q3 - q1 exceeds bound x its median "
+                       "and not every change run is better than every parent run"),
             "traced": {
                 "command": (f"python3 bench/run.py --workload W --seed {TRACE_SEED} "
                             f"--seconds {TRACE_SECONDS} --trace 1"),
