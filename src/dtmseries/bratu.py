@@ -110,6 +110,7 @@ class BratuSolution:
 def bratu_plan(lam: float, order: int) -> RecurrencePlan:
     """The exp form D(u,2) = -lam * exp(u), lowered; run it from (0.0, gamma)."""
     _require_order(order)
+    _finite_float(lam, "lambda")  # before -lam, which fails untyped on text or None
     return lower(Equation(2, Scale(-lam, Exp(U()))), order)
 
 
@@ -117,7 +118,7 @@ def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
     """Coefficients by the simplified recurrence (exponential eliminated).
 
     Raises :class:`InvalidArgumentError` for a lambda or gamma that is not
-    a finite float, as a run of :func:`bratu_plan` does, and
+    a finite number, as a run of :func:`bratu_plan` does, and
     :class:`NonFiniteCoefficientError` naming the order that overflows.
     """
     _require_order(order)
@@ -147,13 +148,13 @@ def boundary_residual(coeffs: Series) -> float:
 def _scan(
     f: Callable[[float], float], branch: str
 ) -> tuple[float, float, float, float] | None:
-    """The branch's first zero or sign change of f on the gamma grid, as (a, fa, b, fb).
+    """The branch's first sign change of f on the gamma grid, as (a, fa, b, fb).
 
     Walks gamma = i * GAMMA_STEP upward from 0 for the lower branch and
-    downward from GAMMA_MAX for the upper one. Stops at the first grid point
-    whose residual is exactly 0 (returned with a == b) or at the first pair
-    of neighbours whose residuals differ in sign. Returns None when the walk
-    reaches the far end without either.
+    downward from GAMMA_MAX for the upper one. Stops at the first pair of
+    neighbours whose residuals have a product <= 0: one is zero, they
+    differ in sign, or their product underflows, leaving an end within
+    RESIDUAL_TOL. Returns None when the walk reaches the far end first.
     """
     steps = int(round(GAMMA_MAX / GAMMA_STEP))
     walk = range(steps + 1) if branch == "lower" else range(steps, -1, -1)
@@ -161,9 +162,7 @@ def _scan(
     for i in walk:
         g = i * GAMMA_STEP
         r = f(g)
-        if r == 0.0:
-            return g, 0.0, g, 0.0
-        if prev is not None and prev[1] * r < 0.0:
+        if prev is not None and prev[1] * r <= 0.0:
             return prev[0], prev[1], g, r
         prev = (g, r)
     return None
@@ -225,7 +224,7 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     gamma and keeps the run, so the accepted gamma's series is not run again.
     Scans the gamma grid [0, GAMMA_MAX] (step GAMMA_STEP) from the branch's
     end, upward for the lower branch and downward for the upper, and stops
-    at the first sign change of the residual (or exact zero): the lower
+    at the first sign change of the residual (or zero): the lower
     branch takes the smallest-gamma root, the upper branch the largest. A
     bracketed secant (Pegasus regula falsi, :func:`_regula_falsi`) then
     refines it to |residual| <= RESIDUAL_TOL. Raises
@@ -274,9 +273,10 @@ def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
     g(t) = t - s cosh(t/4), s = sqrt(2 lambda), is concave with g(0) < 0 and
     its maximum at t* = 4 asinh(4/s), so it has no root if g(t*) < 0 and
     else one on each side of t*. :func:`_regula_falsi` with tol = 0.0 solves
-    [0, t*] and, if g(THETA_MAX) < 0, [t*, THETA_MAX] (t* capped at
-    THETA_MAX). Without a branch, returns all 0, 1 or 2 roots in ascending
-    order. With one, solves only the bracket of the root that
+    [0, t*] and, if g(e) < 0, [t*, e], where e = 4 acosh(THETA_MAX/s) bounds
+    every root up to THETA_MAX, and g(e) is about e - THETA_MAX (t* and e
+    capped at THETA_MAX). Without a branch, returns all 0, 1 or 2 roots in
+    ascending order. With one, solves only the bracket of the root that
     :meth:`AnalyticBratu.for_branch` takes, the smallest for "lower" and
     the largest for "upper", and returns it alone (or no root). Raises
     :class:`InvalidArgumentError` for an unknown branch or a lambda
@@ -294,13 +294,15 @@ def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
     g_top = g(top)
     if g_top < 0.0:
         return []
-    # The lower branch never needs the upper bracket, nor g at its far end.
-    g_max = g(THETA_MAX) if branch != "lower" else 0.0
+    # A root t <= THETA_MAX has s cosh(t/4) = t <= THETA_MAX. The lower
+    # branch never needs the upper bracket, nor g at its far end.
+    end = min(4.0 * math.acosh(THETA_MAX / s), THETA_MAX)
+    g_end = g(end) if branch != "lower" else 0.0
     roots = []
-    if branch != "upper" or g_max >= 0.0:
+    if branch != "upper" or g_end >= 0.0:
         roots.append(_regula_falsi(g, 0.0, -s, top, g_top, 0.0)[0])
-    if g_max < 0.0:
-        roots.append(_regula_falsi(g, top, g_top, THETA_MAX, g_max, 0.0)[0])
+    if g_end < 0.0:
+        roots.append(_regula_falsi(g, top, g_top, end, g_end, 0.0)[0])
     return roots
 
 

@@ -12,12 +12,13 @@ Subcommands:
 Data goes to standard output (or the --out file); diagnostics and
 summaries go to standard error. Floating-point output uses shortest
 round-trip formatting, so identical invocations produce byte-identical
-data files. Exit codes: 0 success, 2 malformed input or usage, 3 domain
-error, 4 requested solution branch does not exist or has no root within
-tolerance. Argument values are checked once, by the library call that
-uses them; its :class:`InvalidArgumentError` exits 2, as do the CLI's own
-checks (flag combinations, ``--reps``, ``--ic`` syntax, unwritable output
-files).
+data files. A command exits 0 on success; a :class:`DtmError` prints
+``error: ...`` to standard error and exits with the error's
+``exit_code`` (2 malformed input or usage, 3 domain error, 4 requested
+solution branch does not exist or has no root within tolerance).
+Argument values are checked once, by the library call that uses them;
+the CLI's own checks (flag combinations, ``--reps``, ``--ic`` syntax,
+unreadable or unwritable files) raise :class:`InvalidArgumentError`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ import time
 from typing import Iterator, TextIO
 
 from .bratu import _comparison
-from .errors import (
-    BranchNotFoundError,
-    DomainError,
-    EquationError,
-    InvalidArgumentError,
-    NonFiniteCoefficientError,
-    SeriesFormatError,
-)
+from .errors import DtmError, InvalidArgumentError
 from .lang import lower, parse, run
 from .powers import OpCount, _pow_miller, exp_naive, exp_series, pow_int, pow_naive
 from .series import Series, format_series, load_series
@@ -46,9 +40,6 @@ from .series import Series, format_series, load_series
 __all__ = ["main", "main_entry", "build_parser"]
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DOMAIN = 3
-EXIT_NO_SOLUTION = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,25 +97,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_series(path: str | None) -> Series:
-    if path is None:
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SeriesFormatError(f"cannot read {path}: {exc}") from None
-    return load_series(text)
-
-
 @contextlib.contextmanager
-def _writing(path: str) -> Iterator[None]:
-    # Failing to open, write or close the named file is an input error (exit 2).
+def _file_errors(verb: str, path: str) -> Iterator[None]:
+    # Failing to open, decode, write or close a file is an input error.
     try:
         yield
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
+    except (OSError, UnicodeError) as exc:
+        raise InvalidArgumentError(f"cannot {verb} {path}: {exc}") from None
+
+
+def _read_series(path: str | None) -> Series:
+    with _file_errors("read", "standard input" if path is None else path):
+        if path is None:
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    return load_series(text)
 
 
 def _write_outputs(*outputs: tuple[str, str | None, TextIO]) -> None:
@@ -138,11 +127,11 @@ def _write_outputs(*outputs: tuple[str, str | None, TextIO]) -> None:
         files = []
         for text, path, _ in outputs:
             if path is not None:
-                with _writing(path):
+                with _file_errors("write", path):
                     fh = stack.enter_context(open(path, "w", encoding="utf-8"))
                 files.append((text, path, fh))
         for text, path, fh in files:
-            with _writing(path):
+            with _file_errors("write", path):
                 fh.write(text)
                 fh.close()
     for text, path, stream in outputs:
@@ -265,15 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, EquationError, SeriesFormatError) as exc:
+    except DtmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DomainError, NonFiniteCoefficientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except BranchNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
+        return exc.exit_code
 
 
 def main_entry() -> None:

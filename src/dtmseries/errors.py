@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes: invalid arguments
-(:class:`InvalidArgumentError`), malformed equations and malformed series
-files exit 2, mathematical domain errors exit 3, and a missing solution
-branch exits 4.
+Each type carries the exit code of the CLI as ``exit_code``: 2 for any
+:class:`DtmError` (a bad argument, a malformed equation or series file),
+3 for a domain error or an overflowing coefficient, 4 for a missing
+solution branch.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from __future__ import annotations
 class DtmError(Exception):
     """Base class for all errors raised by dtmseries."""
 
+    exit_code = 2
+
 
 class InvalidArgumentError(DtmError, ValueError):
-    """Argument outside its documented range (negative order, NaN, ...); exit 2."""
+    """Argument outside its documented range (negative order, NaN, a string, ...)."""
 
 
 class OrderMismatchError(DtmError):
@@ -31,6 +33,8 @@ class SeriesFormatError(DtmError):
 
 class DomainError(DtmError):
     """Operation applied outside its mathematical domain (e.g. 0^0)."""
+
+    exit_code = 3
 
 
 class EquationError(DtmError):
@@ -52,6 +56,8 @@ class ImplicitFormError(EquationError):
 class NonFiniteCoefficientError(DtmError):
     """A recurrence step produced NaN or infinity."""
 
+    exit_code = 3
+
     def __init__(self, order: int):
         super().__init__(f"non-finite coefficient produced at order {order}")
         self.order = order
@@ -60,3 +66,5 @@ class NonFiniteCoefficientError(DtmError):
 class BranchNotFoundError(DtmError):
     """The requested solution branch does not exist at this parameter value,
     or shooting found no point on it whose residual is within tolerance."""
+
+    exit_code = 4

@@ -213,7 +213,7 @@ def _program(rhs: Expr) -> tuple:
 
     Rejects the nodes the parser never produces (``Deriv(0)``, ``Pow(e,
     0)``, a negative ``XPow``, a power or order that is not an int, bools
-    included, a literal that is not a finite float) with
+    included, a literal that is not a finite number) with
     :class:`InvalidArgumentError`, and a non-node with ``TypeError``.
     Structurally equal subtrees share one slot: slots are hash-consed
     bottom up on their key (kind, parameter, operand slots), with floats
@@ -313,8 +313,8 @@ class Equation:
     an int of at least 1, a node the parser never produces (``Deriv(0)``,
     ``Pow(e, 0)``, a negative ``XPow``, a ``Deriv``, ``XPow`` or ``Pow``
     whose integer field is not an int, ``True`` and 2.0 included) or a
-    ``Const``/``Scale`` literal that is not a finite float (``10**400``,
-    inf, NaN), ``TypeError`` for a non-node, and
+    ``Const``/``Scale`` literal that is not a finite number (``10**400``,
+    inf, NaN, ``"1"``, None), ``TypeError`` for a non-node, and
     :class:`ImplicitFormError` when the right-hand side reads D(u,j) with
     j >= lhs_order. So emitting R(k) reads solution coefficients of index
     below k + lhs_order, the one being produced.
@@ -829,7 +829,7 @@ def _executor(shape: tuple[int, tuple[_Slot, ...]]) -> Callable[..., None]:
 def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     """Step the plan from the initial coefficients U(0..m-1) to its order.
 
-    The initial coefficients must be m finite floats, checked as a
+    The initial coefficients must be m finite numbers, checked as a
     :class:`Series` checks its coefficients. The steps run in one
     generated function, the executor of the equation's shape (see the
     module docstring), which computes every slot once per order k in

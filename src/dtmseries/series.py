@@ -64,15 +64,17 @@ class OpCount:
     multiplies: int = 0
 
 
-def _finite_float(value: float, what: str) -> float:
-    """``value`` as a float, which must be finite; ``what`` names it in the error."""
+def _finite_float(value: object, what: str) -> float:
+    """``value``, a number and not text, as a finite float; ``what`` names it in the error."""
     try:
-        f = float(value)
+        finite = math.isfinite(value)  # unlike float(), refuses str and bytes
     except OverflowError:
         raise InvalidArgumentError(f"{what} is too large for a float") from None
-    if not math.isfinite(f):
-        raise InvalidArgumentError(f"{what} is {f!r}, not a finite float")
-    return f
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{what} must be a number, got {value!r}") from None
+    if not finite:
+        raise InvalidArgumentError(f"{what} is {float(value)!r}, not a finite float")
+    return float(value)
 
 
 def _int(value: object, what: str) -> int:
@@ -92,8 +94,9 @@ class Series:
 
     ``coeffs[k]`` holds the coefficient of x^k; the order N is the highest
     retained index, so there are exactly N + 1 coefficients. Every stored
-    coefficient is a finite float; constructing a series from NaN or
-    infinity raises :class:`~dtmseries.errors.InvalidArgumentError`.
+    coefficient is a finite float; constructing a series from NaN,
+    infinity, text or anything else that is not a number raises
+    :class:`~dtmseries.errors.InvalidArgumentError`.
     """
 
     __slots__ = ("_coeffs",)
@@ -103,14 +106,13 @@ class Series:
         if not cs:
             raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
         try:
-            floats = tuple(map(float, cs))
-            finite = all(map(math.isfinite, floats))
-        except OverflowError:
+            finite = all(map(math.isfinite, cs))  # as in _finite_float
+        except (OverflowError, TypeError, ValueError):
             finite = False
-        if not finite:  # raise, naming the first coefficient that is not a finite float
+        if not finite:  # raise, naming the first coefficient that is not a finite number
             for k, c in enumerate(cs):
                 _finite_float(c, f"coefficient at index {k}")
-        self._coeffs = floats
+        self._coeffs = tuple(map(float, cs))
 
     @classmethod
     def _checked(cls, coeffs: list[float]) -> Series:

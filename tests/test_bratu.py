@@ -367,6 +367,25 @@ class TestThetaRoots:
         assert len(counts) == 4002
         assert max(counts) <= 40
 
+    def test_every_upper_solve_within_twenty_evaluations(self, monkeypatch):
+        # The upper bracket ends at 4 acosh(THETA_MAX / s), past every root
+        # up to THETA_MAX; ending at THETA_MAX itself took up to 33.
+        calls = []
+        real = math.cosh
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(math, "cosh", counted)
+        lo = bratu_module.LAMBDA_MIN
+        counts = []
+        for i in range(2001):
+            calls.clear()
+            assert len(analytic_theta_roots(lo + (3.5138 - lo) * i / 2000, "upper")) == 1
+            counts.append(len(calls))
+        assert max(counts) <= 20
+
     @pytest.mark.parametrize("lam", [bratu_module.LAMBDA_MIN, 0.05, 1.0, 3.5,
                                      LAMBDA_CRITICAL - 1e-8])
     def test_branch_solves_its_own_root_bitwise(self, lam):
@@ -412,6 +431,33 @@ class TestThetaRoots:
         for lam in (1e-12, math.nan, 10.5):
             with pytest.raises(InvalidArgumentError, match=r"lambda must lie in \[0\.001, 10\]"):
                 analytic_theta_roots(lam)
+
+
+class TestScan:
+    def test_sign_change_whose_product_underflows(self):
+        # -1e-200 * 1e-200 underflows to -0.0: still a bracket, one end of
+        # which lies within RESIDUAL_TOL.
+        def f(g):
+            return -1e-200 if g == 0 else 1e-200
+
+        assert bratu_module._scan(f, "lower") == (0.0, -1e-200, 0.25, 1e-200)
+
+    @pytest.mark.parametrize("branch, zero, bracket", [
+        ("lower", 0.0, (0.0, 0.0, 0.25, 0.25)),
+        ("lower", 1.0, (0.75, -0.25, 1.0, 0.0)),
+        ("upper", 50.0, (50.0, 0.0, 49.75, -0.25)),
+    ])
+    def test_grid_zero_is_an_end_that_refining_returns_at_once(self, branch, zero, bracket):
+        calls = []
+
+        def f(g):
+            calls.append(g)
+            return g - zero
+
+        assert bratu_module._scan(f, branch) == bracket
+        calls.clear()
+        assert bratu_module._regula_falsi(f, *bracket, bratu_module.RESIDUAL_TOL) == (zero, 0.0)
+        assert calls == []
 
 
 class TestRegulaFalsi:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dtmseries import load_series
+from dtmseries import DtmError, OrderMismatchError, cli, load_series
 from dtmseries.bratu import _comparison
 from dtmseries.cli import build_parser, main
 
@@ -122,6 +122,17 @@ class TestOps:
         code, _, _ = run_cli(["ops", "exp", "--in", str(tmp_path / "nope.json")], capsys)
         assert code == 2
 
+    def test_undecodable_input_exits_2(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_bytes(b"\xff{")
+        code, out, err = run_cli(["ops", "exp", "--in", str(src)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {src}: 'utf-8' codec can't decode")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff{"), "utf-8"))
+        code, out, err = run_cli(["ops", "exp"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read standard input: 'utf-8' codec")
+
     def test_pow_requires_m(self, capsys, monkeypatch):
         code, _, _ = run_cli(["ops", "pow"], capsys, SQ_INPUT, monkeypatch)
         assert code == 2
@@ -160,6 +171,18 @@ class TestOps:
         assert code == 3
         assert out == ""
         assert err == "error: non-finite coefficient produced at order 0\n"
+
+    @pytest.mark.parametrize("error", [
+        OrderMismatchError("mul requires equal truncation orders"),
+        DtmError("some failure"),
+    ], ids=type)
+    def test_any_library_error_exits_with_its_code(self, capsys, monkeypatch, error):
+        def fail(series):
+            raise error
+
+        monkeypatch.setattr(cli, "exp_series", fail)
+        code, out, err = run_cli(["ops", "exp"], capsys, SQ_INPUT, monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 class TestSolve:

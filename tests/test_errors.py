@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from dtmseries import errors
 from dtmseries import (
     Const,
     Deriv,
@@ -74,6 +75,17 @@ CHECKS = {
     "lambda_none": lambda: analytic_theta_roots(None),
     "grid": lambda: compare(1.0, 30, 1, "lower"),
     "grid_str": lambda: compare(1.0, 30, "5", "lower"),
+    # A number must be a number: not None, and not text that float() parses.
+    "plan_lambda_str": lambda: bratu_plan("1", 30),
+    "coeffs_lambda_str": lambda: bratu_coeffs("1", 0.5, 30),
+    "coeffs_lambda_none": lambda: bratu_coeffs(None, 0.5, 30),
+    "series_none": lambda: Series([None]),
+    "series_str": lambda: Series(["1", "2"]),
+    "series_bytes": lambda: Series([b"1"]),
+    "const_none": lambda: Equation(1, Const(None)),
+    "const_bytearray": lambda: Equation(1, Const(bytearray(b"1"))),
+    "scale_str": lambda: Equation(1, Scale("2", U())),
+    "run_str": lambda: run(PLAN, ["1.0", "2.0"]),
 }
 
 
@@ -118,3 +130,29 @@ def test_bratu_paths_reject_a_non_finite_parameter_alike(name, value):
                  lambda: run(bratu_plan(lam, 30), (0.0, gamma))):
         with pytest.raises(InvalidArgumentError):
             call()
+
+
+EXIT_CODES = {
+    "DtmError": 2,
+    "InvalidArgumentError": 2,
+    "OrderMismatchError": 2,
+    "SeriesFormatError": 2,
+    "EquationError": 2,
+    "EquationSyntaxError": 2,
+    "ImplicitFormError": 2,
+    "DomainError": 3,
+    "NonFiniteCoefficientError": 3,
+    "BranchNotFoundError": 4,
+}
+
+
+def test_exit_code_table_names_every_error_type():
+    assert EXIT_CODES.keys() == {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, DtmError)
+    }
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES.items())
+def test_error_type_carries_its_exit_code(name, code):
+    assert getattr(errors, name).exit_code == code
