@@ -22,9 +22,12 @@ plan; the simplified recurrence is kept as the independent cross-check.
 First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 
 gamma is fixed by the x = 1 boundary: the truncated residual
-sum_{k=0}^{N} U(k) is driven to zero by shooting: a scan over the gamma
-grid that ends at the branch's first sign change, followed by a bracketed
-secant (Pegasus regula falsi). The closed-form reference solution is
+sum_{k=0}^{N} U(k) is driven to zero by shooting. A walk finds the
+branch's first sign change: the lower branch's climbs from gamma = 0 by
+inverse quadratic interpolation, falling back to the gamma grid where it
+cannot step upward, and the upper branch's walks the grid down from its
+top. A bracketed secant (Pegasus regula falsi) then refines the bracket.
+The closed-form reference solution is
 
     u(x) = -2 ln[ cosh((x - 1/2) theta/2) / cosh(theta/4) ]
 
@@ -42,7 +45,9 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .errors import BranchNotFoundError, InvalidArgumentError, NonFiniteCoefficientError
+from .errors import (
+    BranchNotFoundError, DomainError, InvalidArgumentError, NonFiniteCoefficientError
+)
 from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
 from .series import Series, _finite_float, _int, evaluate
 
@@ -63,7 +68,8 @@ __all__ = [
 LAMBDA_MIN = 1e-3
 LAMBDA_MAX = 10.0
 
-#: Shooting scan covers gamma in [0, GAMMA_MAX] with step GAMMA_STEP; the
+#: Shooting covers gamma in [0, GAMMA_MAX]: the grid walk with step
+#: GAMMA_STEP, the lower branch's continuation from 0 and GAMMA_STEP. The
 #: upper-branch slope grows with theta, so the range is generous for
 #: lambda in [LAMBDA_MIN, LAMBDA_MAX].
 GAMMA_MAX = 50.0
@@ -155,6 +161,8 @@ def _scan(
     neighbours whose residuals have a product <= 0: one is zero, they
     differ in sign, or their product underflows, leaving an end within
     RESIDUAL_TOL. Returns None when the walk reaches the far end first.
+    The upper branch always takes this walk; the lower branch takes it
+    where :func:`_climb` gives up.
     """
     steps = int(round(GAMMA_MAX / GAMMA_STEP))
     walk = range(steps + 1) if branch == "lower" else range(steps, -1, -1)
@@ -166,6 +174,64 @@ def _scan(
             return prev[0], prev[1], g, r
         prev = (g, r)
     return None
+
+
+def _next_gamma(gs: list[float], rs: list[float]) -> float:
+    """The next trial of :func:`_climb` after the points (gs[i], rs[i]).
+
+    The root of the inverse quadratic through the last three points, in
+    Newton's divided-difference form: the secant root of the last two plus
+    a correction (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4). The secant root alone where the quadratic is undefined
+    (two of the three residuals equal) or its root does not lie in
+    (gs[-1], GAMMA_MAX]. Raises ZeroDivisionError when the last two
+    residuals are equal.
+    """
+    (g1, g2), (r1, r2) = gs[-2:], rs[-2:]
+    d1 = (g2 - g1) / (r2 - r1)
+    secant = g2 - d1 * r2
+    if len(gs) > 2 and rs[-3] != r1 and rs[-3] != r2:
+        d0 = (g1 - gs[-3]) / (r1 - rs[-3])
+        iqi = secant + (d1 - d0) / (r2 - rs[-3]) * r1 * r2
+        if g2 < iqi <= GAMMA_MAX:
+            return iqi
+    return secant
+
+
+def _climb(f: Callable[[float], float]) -> tuple[float, float, float, float] | None:
+    """The lower branch's first sign change of f, by continuation from gamma = 0.
+
+    Evaluates f at 0 and GAMMA_STEP, then at each :func:`_next_gamma`.
+    Returns (g, f(g), g, f(g)) for the first point with |f(g)| <=
+    RESIDUAL_TOL, and (a, fa, b, fb) for the first pair of consecutive
+    points whose residuals have a product <= 0, as :func:`_scan` does.
+    Hands over to the grid walk, ``_scan(f, "lower")``, and returns its
+    answer or raises its error, when the next trial does not lie in (b,
+    GAMMA_MAX], b the last point, when the last two residuals are equal,
+    when a trial overflows, and after as many trials as the grid has
+    points, so a walk that crawls costs at most the grid walk again.
+    """
+    gs: list[float] = []
+    rs: list[float] = []
+    g = 0.0
+    for _ in range(int(round(GAMMA_MAX / GAMMA_STEP)) + 1):
+        try:
+            r = f(g)
+        except (NonFiniteCoefficientError, DomainError):  # a run or its value overflows
+            break
+        if abs(r) <= RESIDUAL_TOL:
+            return g, r, g, r
+        if rs and rs[-1] * r <= 0.0:
+            return gs[-1], rs[-1], g, r
+        gs.append(g)
+        rs.append(r)
+        try:
+            g = _next_gamma(gs, rs) if len(gs) > 1 else GAMMA_STEP
+        except ZeroDivisionError:
+            break
+        if not gs[-1] < g <= GAMMA_MAX:
+            break
+    return _scan(f, "lower")
 
 
 def _regula_falsi(
@@ -222,20 +288,24 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
 
     Lowers :func:`bratu_plan` once, then steps it once for every trial
     gamma and keeps the run, so the accepted gamma's series is not run again.
-    Scans the gamma grid [0, GAMMA_MAX] (step GAMMA_STEP) from the branch's
-    end, upward for the lower branch and downward for the upper, and stops
-    at the first sign change of the residual (or zero): the lower
-    branch takes the smallest-gamma root, the upper branch the largest. A
+    Walks [0, GAMMA_MAX] from the branch's end and stops at the first sign
+    change of the residual (or zero): the lower branch takes the
+    smallest-gamma root, the upper branch the largest. The lower branch
+    climbs from gamma = 0 by :func:`_climb`, a continuation by inverse
+    quadratic interpolation that hands over to the grid walk of
+    :func:`_scan` where it cannot step upward or a trial overflows; the
+    upper branch walks the grid (step GAMMA_STEP) down from GAMMA_MAX. A
     bracketed secant (Pegasus regula falsi, :func:`_regula_falsi`) then
-    refines it to |residual| <= RESIDUAL_TOL. Raises
+    refines the bracket to |residual| <= RESIDUAL_TOL. Raises
     :class:`InvalidArgumentError` for a branch, order or lambda (outside
     [LAMBDA_MIN, LAMBDA_MAX]) it does not support,
     :class:`BranchNotFoundError` when no sign change exists, e.g. for
     lambda beyond the critical value, or when the refinement stops with no
     gamma whose |residual| is within RESIDUAL_TOL (a truncated series that
     does not converge at x = 1 can change sign across a pole rather than a
-    root), and :class:`NonFiniteCoefficientError` when a gamma the scan
-    visits overflows.
+    root), and :class:`NonFiniteCoefficientError` (or :class:`DomainError`,
+    when the residual itself overflows) when a gamma the grid walk visits
+    overflows.
     """
     _require_branch(branch)
     _require_lambda(lam)
@@ -246,7 +316,7 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
         runs[g] = coeffs = run(plan, (0.0, g))
         return boundary_residual(coeffs)
 
-    bracket = _scan(trial, branch)
+    bracket = _climb(trial) if branch == "lower" else _scan(trial, branch)
     if bracket is None:
         raise BranchNotFoundError(
             f"no sign change found: boundary residual never crosses zero for "
@@ -314,8 +384,16 @@ def _analytic_values(theta: float, xs: Iterable[float]) -> list[float]:
 
 
 def analytic_u(theta: float, x: float) -> float:
-    """Closed-form solution value at x for the branch with parameter theta."""
-    return _analytic_values(theta, (x,))[0]
+    """Closed-form solution value at x for the branch with parameter theta.
+
+    Raises :class:`InvalidArgumentError` for a theta or x that is not a
+    finite number, and :class:`DomainError` when the closed form overflows.
+    """
+    theta, x = _finite_float(theta, "theta"), _finite_float(x, "x")
+    try:
+        return _analytic_values(theta, (x,))[0]
+    except OverflowError:
+        raise DomainError(f"the closed form overflows at theta={theta!r}, x={x!r}") from None
 
 
 @dataclass(frozen=True)

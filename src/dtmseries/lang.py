@@ -207,8 +207,8 @@ _LITERAL_KINDS = ("const", "scale", "in")
 
 
 def _program(rhs: Expr) -> tuple:
-    """Check ``rhs`` and lower it: its slots in topological order, the root
-    last, their keys, its shape slots (the slots with their float literals
+    """Check ``rhs`` and lower it to slots in topological order, the root
+    last: their keys, its shape slots (the slots with their float literals
     left out) and those literals, and the highest derivative order it reads.
 
     Rejects the nodes the parser never produces (``Deriv(0)``, ``Pow(e,
@@ -302,7 +302,7 @@ def _program(rhs: Expr) -> tuple:
             todo += [(e, None, True), (e.child, None, False)]
         else:
             raise TypeError(f"not an expression node: {e!r}")
-    return tuple(slots), tuple(index), tuple(shape), tuple(literals), top
+    return tuple(index), tuple(shape), tuple(literals), top
 
 
 @dataclass(frozen=True)
@@ -321,18 +321,17 @@ class Equation:
 
     The one walk that checks the right-hand side also lowers it into an
     immutable program of slots (see :func:`_program`), which every plan of
-    the equation runs. The program splits into its shape (the slots with
-    their float literals left out, and lhs_order), which selects the
-    compiled executor, and the tuple of those literals, which the executor
-    takes as an argument. Equations are equal, and hash equal, when their
-    orders and slot keys are: floats compare by their bits, so
+    the equation runs. The equation keeps the program as its shape (the
+    slots with their float literals left out, and lhs_order), which selects
+    the compiled executor, and the tuple of those literals, which the
+    executor takes as an argument. Equations are equal, and hash equal,
+    when their orders and slot keys are: floats compare by their bits, so
     ``-0.0 * u`` and ``0.0 * u`` differ, while ``pow(u, 1)`` and ``u`` are
     one equation.
     """
 
     lhs_order: int
     rhs: Expr = field(compare=False)
-    _program: tuple[_Slot, ...] = field(init=False, repr=False, compare=False)
     _keys: tuple[tuple, ...] = field(init=False, repr=False)
     _shape: tuple[int, tuple[_Slot, ...]] = field(init=False, repr=False, compare=False)
     _literals: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -341,14 +340,14 @@ class Equation:
         m = _int(self.lhs_order, "equation order")
         if m < 1:
             raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
-        program, keys, shape, literals, top = _program(self.rhs)
+        keys, shape, literals, top = _program(self.rhs)
         if top >= m:
             raise ImplicitFormError(
                 f"implicit form: right-hand side contains D(u,{top}) but the "
                 f"left-hand side isolates order {m}"
             )
         # One update sets the derived fields past the frozen __setattr__.
-        self.__dict__.update(_program=program, _keys=keys, _shape=(m, shape), _literals=literals)
+        self.__dict__.update(_keys=keys, _shape=(m, shape), _literals=literals)
 
 
 # ----------------------------------------------------------------------
@@ -524,8 +523,11 @@ def parse(text: str) -> Equation:
 
     The last 128 texts parsed are remembered, so a repeated text returns
     the same immutable :class:`Equation` without being parsed again. An
-    error is not remembered: a bad text raises afresh on every call.
+    error is not remembered: a bad text raises afresh on every call. A
+    text that is not a str raises :class:`InvalidArgumentError`.
     """
+    if not isinstance(text, str):
+        raise InvalidArgumentError(f"equation text must be a str, got {type(text).__name__}")
     return _Parser(_tokenize(text)).parse_equation()
 
 
@@ -829,9 +831,9 @@ def _executor(shape: tuple[int, tuple[_Slot, ...]]) -> Callable[..., None]:
 def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     """Step the plan from the initial coefficients U(0..m-1) to its order.
 
-    The initial coefficients must be m finite numbers, checked as a
-    :class:`Series` checks its coefficients. The steps run in one
-    generated function, the executor of the equation's shape (see the
+    The initial coefficients must be a sequence of m finite numbers,
+    checked as a :class:`Series` checks its coefficients. The steps run in
+    one generated function, the executor of the equation's shape (see the
     module docstring), which computes every slot once per order k in
     program order, so each reads operands that already hold coefficient
     k, and a subtree that occurs more than once is computed once.
@@ -840,10 +842,14 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     which a coefficient stops being finite.
     """
     m = plan.lhs_order
-    if len(initial) != m:
+    try:
+        given = len(initial)
+    except TypeError:
         raise InvalidArgumentError(
-            f"need {m} initial coefficients U(0..{m - 1}), got {len(initial)}"
-        )
+            f"initial coefficients must be a sequence of numbers, got {initial!r}"
+        ) from None
+    if given != m:
+        raise InvalidArgumentError(f"need {m} initial coefficients U(0..{m - 1}), got {given}")
     u = list(Series(initial).coeffs)
     equation = plan.equation
     _executor(equation._shape)(u, plan.order, equation._literals, None)
@@ -870,7 +876,7 @@ def _whole_series(kind: str, m: int) -> Callable[..., None]:
     elif kind == "miller":
         slots = (_INPUT, ("pow", m, (0,)))
     else:
-        slots = (_INPUT, *_program(Pow(_U, m))[2][1:])
+        slots = (_INPUT, *_program(Pow(_U, m))[1][1:])
     return _executor((0, slots))
 
 

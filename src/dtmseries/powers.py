@@ -88,7 +88,7 @@ from typing import Sequence
 
 from .errors import DomainError, InvalidArgumentError
 from . import lang  # circular: lang loads first, imports this module, and is in sys.modules
-from .series import OpCount, Series, _div_exact, _int, collect, monomial, mul
+from .series import OpCount, Series, _div_exact, _int, _series, collect, monomial, mul
 
 __all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
 
@@ -187,6 +187,7 @@ def pow_int(a: Series, m: int) -> tuple[Series, OpCount]:
     index at which the power is not finite (coefficient k of a stage reads
     the stage before it up to index k only).
     """
+    _series(a, "pow_int")
     if _int(m, "pow_int exponent") < 0:
         raise InvalidArgumentError("pow_int exponent must be a non-negative integer")
     count = OpCount()
@@ -216,6 +217,7 @@ def pow_naive(a: Series, m: int) -> tuple[Series, OpCount]:
     can come before the power's own: for [1e80, 0, 0, 0, 0, 1e230, 0] and
     m = 4 that is 5, where a^2 overflows, and :func:`pow_int` names 0.
     """
+    _series(a, "pow_naive")
     if not 0 <= _int(m, "pow_naive exponent") <= POW_NAIVE_MAX:
         raise InvalidArgumentError(f"pow_naive exponent must be in 0..{POW_NAIVE_MAX}, got {m}")
     count = OpCount()
@@ -235,7 +237,7 @@ def exp_series(a: Series) -> tuple[Series, OpCount]:
     index that overflows.
     """
     count = OpCount()
-    return lang._apply("exp", (a.coeffs,), count), count
+    return lang._apply("exp", (_series(a, "exp_series").coeffs,), count), count
 
 
 def exp_naive(a: Series, count: OpCount | None = None) -> Series:
@@ -251,7 +253,7 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
     of convolutions that :func:`pow_naive` performs; when ``count`` is
     given it accumulates those convolution multiplies.
     """
-    n = a.order
+    n = _series(a, "exp_naive").order
     total = [0.0] * (n + 1)
     total[0] = 1.0
     if n >= 1:

@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
-    InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError, SeriesFormatError
+    DomainError, InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError,
+    SeriesFormatError,
 )
 from . import lang  # circular: lang loads first, imports this module, and is in sys.modules
 
@@ -84,6 +85,13 @@ def _int(value: object, what: str) -> int:
     return value
 
 
+def _series(value: object, what: str) -> Series:
+    """``value``, which must be a :class:`Series`; ``what`` names the call in the error."""
+    if not isinstance(value, Series):
+        raise InvalidArgumentError(f"{what} needs a Series, got {type(value).__name__}")
+    return value
+
+
 def _div_exact(x: float, n: int) -> float:
     """x / n correctly rounded where n > 0 has no float; zero or non-finite x as is."""
     return float(Fraction(x) / n) if x and math.isfinite(x) else x
@@ -96,13 +104,19 @@ class Series:
     retained index, so there are exactly N + 1 coefficients. Every stored
     coefficient is a finite float; constructing a series from NaN,
     infinity, text or anything else that is not a number raises
-    :class:`~dtmseries.errors.InvalidArgumentError`.
+    :class:`~dtmseries.errors.InvalidArgumentError`, as does a
+    ``coeffs`` that is not iterable.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = list(coeffs)
+        try:
+            cs = list(coeffs)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"series coefficients must be an iterable of numbers, got {coeffs!r}"
+            ) from None
         if not cs:
             raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
         try:
@@ -175,7 +189,7 @@ def monomial(m: int, order: int) -> Series:
 
 
 def _require_same_order(a: Series, b: Series, op: str) -> None:
-    if a.order != b.order:
+    if _series(a, op).order != _series(b, op).order:
         raise OrderMismatchError(
             f"{op} requires equal truncation orders, got {a.order} and {b.order}; "
             "align orders explicitly first"
@@ -196,7 +210,7 @@ def sub(a: Series, b: Series) -> Series:
 
 def scale(factor: float, a: Series) -> Series:
     """Scalar multiple: W(k) = factor * Y(k)."""
-    return collect(factor * c for c in a.coeffs)
+    return collect(factor * c for c in _series(a, "scale").coeffs)
 
 
 def collect(values: Iterable[float]) -> Series:
@@ -275,7 +289,7 @@ def derivative_transform(a: Series, m: int) -> Series:
     """
     if _int(m, "derivative order") < 0:
         raise InvalidArgumentError("derivative order must be non-negative")
-    if m > a.order:
+    if m > _series(a, "derivative_transform").order:
         raise OrderMismatchError(
             f"derivative order {m} exceeds series order {a.order}"
         )
@@ -286,11 +300,24 @@ def derivative_transform(a: Series, m: int) -> Series:
 
 
 def evaluate(a: Series, x: float) -> float:
-    """Horner evaluation of the truncated series at x."""
+    """Horner evaluation of the truncated series at x.
+
+    Raises :class:`~dtmseries.errors.InvalidArgumentError` when ``a`` is
+    not a Series or x is not a finite number, and
+    :class:`~dtmseries.errors.DomainError` naming x when the value
+    overflows. The checks run only after the loop fails or its value is
+    not finite, so a finite value costs one ``isfinite``.
+    """
     r = 0.0
-    for c in reversed(a.coeffs):
-        r = r * x + c
-    return r
+    try:
+        for c in reversed(a.coeffs):
+            r = r * x + c
+        if math.isfinite(r):  # a complex x raises TypeError here
+            return r
+    except (AttributeError, TypeError, OverflowError):
+        _series(a, "evaluate")
+    _finite_float(x, "x")
+    raise DomainError(f"the series value at x={x!r} overflows")
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +370,9 @@ def _coeffs_from_csv(text: str) -> list[float]:
 
 
 def load_series(text: str) -> Series:
-    """Parse a series from its file format (JSON object or CSV lines)."""
+    """Parse a series from its file format (JSON object or CSV lines), a str."""
+    if not isinstance(text, str):
+        raise InvalidArgumentError(f"series text must be a str, got {type(text).__name__}")
     stripped = text.lstrip()
     if not stripped:  # else, as line separators are whitespace, a line is not blank
         raise SeriesFormatError("empty series input")
@@ -363,4 +392,4 @@ def load_series(text: str) -> Series:
 
 def format_series(a: Series) -> str:
     """The JSON file format as a string; floats print shortest round-trip."""
-    return json.dumps({"order": a.order, "coeffs": list(a.coeffs)})
+    return json.dumps({"order": _series(a, "format_series").order, "coeffs": list(a.coeffs)})

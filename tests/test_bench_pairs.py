@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,6 +38,24 @@ def test_unknown_workload_is_rejected_before_any_run(tmp_path, monkeypatch, caps
     assert bench_pairs.main() == 2
     assert "no workload 'nope'" in capsys.readouterr().err
     assert not (tmp_path / ".benchmarks").exists()
+
+
+def test_existing_output_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text('WORKLOADS = ("bratu", "solve")\n')
+    spec = {"run_seconds": 1, "end_to_end": [], "workloads": [{"name": "solve"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    (tmp_path / ".benchmarks").mkdir()
+    out = tmp_path / ".benchmarks" / "BENCH_7.json"
+    out.write_text("{}\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "bench", lambda *a: pytest.fail("a pair ran"))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--pr", "7", "--parent", "HEAD",
+                                      "--seeds", "1-2"])
+    assert bench_pairs.main() == 2
+    assert f"{out} exists" in capsys.readouterr().err
+    assert out.read_text() == "{}\n"
 
 
 def _metric(parent, change, better="higher", bound=0.24):

@@ -126,6 +126,24 @@ class TestBoundaryResidual:
         assert crossed
 
 
+def _grid_brackets(lam, order):
+    """Oracle: every zero or sign change of the residual on the whole gamma
+    grid, in ascending order; the lower branch owns the first, the upper
+    branch the last."""
+    plan = bratu_plan(lam, order)
+    step = bratu_module.GAMMA_STEP
+    steps = int(round(bratu_module.GAMMA_MAX / step))
+    gammas = [i * step for i in range(steps + 1)]
+    residuals = [boundary_residual(run(plan, (0.0, g))) for g in gammas]
+    brackets = []
+    for i, r in enumerate(residuals):
+        if r == 0.0:
+            brackets.append((gammas[i], gammas[i]))
+        elif i < steps and r * residuals[i + 1] < 0.0:
+            brackets.append((gammas[i], gammas[i + 1]))
+    return brackets
+
+
 class TestShooting:
     def test_lower_branch_converges(self):
         sol = shoot(1.0, 30, "lower")
@@ -199,7 +217,7 @@ class TestShooting:
             for i in range(21):
                 sol = shoot(0.05 + (top - 0.05) * i / 20, order, "lower")
                 assert abs(sol.residual) <= 1e-12
-        assert len(calls) == 307
+        assert len(calls) == 243
 
     def test_one_run_per_trial(self, monkeypatch):
         # The accepted gamma's series is the run its trial already made.
@@ -224,21 +242,9 @@ class TestShooting:
     @pytest.mark.parametrize("order", [10, 30])
     @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0, 3.0])
     def test_gamma_inside_full_scan_bracket(self, lam, order, branch):
-        # Oracle: residuals on the whole gamma grid; the lower branch owns
-        # the first zero or sign change, the upper branch the last. At
-        # N = 30 the upper bracket for lambda >= 1 holds no root (the
+        # At N = 30 the upper bracket for lambda >= 1 holds no root (the
         # series diverges at x = 1), so those cases raise.
-        plan = bratu_plan(lam, order)
-        step = bratu_module.GAMMA_STEP
-        steps = int(round(bratu_module.GAMMA_MAX / step))
-        gammas = [i * step for i in range(steps + 1)]
-        residuals = [boundary_residual(run(plan, (0.0, g))) for g in gammas]
-        brackets = []
-        for i, r in enumerate(residuals):
-            if r == 0.0:
-                brackets.append((gammas[i], gammas[i]))
-            elif i < steps and r * residuals[i + 1] < 0.0:
-                brackets.append((gammas[i], gammas[i + 1]))
+        brackets = _grid_brackets(lam, order)
         if not brackets:
             with pytest.raises(BranchNotFoundError):
                 shoot(lam, order, branch)
@@ -249,6 +255,14 @@ class TestShooting:
             return
         lo, hi = brackets[0] if branch == "lower" else brackets[-1]
         assert lo <= shoot(lam, order, branch).gamma <= hi
+
+    @pytest.mark.parametrize("lam, order", [(1.75, 30), (1.0, 60), (2.0, 60), (2.4, 60),
+                                            (3.0, 60)])
+    def test_lower_gamma_inside_first_grid_bracket(self, lam, order):
+        # 1.75 at N = 30 and 2.4 at N = 60 top the benchmark's lambda
+        # ranges, where the continuation walk takes its longest steps.
+        lo, hi = _grid_brackets(lam, order)[0]
+        assert lo <= shoot(lam, order, "lower").gamma <= hi
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -458,6 +472,70 @@ class TestScan:
         calls.clear()
         assert bratu_module._regula_falsi(f, *bracket, bratu_module.RESIDUAL_TOL) == (zero, 0.0)
         assert calls == []
+
+
+class TestClimb:
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return f(t)
+
+        return g, calls
+
+    @pytest.mark.parametrize("root", [0.6, 1.9, 7.3])
+    def test_linear_residual_in_three_evaluations(self, root):
+        f, calls = self.counted(lambda g: 0.8 * (g - root))
+        a, fa, b, fb = bratu_module._climb(f)
+        assert (a, fa) == (b, fb) and abs(fb) <= bratu_module.RESIDUAL_TOL
+        assert abs(b - root) <= 1e-12
+        assert calls[:2] == [0.0, bratu_module.GAMMA_STEP] and len(calls) == 3
+
+    def test_inverse_quadratic_beyond_gamma_max_takes_the_secant(self):
+        # Through (0, -1), (0.25, -0.5) and (0.5, -0.497) the inverse
+        # quadratic's root is 82.8, past GAMMA_MAX; the secant root of the
+        # last two, 41.92, is the root of the line beyond 0.25.
+        def f(g):
+            return -1.0 + 2.0 * g if g <= 0.25 else -0.5 + 0.012 * (g - 0.25)
+
+        walk, calls = self.counted(f)
+        a, fa, b, fb = bratu_module._climb(walk)
+        assert (a, fa) == (b, fb) and abs(b - (0.25 + 0.5 / 0.012)) <= 1e-12
+        assert calls[:3] == [0.0, 0.25, 0.5] and len(calls) == 4
+
+    def test_residual_turning_down_falls_back_to_the_grid(self):
+        # The secant from (0, -1) and (0.25, -0.5) tries 0.5; f(0.5) = -0.75
+        # turns both the inverse quadratic and the secant below 0.5.
+        def f(g):
+            if g <= 0.25:
+                return -1.0 + 2.0 * g
+            if g <= 1.0:
+                return -0.25 - g
+            return -1.25 + 3.0 * (g - 1.0)
+
+        walk, calls = self.counted(f)
+        assert bratu_module._climb(walk) == bratu_module._scan(f, "lower") == (
+            1.25, -0.5, 1.5, 0.25)
+        assert calls[:3] == [0.0, 0.25, 0.5] and calls[3:] == [0.25 * i for i in range(7)]
+
+    def test_overflow_beyond_the_grid_bracket_falls_back(self):
+        # The secant from 0 and 0.25 jumps to 11.2, past the root at 0.888,
+        # where the run overflows; the grid walk never goes beyond 1.
+        def f(g):
+            if g > 1.0:
+                raise NonFiniteCoefficientError(7)
+            return g ** 3 - 0.7
+
+        walk, calls = self.counted(f)
+        assert bratu_module._climb(walk) == (0.75, f(0.75), 1.0, f(1.0))
+        assert calls[2] > 1.0 and calls[3:] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_zero_at_the_start_is_returned_at_once(self):
+        f, calls = self.counted(lambda g: g)
+        assert bratu_module._climb(f) == (0.0, 0.0, 0.0, 0.0)
+        assert calls == [0.0]
 
 
 class TestRegulaFalsi:

@@ -1,6 +1,7 @@
 """Argument checks: every library check raises one typed error."""
 
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from dtmseries import errors
 from dtmseries import (
     Const,
     Deriv,
+    DomainError,
     DtmError,
     Equation,
     InvalidArgumentError,
@@ -18,12 +20,19 @@ from dtmseries import (
     U,
     XPow,
     analytic_theta_roots,
+    analytic_u,
+    boundary_residual,
     bratu_coeffs,
     bratu_plan,
     compare,
     derivative_transform,
+    evaluate,
+    exp_series,
+    format_series,
+    load_series,
     lower,
     monomial,
+    mul,
     parse,
     pow_int,
     pow_naive,
@@ -86,6 +95,24 @@ CHECKS = {
     "const_bytearray": lambda: Equation(1, Const(bytearray(b"1"))),
     "scale_str": lambda: Equation(1, Scale("2", U())),
     "run_str": lambda: run(PLAN, ["1.0", "2.0"]),
+    "evaluate_str": lambda: evaluate(Series([1.0, 2.0]), "1"),
+    "evaluate_none": lambda: evaluate(Series([1.0, 2.0]), None),
+    "evaluate_inf": lambda: evaluate(Series([1.0, 2.0]), math.inf),
+    "analytic_u_none": lambda: analytic_u(None, 0.5),
+    "analytic_u_inf": lambda: analytic_u(math.inf, 0.5),
+    # Arguments of the wrong kind: not a str, a sequence or a Series.
+    "load_series_none": lambda: load_series(None),
+    "parse_none": lambda: parse(None),
+    "parse_bytes": lambda: parse(b"D(u,1) = u"),
+    "series_int": lambda: Series(5),
+    "series_of_none": lambda: Series(None),
+    "run_float": lambda: run(PLAN, 1.0),
+    "mul_list": lambda: mul([1.0, 2.0], S),
+    "exp_series_list": lambda: exp_series([1.0, 2.0]),
+    "format_series_list": lambda: format_series([1.0, 2.0]),
+    "derivative_list": lambda: derivative_transform([1.0, 2.0], 1),
+    "boundary_residual_list": lambda: boundary_residual([1.0, 2.0]),
+    "pow_int_list": lambda: pow_int([1.0, 2.0], 1),
 }
 
 
@@ -95,6 +122,16 @@ def test_argument_check_raises_typed_error(call):
         call()
     assert isinstance(err.value, DtmError)
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda: evaluate(Series([1e300, 1e300]), 1e300), "x=1e+300"),
+    (lambda: analytic_u(3000.0, 0.5), "theta=3000.0, x=0.5"),
+], ids=["evaluate", "analytic_u"])
+def test_finite_arguments_whose_value_overflows_raise_a_domain_error(call, where):
+    with pytest.raises(DomainError, match=re.escape(where)) as err:
+        call()
+    assert err.value.exit_code == 3
 
 
 # Orders, powers and exponents must be ints, not floats or bools.

@@ -21,6 +21,7 @@ from dtmseries import (
     EquationSyntaxError,
     Exp,
     ImplicitFormError,
+    InvalidArgumentError,
     Mul,
     NonFiniteCoefficientError,
     OpCount,
@@ -47,7 +48,7 @@ from dtmseries import (
     powers,
     run,
 )
-from util import divide, relgap, slot_series
+from util import divide, program, relgap, slot_series
 
 
 class TestParseGolden:
@@ -538,14 +539,14 @@ def _hex(series):
 
 
 def _kinds(plan):
-    return [kind for kind, _, _ in plan.equation._program]
+    return [kind for kind, _, _ in program(plan.equation)]
 
 
 def _cauchy_products_of_x(plan):
     # The "mul" and "sq" slots that read an x^p slot.
-    program = plan.equation._program
-    return [(kind, args) for kind, _, args in program
-            if kind in ("mul", "sq") and any(program[i][0] == "xpow" for i in args)]
+    slots = program(plan.equation)
+    return [(kind, args) for kind, _, args in slots
+            if kind in ("mul", "sq") and any(slots[i][0] == "xpow" for i in args)]
 
 
 class TestSharedSlots:
@@ -564,10 +565,10 @@ class TestSharedSlots:
     def test_signed_zeros_get_separate_slots(self, rhs):
         # The dataclasses compare -0.0 equal to 0.0; the slots must not.
         assert rhs.left == rhs.right
-        program = lower(Equation(1, rhs), 3).equation._program
-        kind, _, (left, right) = program[-1]
+        slots = program(lower(Equation(1, rhs), 3).equation)
+        kind, _, (left, right) = slots[-1]
         assert kind == "add" and left != right
-        assert [program[i][1].hex() for i in (left, right)] == ["-0x0.0p+0", "0x0.0p+0"]
+        assert [slots[i][1].hex() for i in (left, right)] == ["-0x0.0p+0", "0x0.0p+0"]
 
     def test_signed_zero_literals_make_unequal_equations_and_plans(self):
         # The two run to different bits from (1.0,): U(1) is -0.0 and 0.0.
@@ -1014,7 +1015,9 @@ class TestParseCache:
         ("D(u,1) = (u", EquationSyntaxError, 11),
         ("D(u,1) = 1e200*1e200*u", EquationSyntaxError, 14),
         ("D(u,2) = D(u,3)", ImplicitFormError, None),
-    ], ids=["operator", "paren", "literal-product", "implicit"])
+        (None, InvalidArgumentError, None),
+        (b"D(u,1) = u", InvalidArgumentError, None),
+    ], ids=["operator", "paren", "literal-product", "implicit", "none", "bytes"])
     def test_a_bad_text_raises_on_every_call(self, text, error, position):
         before = parse.cache_info()
         raised = []

@@ -43,6 +43,15 @@ def oracle_series_valuation(rng: random.Random, order: int = 32) -> Series:
     )
 
 
+def program(equation) -> list[tuple]:
+    """``equation``'s slots (kind, param, args), its shape with its float
+    literals put back: the next literal is the param of each "const" and
+    "scale" slot, in slot order."""
+    literals = iter(equation._literals)
+    return [(kind, next(literals) if kind in ("const", "scale") else p, args)
+            for kind, p, args in equation._shape[1]]
+
+
 def slot_series(equation, sol: Series) -> list[Series]:
     """Every slot of ``equation``'s program as a whole series of order N - m.
 
@@ -58,7 +67,7 @@ def slot_series(equation, sol: Series) -> list[Series]:
     m = equation.lhs_order
     n = sol.order - m
     slots: list[Series] = []
-    for kind, p, args in equation._program:
+    for kind, p, args in program(equation):
         a = [slots[i] for i in args]
         if kind == "u":
             s = Series(sol.coeffs[:n + 1])

@@ -24,7 +24,8 @@ in ``BENCHMARK.json``. A third, ``unresolved``, marks a metric whose
 parent runs spread wider than the bound allows (q3 - q1 above ``bound``
 times the parent's median), unless every change run is better than every
 parent run: there, neither verdict tells a change from the spread. It is
-written to ``.benchmarks/BENCH_<pr>.json``.
+written to ``.benchmarks/BENCH_<pr>.json``; if that file already exists,
+the script refuses to run, before the first pair.
 """
 
 from __future__ import annotations
@@ -141,11 +142,14 @@ def main() -> int:
         print(f"error: bench/run.py has no workload {', '.join(map(repr, unknown))}",
               file=sys.stderr)
         return 2
+    out = ROOT / ".benchmarks" / f"BENCH_{args.pr}.json"
+    if out.exists():
+        print(f"error: {out} exists; move it away to run the pairs again", file=sys.stderr)
+        return 2
     if subprocess.run(["git", "diff", "--quiet", args.parent, "--", "bench"], cwd=ROOT).returncode:
         print(f"error: bench/ differs from {args.parent}; pairs need the same benchmark",
               file=sys.stderr)
         return 2
-    out = ROOT / ".benchmarks" / f"BENCH_{args.pr}.json"
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
