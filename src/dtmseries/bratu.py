@@ -24,9 +24,9 @@ First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 gamma is fixed by the x = 1 boundary: the truncated residual
 sum_{k=0}^{N} U(k) is driven to zero by shooting. A walk finds the
 branch's first sign change: the lower branch's climbs from gamma = 0 by
-inverse quadratic interpolation, falling back to the gamma grid where it
-cannot step upward, and the upper branch's walks the grid down from its
-top. A bracketed secant (Pegasus regula falsi) then refines the bracket.
+inverse quadratic interpolation, and the upper branch's walks the gamma
+grid down from its top. A bracketed secant (Pegasus regula falsi) then
+refines the bracket.
 The closed-form reference solution is
 
     u(x) = -2 ln[ cosh((x - 1/2) theta/2) / cosh(theta/4) ]
@@ -68,10 +68,10 @@ __all__ = [
 LAMBDA_MIN = 1e-3
 LAMBDA_MAX = 10.0
 
-#: Shooting covers gamma in [0, GAMMA_MAX]: the grid walk with step
-#: GAMMA_STEP, the lower branch's continuation from 0 and GAMMA_STEP. The
-#: upper-branch slope grows with theta, so the range is generous for
-#: lambda in [LAMBDA_MIN, LAMBDA_MAX].
+#: Shooting covers gamma in [0, GAMMA_MAX]: the upper branch's grid walk
+#: with step GAMMA_STEP, the lower branch's continuation from 0 and
+#: GAMMA_STEP. The upper-branch slope grows with theta, so the range is
+#: generous for lambda in [LAMBDA_MIN, LAMBDA_MAX].
 GAMMA_MAX = 50.0
 GAMMA_STEP = 0.25
 RESIDUAL_TOL = 1e-12
@@ -151,23 +151,16 @@ def boundary_residual(coeffs: Series) -> float:
     return evaluate(coeffs, 1.0)
 
 
-def _scan(
-    f: Callable[[float], float], branch: str
-) -> tuple[float, float, float, float] | None:
-    """The branch's first sign change of f on the gamma grid, as (a, fa, b, fb).
+def _scan(f: Callable[[float], float]) -> tuple[float, float, float, float] | None:
+    """The upper branch's first sign change of f on the gamma grid, as (a, fa, b, fb).
 
-    Walks gamma = i * GAMMA_STEP upward from 0 for the lower branch and
-    downward from GAMMA_MAX for the upper one. Stops at the first pair of
-    neighbours whose residuals have a product <= 0: one is zero, they
-    differ in sign, or their product underflows, leaving an end within
-    RESIDUAL_TOL. Returns None when the walk reaches the far end first.
-    The upper branch always takes this walk; the lower branch takes it
-    where :func:`_climb` gives up.
+    Walks gamma = i * GAMMA_STEP downward from GAMMA_MAX. Stops at the
+    first pair of neighbours whose residuals have a product <= 0: one is
+    zero, they differ in sign, or their product underflows, leaving an end
+    within RESIDUAL_TOL. Returns None when the walk reaches 0 first.
     """
-    steps = int(round(GAMMA_MAX / GAMMA_STEP))
-    walk = range(steps + 1) if branch == "lower" else range(steps, -1, -1)
     prev: tuple[float, float] | None = None
-    for i in walk:
+    for i in range(int(round(GAMMA_MAX / GAMMA_STEP)), -1, -1):
         g = i * GAMMA_STEP
         r = f(g)
         if prev is not None and prev[1] * r <= 0.0:
@@ -205,20 +198,15 @@ def _climb(f: Callable[[float], float]) -> tuple[float, float, float, float] | N
     Returns (g, f(g), g, f(g)) for the first point with |f(g)| <=
     RESIDUAL_TOL, and (a, fa, b, fb) for the first pair of consecutive
     points whose residuals have a product <= 0, as :func:`_scan` does.
-    Hands over to the grid walk, ``_scan(f, "lower")``, and returns its
-    answer or raises its error, when the next trial does not lie in (b,
-    GAMMA_MAX], b the last point, when the last two residuals are equal,
-    when a trial overflows, and after as many trials as the grid has
-    points, so a walk that crawls costs at most the grid walk again.
+    Returns None when the next trial does not lie in (b, GAMMA_MAX], b the
+    last point, when the last two residuals are equal, and after as many
+    trials as the grid has points. A trial that overflows raises its error.
     """
     gs: list[float] = []
     rs: list[float] = []
     g = 0.0
     for _ in range(int(round(GAMMA_MAX / GAMMA_STEP)) + 1):
-        try:
-            r = f(g)
-        except (NonFiniteCoefficientError, DomainError):  # a run or its value overflows
-            break
+        r = f(g)
         if abs(r) <= RESIDUAL_TOL:
             return g, r, g, r
         if rs and rs[-1] * r <= 0.0:
@@ -228,10 +216,10 @@ def _climb(f: Callable[[float], float]) -> tuple[float, float, float, float] | N
         try:
             g = _next_gamma(gs, rs) if len(gs) > 1 else GAMMA_STEP
         except ZeroDivisionError:
-            break
+            return None
         if not gs[-1] < g <= GAMMA_MAX:
-            break
-    return _scan(f, "lower")
+            return None
+    return None
 
 
 def _regula_falsi(
@@ -292,19 +280,18 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     change of the residual (or zero): the lower branch takes the
     smallest-gamma root, the upper branch the largest. The lower branch
     climbs from gamma = 0 by :func:`_climb`, a continuation by inverse
-    quadratic interpolation that hands over to the grid walk of
-    :func:`_scan` where it cannot step upward or a trial overflows; the
-    upper branch walks the grid (step GAMMA_STEP) down from GAMMA_MAX. A
-    bracketed secant (Pegasus regula falsi, :func:`_regula_falsi`) then
-    refines the bracket to |residual| <= RESIDUAL_TOL. Raises
-    :class:`InvalidArgumentError` for a branch, order or lambda (outside
-    [LAMBDA_MIN, LAMBDA_MAX]) it does not support,
-    :class:`BranchNotFoundError` when no sign change exists, e.g. for
-    lambda beyond the critical value, or when the refinement stops with no
-    gamma whose |residual| is within RESIDUAL_TOL (a truncated series that
-    does not converge at x = 1 can change sign across a pole rather than a
-    root), and :class:`NonFiniteCoefficientError` (or :class:`DomainError`,
-    when the residual itself overflows) when a gamma the grid walk visits
+    quadratic interpolation; the upper branch walks the grid (step
+    GAMMA_STEP) down from GAMMA_MAX by :func:`_scan`. A bracketed secant
+    (Pegasus regula falsi, :func:`_regula_falsi`) then refines the bracket
+    to |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for
+    a branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does
+    not support, :class:`BranchNotFoundError` when the walk finds no sign
+    change, e.g. for lambda beyond the critical value or where the climb
+    cannot step upward, or when the refinement stops with no gamma whose
+    |residual| is within RESIDUAL_TOL (a truncated series that does not
+    converge at x = 1 can change sign across a pole rather than a root),
+    and :class:`NonFiniteCoefficientError` (or :class:`DomainError`, when
+    the residual itself overflows) when a gamma either walk tries
     overflows.
     """
     _require_branch(branch)
@@ -316,11 +303,11 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
         runs[g] = coeffs = run(plan, (0.0, g))
         return boundary_residual(coeffs)
 
-    bracket = _climb(trial) if branch == "lower" else _scan(trial, branch)
+    bracket = _climb(trial) if branch == "lower" else _scan(trial)
     if bracket is None:
         raise BranchNotFoundError(
-            f"no sign change found: boundary residual never crosses zero for "
-            f"gamma in [0, {GAMMA_MAX:g}] at lambda={lam!r}, order={order}"
+            f"no sign change found on the {branch} branch: the boundary residual "
+            f"crosses zero at no gamma its walk tried, at lambda={lam!r}, order={order}"
         )
     gamma, residual = _regula_falsi(trial, *bracket, RESIDUAL_TOL)
     if not abs(residual) <= RESIDUAL_TOL:

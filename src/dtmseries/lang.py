@@ -517,17 +517,22 @@ class _Parser:
         return -value if kind == "-" else value
 
 
-@functools.lru_cache(maxsize=128)
 def parse(text: str) -> Equation:
     """Parse the equation text into an :class:`Equation` AST.
 
     The last 128 texts parsed are remembered, so a repeated text returns
     the same immutable :class:`Equation` without being parsed again. An
     error is not remembered: a bad text raises afresh on every call. A
-    text that is not a str raises :class:`InvalidArgumentError`.
+    text that is not a str, hashable or not, raises
+    :class:`InvalidArgumentError` before the cache sees it.
     """
     if not isinstance(text, str):
         raise InvalidArgumentError(f"equation text must be a str, got {type(text).__name__}")
+    return _parse_text(text)
+
+
+@functools.lru_cache(maxsize=128)
+def _parse_text(text: str) -> Equation:
     return _Parser(_tokenize(text)).parse_equation()
 
 

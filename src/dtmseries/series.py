@@ -209,7 +209,12 @@ def sub(a: Series, b: Series) -> Series:
 
 
 def scale(factor: float, a: Series) -> Series:
-    """Scalar multiple: W(k) = factor * Y(k)."""
+    """Scalar multiple: W(k) = factor * Y(k).
+
+    Raises :class:`~dtmseries.errors.InvalidArgumentError` for a factor
+    that is not a finite number.
+    """
+    factor = _finite_float(factor, "factor")
     return collect(factor * c for c in _series(a, "scale").coeffs)
 
 

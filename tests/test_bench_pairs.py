@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -125,3 +126,59 @@ def test_a_change_better_in_every_run_is_resolved_whatever_the_spread():
     assert _metric(BIMODAL, [21.9] * 10, better="lower", bound=0.05)["unresolved"] is False
     assert _metric(BIMODAL, [24.1] * 10, better="higher", bound=0.05)["unresolved"] is False
     assert _metric(BIMODAL, [24.0] * 10, better="higher", bound=0.05)["unresolved"] is True
+
+
+def _traced_stdout(defect_lines):
+    # The shape of a traced ``bench/run.py --workload bratu`` run's stdout.
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {
+        "bratu.residual_evals": {"value": 80, "unit": "count"},
+        "bratu.shoot.ms": {"value": 0.08, "unit": "ms"},
+        "defects.failing": {"value": len(defect_lines), "unit": "count"}}}
+    return "\n".join([
+        "# dtmseries benchmark: workload=bratu seed=3 python=3.11.7 nproc=2 cpu='Xeon'",
+        "#   attempted=4 failed=0 fail_frac=0.0000",
+        f"# known defects (run once, untimed, not in attempted/failed): "
+        f"{len(defect_lines)} of 4 ops still fail",
+        *defect_lines,
+        "# correct=True",
+        json.dumps(result),
+    ]) + "\n"
+
+
+UPPER = "#   defect op bratu(0.5, 30, 'upper') status=typed exit 4: error: no root within tolerance"
+LOWER_30 = "#   defect op bratu(3.5, 30, 'lower') status=wrong gamma 2.45886, exact 3.70397"
+LOWER_60 = "#   defect op bratu(3.5, 60, 'lower') status=wrong gamma 2.51664, exact 3.70397"
+SOLVE = "#   defect op solve(3, 80) status=typed exit 3: error: status=x in the detail"
+
+
+def test_defect_statuses_are_read_from_the_defect_op_lines():
+    failed = "#   failed op bratu(1.0, 30, 'lower') status=wrong gamma 1.1, exact 1.2\n"
+    stdout = _traced_stdout([UPPER, LOWER_30, SOLVE]) + failed
+    assert _bench_pairs().defect_statuses(stdout) == {
+        "bratu(0.5, 30, 'upper')": "typed",
+        "bratu(3.5, 30, 'lower')": "wrong",
+        "solve(3, 80)": "typed",
+    }
+
+
+def test_traced_lists_the_defect_ops_whose_status_moves(monkeypatch):
+    bench_pairs = _bench_pairs()
+    changed_30 = LOWER_30.replace("status=wrong gamma 2.45886, exact 3.70397",
+                                  "status=typed exit 4: error: no sign change found")
+    stdout = {"parent": _traced_stdout([UPPER, LOWER_30, LOWER_60]),
+              "change": _traced_stdout([UPPER, changed_30])}
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout[cwd.name], stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    roots = {side: Path(side) for side in bench_pairs.SIDES}
+    traced = bench_pairs.traced(roots, "bratu")
+    assert traced["defects"] == {
+        "parent": {"bratu(0.5, 30, 'upper')": "typed", "bratu(3.5, 30, 'lower')": "wrong",
+                   "bratu(3.5, 60, 'lower')": "wrong"},
+        "change": {"bratu(0.5, 30, 'upper')": "typed", "bratu(3.5, 30, 'lower')": "typed"},
+    }
+    assert traced["defects_differ"] == ["bratu(3.5, 30, 'lower')", "bratu(3.5, 60, 'lower')"]
+    assert traced["differs"] == ["defects.failing"]
+    assert traced["parent"] == {"bratu.residual_evals": 80, "defects.failing": 3}

@@ -185,8 +185,17 @@ class TestShooting:
     def test_no_sign_change(self):
         # Above critical lambda at low order the truncated residual stays
         # negative across the whole scan range.
-        with pytest.raises(BranchNotFoundError, match="no sign change"):
+        with pytest.raises(BranchNotFoundError, match="no sign change found on the lower branch"):
             shoot(4.0, 4, "lower")
+
+    # No solution exists above the fold lambda_c = 3.5138, yet the truncated
+    # residual has a root there that the climb finds and refines to a tiny
+    # residual: 2.4197 at (4.0, 30). The fix is ROADMAP item 1's tail bound.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("lam, order", [(4.0, 30), (10.0, 10), (3.6, 60)])
+    def test_no_solution_above_the_fold(self, lam, order):
+        with pytest.raises(BranchNotFoundError):
+            shoot(lam, order, "lower")
 
     def test_evaluation_budget(self, monkeypatch):
         calls = []
@@ -452,26 +461,36 @@ class TestScan:
         # -1e-200 * 1e-200 underflows to -0.0: still a bracket, one end of
         # which lies within RESIDUAL_TOL.
         def f(g):
-            return -1e-200 if g == 0 else 1e-200
+            return 1e-200 if g == bratu_module.GAMMA_MAX else -1e-200
 
-        assert bratu_module._scan(f, "lower") == (0.0, -1e-200, 0.25, 1e-200)
+        assert bratu_module._scan(f) == (50.0, 1e-200, 49.75, -1e-200)
 
-    @pytest.mark.parametrize("branch, zero, bracket", [
-        ("lower", 0.0, (0.0, 0.0, 0.25, 0.25)),
-        ("lower", 1.0, (0.75, -0.25, 1.0, 0.0)),
-        ("upper", 50.0, (50.0, 0.0, 49.75, -0.25)),
+    @pytest.mark.parametrize("zero, bracket", [
+        (50.0, (50.0, 0.0, 49.75, -0.25)),
+        (1.0, (1.25, 0.25, 1.0, 0.0)),
+        (0.0, (0.25, 0.25, 0.0, 0.0)),
     ])
-    def test_grid_zero_is_an_end_that_refining_returns_at_once(self, branch, zero, bracket):
+    def test_grid_zero_is_an_end_that_refining_returns_at_once(self, zero, bracket):
         calls = []
 
         def f(g):
             calls.append(g)
             return g - zero
 
-        assert bratu_module._scan(f, branch) == bracket
+        assert bratu_module._scan(f) == bracket
         calls.clear()
         assert bratu_module._regula_falsi(f, *bracket, bratu_module.RESIDUAL_TOL) == (zero, 0.0)
         assert calls == []
+
+    def test_no_sign_change_walks_the_whole_grid(self):
+        calls = []
+
+        def f(g):
+            calls.append(g)
+            return -1.0 - g
+
+        assert bratu_module._scan(f) is None
+        assert calls == [0.25 * i for i in range(200, -1, -1)]
 
 
 class TestClimb:
@@ -505,9 +524,10 @@ class TestClimb:
         assert (a, fa) == (b, fb) and abs(b - (0.25 + 0.5 / 0.012)) <= 1e-12
         assert calls[:3] == [0.0, 0.25, 0.5] and len(calls) == 4
 
-    def test_residual_turning_down_falls_back_to_the_grid(self):
+    def test_residual_turning_down_stops(self):
         # The secant from (0, -1) and (0.25, -0.5) tries 0.5; f(0.5) = -0.75
-        # turns both the inverse quadratic and the secant below 0.5.
+        # turns both the inverse quadratic and the secant below 0.5. The
+        # sign change at 1.33 is left unfound.
         def f(g):
             if g <= 0.25:
                 return -1.0 + 2.0 * g
@@ -516,21 +536,26 @@ class TestClimb:
             return -1.25 + 3.0 * (g - 1.0)
 
         walk, calls = self.counted(f)
-        assert bratu_module._climb(walk) == bratu_module._scan(f, "lower") == (
-            1.25, -0.5, 1.5, 0.25)
-        assert calls[:3] == [0.0, 0.25, 0.5] and calls[3:] == [0.25 * i for i in range(7)]
+        assert bratu_module._climb(walk) is None
+        assert calls == [0.0, 0.25, 0.5]
 
-    def test_overflow_beyond_the_grid_bracket_falls_back(self):
+    def test_equal_residuals_stop(self):
+        walk, calls = self.counted(lambda g: -1.0)
+        assert bratu_module._climb(walk) is None
+        assert calls == [0.0, 0.25]
+
+    def test_overflowing_trial_raises(self):
         # The secant from 0 and 0.25 jumps to 11.2, past the root at 0.888,
-        # where the run overflows; the grid walk never goes beyond 1.
+        # where the run overflows.
         def f(g):
             if g > 1.0:
                 raise NonFiniteCoefficientError(7)
             return g ** 3 - 0.7
 
         walk, calls = self.counted(f)
-        assert bratu_module._climb(walk) == (0.75, f(0.75), 1.0, f(1.0))
-        assert calls[2] > 1.0 and calls[3:] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        with pytest.raises(NonFiniteCoefficientError):
+            bratu_module._climb(walk)
+        assert calls[:2] == [0.0, 0.25] and len(calls) == 3 and calls[2] > 1.0
 
     def test_zero_at_the_start_is_returned_at_once(self):
         f, calls = self.counted(lambda g: g)

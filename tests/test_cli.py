@@ -440,12 +440,23 @@ class TestBratu:
         want = ["x,u_dtm,u_analytic,abs_err"] + [",".join(map(repr, row)) for row in rows]
         assert out == "\n".join(want) + "\n"
 
-    # Wrong answers with tiny residuals (ROADMAP item 1): the truncated
-    # series diverges at x = 1 (radius below 1 once lambda > 3.172 on the
-    # lower branch), or converges too slowly at N = 30, yet each of these
-    # exits 0. The fix makes each a typed error or a right answer.
+    # Past lambda = 3.172 the lower-branch series diverges at x = 1, so a
+    # root of its truncated residual is a wrong answer (max_abs_err 0.45,
+    # 0.58, 0.50 and 0.27 at these inputs). Here the climb stops before the
+    # residual changes sign, and the command exits 4.
+    @pytest.mark.parametrize("lam, order", [("3.5", "60"), ("3.5138307", "30"), ("3.3", "10"),
+                                            ("3.5", "10")])
+    def test_divergent_truncation_exits_4(self, capsys, lam, order):
+        code, out, err = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", "101",
+                                  "--branch", "lower"], capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("error: no sign change found on the lower branch")
+
+    # A wrong answer with a tiny residual (ROADMAP item 1): at N = 30 the
+    # series converges too slowly at x = 1, yet this exits 0. The fix
+    # makes it a typed error or a right answer.
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-    @pytest.mark.parametrize("lam, order", [("3.5", "60"), ("3.0", "30"), ("3.5138307", "30")])
+    @pytest.mark.parametrize("lam, order", [("3.0", "30")])
     def test_wrong_answer_with_tiny_residual(self, capsys, lam, order):
         code, _, err = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", "101",
                                 "--branch", "lower"], capsys)

@@ -37,6 +37,7 @@ from dtmseries import (
     pow_int,
     pow_naive,
     run,
+    scale,
     shoot,
     zeros,
 )
@@ -100,10 +101,15 @@ CHECKS = {
     "evaluate_inf": lambda: evaluate(Series([1.0, 2.0]), math.inf),
     "analytic_u_none": lambda: analytic_u(None, 0.5),
     "analytic_u_inf": lambda: analytic_u(math.inf, 0.5),
+    "scale_factor_str": lambda: scale("2", S),
+    "scale_factor_none": lambda: scale(None, S),
+    "scale_factor_inf": lambda: scale(math.inf, S),
     # Arguments of the wrong kind: not a str, a sequence or a Series.
     "load_series_none": lambda: load_series(None),
     "parse_none": lambda: parse(None),
     "parse_bytes": lambda: parse(b"D(u,1) = u"),
+    "parse_list": lambda: parse(["D(u,1) = u"]),
+    "parse_dict": lambda: parse({}),
     "series_int": lambda: Series(5),
     "series_of_none": lambda: Series(None),
     "run_float": lambda: run(PLAN, 1.0),

@@ -1001,14 +1001,14 @@ class TestParseCache:
         text = "D(u,2) = -1*u*exp(u) + exp(u) + 0.5*pow(u, 9)"
         cached = parse(text)
         assert parse(text) is cached
-        fresh = parse.__wrapped__(text)
+        fresh = lang._parse_text.__wrapped__(text)
         assert fresh is not cached
         assert fresh == cached and hash(fresh) == hash(cached)
         assert _same_tree(fresh.rhs, cached.rhs)
 
     def test_the_command_line_parses_through_the_cache(self):
         assert cli.parse is lang.parse
-        assert lang.parse.cache_info().maxsize == 128
+        assert lang._parse_text.cache_info().maxsize == 128
 
     @pytest.mark.parametrize("text,error,position", [
         ("D(u,1) = sin(u)", EquationSyntaxError, 9),
@@ -1017,16 +1017,21 @@ class TestParseCache:
         ("D(u,2) = D(u,3)", ImplicitFormError, None),
         (None, InvalidArgumentError, None),
         (b"D(u,1) = u", InvalidArgumentError, None),
-    ], ids=["operator", "paren", "literal-product", "implicit", "none", "bytes"])
+        (["D(u,1) = u"], InvalidArgumentError, None),
+        ({}, InvalidArgumentError, None),
+    ], ids=["operator", "paren", "literal-product", "implicit", "none", "bytes", "list",
+            "dict"])
     def test_a_bad_text_raises_on_every_call(self, text, error, position):
-        before = parse.cache_info()
+        # A text that is not a str is refused before the cache is consulted.
+        before = lang._parse_text.cache_info()
         raised = []
         for _ in range(3):
             with pytest.raises(error) as err:
                 parse(text)
             raised.append(err.value)
-        after = parse.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses + 3)
+        after = lang._parse_text.cache_info()
+        misses = 3 if isinstance(text, str) else 0
+        assert (after.hits, after.misses) == (before.hits, before.misses + misses)
         assert raised[0] is not raised[1] is not raised[2]
         assert len({str(e) for e in raised}) == 1
         assert [getattr(e, "position", None) for e in raised] == [position] * 3
@@ -1035,7 +1040,7 @@ class TestParseCache:
     def test_runs_from_a_cached_equation_are_bitwise_those_of_a_fresh_parse(self, case):
         text, initial = ORACLE_CASES[case]
         parse(text)
-        cached, fresh = parse(text), parse.__wrapped__(text)
+        cached, fresh = parse(text), lang._parse_text.__wrapped__(text)
         assert cached is parse(text) and fresh is not cached
         for n in sorted({len(initial) - 1, 10, 80}):
             if n >= len(initial) - 1:

@@ -10,7 +10,8 @@ that ``BENCHMARK.json`` sets, on the workloads it lists (each must be one
 that ``bench/run.py`` accepts). Each seed makes one pair per workload, and
 the pairs alternate which side runs first: the parent on the 1st, 3rd,
 ... pair. Every side also makes one traced run at
-seed 3, whose exact counts are compared key by key.
+seed 3, whose exact counts are compared key by key, as are the statuses
+of the known-defect ops it reports as failing.
 
 The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles (``statistics.quantiles(n=4,
@@ -45,10 +46,19 @@ SIDES = ("parent", "change")
 TRACE_SEED = 3
 TRACE_SECONDS = 3
 ENV_RE = re.compile(r"python=(\S+) nproc=(\d+) cpu='(.*)'")
+DEFECT_RE = re.compile(r"^#   defect op (.+?) status=(\S+)", re.MULTILINE)
 
 
-def bench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
-    """One ``bench/run.py`` run in ``root``: its result line and its machine."""
+def defect_statuses(stdout: str) -> dict[str, str]:
+    """``{desc: status}`` of the known-defect ops that a ``bench/run.py`` run
+    reports as still failing, from its ``#   defect op`` lines."""
+    return dict(DEFECT_RE.findall(stdout))
+
+
+def bench(root: Path, workload: str, seed: int, seconds: int,
+          trace: int) -> tuple[dict, dict, dict]:
+    """One ``bench/run.py`` run in ``root``: its result line, its machine and
+    its failing known-defect ops (:func:`defect_statuses`)."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
@@ -58,7 +68,7 @@ def bench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> tup
     lines = proc.stdout.strip().splitlines()
     env = ENV_RE.search(lines[0])
     machine = {"python": env[1], "nproc": int(env[2]), "cpu": env[3]} if env else {}
-    return json.loads(lines[-1]), machine
+    return json.loads(lines[-1]), machine, defect_statuses(proc.stdout)
 
 
 def summary(runs: list[float]) -> dict:
@@ -100,12 +110,20 @@ def compare(results: dict, end_to_end: list[dict]) -> dict:
 
 
 def traced(roots: dict, workload: str) -> dict:
-    counts = {}
+    """Each side's traced counts and known-defect statuses, and where they differ.
+
+    ``defects_differ`` lists every known-defect op whose status differs
+    between the sides or that fails on one side only.
+    """
+    counts, defects = {}, {}
     for side in SIDES:
-        result, _ = bench(roots[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
+        result, _, defects[side] = bench(roots[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
         counts[side] = {name: m["value"] for name, m in result["metrics"].items()
                         if m["unit"] == "count"}
     counts["differs"] = [k for k in counts["parent"] if counts["parent"][k] != counts["change"][k]]
+    parent, change = defects["parent"], defects["change"]
+    counts["defects"] = defects
+    counts["defects_differ"] = [d for d in {**parent, **change} if parent.get(d) != change.get(d)]
     return counts
 
 
@@ -161,7 +179,7 @@ def main() -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for w in workloads:
                 for side in order:
-                    result, machine = bench(roots[side], w, seed, seconds, 0)
+                    result, machine, _ = bench(roots[side], w, seed, seconds, 0)
                     results[w][side].append(result)
                     print(f"pair {i + 1} seed {seed} {w} {side}: " + ", ".join(
                         f"{k} {m['value']:.6g}" for k, m in result["metrics"].items()),
@@ -183,7 +201,8 @@ def main() -> int:
             "traced": {
                 "command": (f"python3 bench/run.py --workload W --seed {TRACE_SEED} "
                             f"--seconds {TRACE_SECONDS} --trace 1"),
-                "note": "exact counts over the traced batch",
+                "note": ("exact counts over the traced batch; defects: {op: status} of the "
+                         "known-defect ops each side reports as failing"),
                 **{w: traced(roots, w) for w in workloads},
             },
             "workloads": {
