@@ -101,7 +101,9 @@ from .errors import (
 )
 from . import powers
 from .powers import power_chain
-from .series import OpCount, Series, _div_exact, _finite_float, _int, mul_step, sq_step
+from .series import (
+    OpCount, Series, _div_exact, _finite_float, _int, _mul_exact, mul_step, sq_step
+)
 
 __all__ = [
     "Const",
@@ -668,6 +670,7 @@ _EXECUTOR_GLOBALS = {
     "div_exact": _div_exact,
     "exp": math.exp,
     "isfinite": math.isfinite,
+    "mul_exact": _mul_exact,
     "mul_step": mul_step,
     "perm": math.perm,
     "powers": powers,
@@ -702,11 +705,13 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     pow or a shift; u's is u itself, and an input's is its list) and
     ``r<i>`` newest first (the right operand of a product, a square's
     operand, the output of an exp or a pow), each shared by all its
-    readers. A shift by x^p is the one line ``v = (0.0 + E(k-p) if k >= p
-    else 0.0) if E(k) is finite else NaN``, which is the Cauchy
-    coefficient's value where E(k) is finite and its NaN, 0 * E(k), where
-    it is not; u needs no test, as every U(k) is checked finite before it
-    is appended. An exp keeps dY in ``d<i>``. A pow keeps m in ``m<i>``,
+    readers. A D(u,j) is perm(k + j, j) * U(k+j), the exact product
+    rounded where perm has no float, as the division by perm(k + m, m) is
+    the exact quotient rounded there. A shift by x^p is the one line ``v =
+    (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else NaN``, which
+    is the Cauchy coefficient's value where E(k) is finite and its NaN, 0 *
+    E(k), where it is not; u needs no test, as every U(k) is checked finite
+    before it is appended. An exp keeps dY in ``d<i>``. A pow keeps m in ``m<i>``,
     takes the first k with Y(k) != 0 as the valuation v, sets its start
     order ``s<i>`` = v*m and shift ``h<i>`` = v*(m-1), and from the start
     runs Miller's recurrence on ybar(j) = Y(k - h), kept in ``y<i>``;
@@ -761,7 +766,10 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
             body.append(f"{v} = ONE if k == {_int_source(p)} else ZERO")
         elif kind == "deriv":
             j = _int_source(p)
-            body.append(f"{v} = perm(k + {j}, {j}) * u[k + {j}]")
+            body += ["try:",  # multiplied exactly where perm has no float
+                     f"    {v} = perm(k + {j}, {j}) * u[k + {j}]",
+                     "except OverflowError:",
+                     f"    {v} = mul_exact(perm(k + {j}, {j}), u[k + {j}])"]
         elif kind == "add":
             body.append(f"{v} = {a} + v{args[1]}")
         elif kind == "sub":

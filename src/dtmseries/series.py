@@ -97,6 +97,15 @@ def _div_exact(x: float, n: int) -> float:
     return float(Fraction(x) / n) if x and math.isfinite(x) else x
 
 
+def _mul_exact(n: int, x: float) -> float:
+    """n * x correctly rounded where n > 0 has no float; zero x as is.
+
+    ``x`` must be finite. Raises ``OverflowError`` when the product has no
+    float either.
+    """
+    return float(n * Fraction(x)) if x else x
+
+
 class Series:
     """Immutable truncated power series about x = 0.
 
@@ -290,7 +299,10 @@ def derivative_transform(a: Series, m: int) -> Series:
     """Coefficients of the m-th derivative: W(k) = (k+1)...(k+m) * Y(k+m).
 
     The result has order N - m. The factorial ratio (k+m)!/k! is the exact
-    integer ``math.perm(k + m, m)``, so large orders do not overflow.
+    integer ``math.perm(k + m, m)``, so large orders do not overflow: where
+    it has no float, the product is the exact one rounded, and it raises
+    :class:`~dtmseries.errors.NonFiniteCoefficientError` only if that has
+    no float either.
     """
     if _int(m, "derivative order") < 0:
         raise InvalidArgumentError("derivative order must be non-negative")
@@ -301,7 +313,15 @@ def derivative_transform(a: Series, m: int) -> Series:
     if m == 0:
         return a
     cs = a.coeffs
-    return collect(math.perm(k + m, m) * cs[k + m] for k in range(a.order - m + 1))
+
+    def term(k: int) -> float:
+        n = math.perm(k + m, m)
+        try:
+            return n * cs[k + m]
+        except OverflowError:  # n has no float
+            return _mul_exact(n, cs[k + m])
+
+    return collect(map(term, range(a.order - m + 1)))
 
 
 def evaluate(a: Series, x: float) -> float:
@@ -323,6 +343,44 @@ def evaluate(a: Series, x: float) -> float:
         _series(a, "evaluate")
     _finite_float(x, "x")
     raise DomainError(f"the series value at x={x!r} overflows")
+
+
+#: Coefficients per block of :func:`_evaluate_grid`. On 101 points at
+#: orders 10 to 200 (CPython 3.11, 2-vCPU Xeon), blocks of 16 ran in
+#: 0.60-0.77 of the time of :func:`evaluate` at each point, blocks of 8 in
+#: 0.69-0.86.
+_BLOCK = 16
+
+
+def _evaluate_grid(a: Series, xs: Sequence[float]) -> list[float]:
+    """``[evaluate(a, x) for x in xs]``, bitwise, in one blocked Horner pass.
+
+    The reversed coefficients, padded on top with 0.0 to a multiple of
+    _BLOCK, are walked from the top down a block at a time: one list
+    comprehension over the points per block, its steps r * x + c written
+    out. A pad step keeps r at 0.0, the start of :func:`evaluate` (0.0 * x
+    + 0.0 is 0.0 for a finite x), so each point takes the same operations
+    in the same order as :func:`evaluate`, and each value is bitwise its
+    value, signed zeros included. For a single point the plain loop of
+    :func:`evaluate` is 2.4-4.5 times faster. ``a`` must be a Series and
+    ``xs`` finite floats; neither is checked. Raises
+    :class:`~dtmseries.errors.DomainError` naming the first x whose value
+    is not finite, as :func:`evaluate` does.
+    """
+    cs = a.coeffs
+    rev = [0.0] * (-len(cs) % _BLOCK)
+    rev += reversed(cs)
+    rs = [0.0] * len(xs)
+    for c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 in zip(
+            *[iter(rev)] * _BLOCK):
+        rs = [(((((((((((((((r * x + c0) * x + c1) * x + c2) * x + c3) * x + c4) * x + c5)
+                       * x + c6) * x + c7) * x + c8) * x + c9) * x + c10) * x + c11)
+                  * x + c12) * x + c13) * x + c14) * x + c15
+              for r, x in zip(rs, xs)]
+    if not all(map(math.isfinite, rs)):
+        x = next(x for x, r in zip(xs, rs) if not math.isfinite(r))
+        raise DomainError(f"the series value at x={x!r} overflows")
+    return rs
 
 
 # ----------------------------------------------------------------------

@@ -128,6 +128,23 @@ def test_a_change_better_in_every_run_is_resolved_whatever_the_spread():
     assert _metric(BIMODAL, [24.0] * 10, better="higher", bound=0.05)["unresolved"] is True
 
 
+def test_workload_entry_keeps_each_runs_attempted_ops_beside_the_totals():
+    def runs(attempted):
+        return [{"correct": True, "attempted": a, "failed": a // 100,
+                 "metrics": {"m": {"value": a / 30, "unit": "u"}}} for a in attempted]
+
+    results = {"parent": runs([39000, 39300, 38700]), "change": runs([42000, 41700, 42300])}
+    spec = [{"name": "m", "better": "higher", "bound": 0.24}]
+    entry = _bench_pairs().workload_entry([1, 2, 3], results, spec)
+    assert entry["attempted"] == {"parent": 117000, "change": 126000}
+    assert entry["attempted_runs"] == {"parent": [39000, 39300, 38700],
+                                       "change": [42000, 41700, 42300]}
+    assert entry["failed"] == {"parent": 1170, "change": 1260}
+    assert entry["correct"] == {"parent": True, "change": True}
+    assert (entry["seeds"], entry["pairs"]) == ([1, 2, 3], 3)
+    assert entry["metrics"]["m"]["change_better_pairs"] == 3
+
+
 def _traced_stdout(defect_lines):
     # The shape of a traced ``bench/run.py --workload bratu`` run's stdout.
     result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {

@@ -452,14 +452,23 @@ class TestBratu:
         assert code == 4 and out == ""
         assert err.startswith("error: no sign change found on the lower branch")
 
-    # A wrong answer with a tiny residual (ROADMAP item 1): at N = 30 the
-    # series converges too slowly at x = 1, yet this exits 0. The fix
-    # makes it a typed error or a right answer.
+    # Wrong answers with tiny residuals (ROADMAP item 1): the truncated
+    # series converges too slowly at x = 1 (lower, lambda = 3.0) or not at
+    # all there (lambda above 3.172, or upper), yet each exits 0, with max_abs_err 0.024, 0.58,
+    # 0.17, 0.14, 228 and 3.57 in this order. The fix makes each a typed
+    # error or a right answer.
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-    @pytest.mark.parametrize("lam, order", [("3.0", "30")])
-    def test_wrong_answer_with_tiny_residual(self, capsys, lam, order):
+    @pytest.mark.parametrize("lam, order, branch", [
+        ("3.0", "30", "lower"),
+        ("3.0", "10", "lower"),
+        ("3.3", "30", "lower"),
+        ("3.3", "60", "lower"),
+        ("2.0", "10", "upper"),
+        ("0.1", "30", "upper"),
+    ])
+    def test_wrong_answer_with_tiny_residual(self, capsys, lam, order, branch):
         code, _, err = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", "101",
-                                "--branch", "lower"], capsys)
+                                "--branch", branch], capsys)
         assert code in (3, 4) or json.loads(err)["max_abs_err"] <= 1e-6
 
     def test_lambda_range(self, capsys):

@@ -804,6 +804,19 @@ class TestNonFinite:
             run(plan, [1e10] * 171)
         assert err.value.order == 171
 
+    def test_factor_without_a_float_is_multiplied_exactly(self):
+        # U(172) = 171! U(171) / 172!: 171! has no float, yet with U(k) =
+        # 1/k! the product is about 1, and U(172) about 1/172! = 4.7e-312.
+        initial = [1 / math.factorial(k) for k in range(172)]
+        sol = run(lower(parse("D(u,172) = D(u,171)"), 175), initial)
+        root = float(math.factorial(171) * Fraction(initial[171]))
+        assert sol[172] == float(Fraction(root) / math.factorial(172))
+        assert sol[172] == pytest.approx(1 / Fraction(math.factorial(172)), rel=1e-9)
+        # A product that has no float either still overflows at its order.
+        with pytest.raises(NonFiniteCoefficientError) as err:
+            run(lower(parse("D(u,172) = D(u,171)"), 175), [1.0] * 172)
+        assert err.value.order == 172
+
 
 class TestBratuAgreement:
     def test_dsl_matches_exp_path_bitwise(self):
@@ -926,7 +939,7 @@ class TestReentrant:
 
 # (equation, initial coefficients): every slot kind, shared subtrees, pow
 # above BINARY_POW_MAX with a valuation, x^p shifts, overflow, and a
-# divisor perm(k + m, m) without a float.
+# divisor perm(k + m, m) or a factor perm(k + j, j) without a float.
 ORACLE_CASES = {
     "u": ("D(u,1) = u", (1.0,)),
     "const": ("D(u,1) = 2.5", (0.5,)),
@@ -947,6 +960,7 @@ ORACLE_CASES = {
     "overflow-mid-run": ("D(u,1) = pow(u,2)", (1e10,)),
     "overflow-shift": ("D(u,2) = x*(1e300*pow(u,2))", (1e10, 1e10)),
     "big-divisor": ("D(u,171) = u", (1.0,) * 171),
+    "big-factor": ("D(u,172) = D(u,171)", tuple(1 / math.factorial(k) for k in range(172))),
 }
 
 

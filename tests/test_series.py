@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from dtmseries import (
+    DomainError,
     InvalidArgumentError,
     NonFiniteCoefficientError,
     OpCount,
@@ -22,6 +24,7 @@ from dtmseries import (
     sub,
     zeros,
 )
+from dtmseries.series import _evaluate_grid
 
 ULP = 2.0 * 2.2204460492503131e-16
 
@@ -162,6 +165,15 @@ class TestDerivativeTransform:
         k = 200
         assert out[k] == float((k + 1) * (k + 2) * (k + 3))
 
+    def test_factor_without_a_float_is_multiplied_exactly(self):
+        # perm(k + 171, 171) has no float; with Y(k) = 1/k! each product is
+        # about 1/k!, the exact product rounded.
+        cs = [1 / math.factorial(k) for k in range(175)]
+        out = derivative_transform(Series(cs), 171)
+        assert list(out) == [float(math.perm(k + 171, 171) * Fraction(cs[k + 171]))
+                             for k in range(4)]
+        assert out[3] == pytest.approx(1 / 6, rel=1e-6)
+
 
 @pytest.mark.parametrize(
     "op,index",
@@ -190,6 +202,40 @@ class TestEvaluate:
 
     def test_monomial_square(self):
         assert evaluate(monomial(2, 4), 3.0) == 9.0
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+class TestEvaluateGrid:
+    """_evaluate_grid is evaluate at every point, bit for bit."""
+
+    XS = [-1.25, -1.0, -0.5, -1e-3, -0.0, 0.0, 1e-3, 0.3, 0.5, 1.0, 1.25]
+
+    @pytest.mark.parametrize("order", [*range(41), 200])
+    def test_bitwise_evaluate_at_every_point(self, order):
+        rng = random.Random(order)
+        mixed = [rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0))) for _ in range(order + 1)]
+        zero = [rng.choice((0.0, -0.0)) for _ in range(order + 1)]
+        for cs in (mixed, zero, [-0.0] * (order + 1)):
+            a = Series(cs)
+            assert _hexes(_evaluate_grid(a, self.XS)) == _hexes(evaluate(a, x) for x in self.XS)
+
+    def test_an_empty_grid_has_no_values(self):
+        assert _evaluate_grid(Series([1.0, 2.0]), []) == []
+
+    @pytest.mark.parametrize("xs, first", [
+        ([0.0, 1.0, 2.0, 3.0, -0.5], 2.0),
+        ([0.5, -3.0, 2.0, -0.0], -3.0),
+    ])
+    def test_an_overflow_names_the_first_x_whose_value_is_not_finite(self, xs, first):
+        a = Series([0.0, 1e308] + [0.0] * 20)
+        with pytest.raises(DomainError) as err:
+            _evaluate_grid(a, xs)
+        with pytest.raises(DomainError) as want:
+            evaluate(a, first)
+        assert str(err.value) == str(want.value) == f"the series value at x={first!r} overflows"
 
 
 class TestAlgebraicProperties:

@@ -24,7 +24,8 @@ worse than the parent's by no more than the metric's relative ``bound``
 in ``BENCHMARK.json``. A third, ``unresolved``, marks a metric whose
 parent runs spread wider than the bound allows (q3 - q1 above ``bound``
 times the parent's median), unless every change run is better than every
-parent run: there, neither verdict tells a change from the spread. It is
+parent run: there, neither verdict tells a change from the spread. Per
+workload it also holds the ops each run attempted, beside the totals. It is
 written to ``.benchmarks/BENCH_<pr>.json``; if that file already exists,
 the script refuses to run, before the first pair.
 """
@@ -107,6 +108,25 @@ def compare(results: dict, end_to_end: list[dict]) -> dict:
             "runs": {side: [round(v, 6) for v in runs[side]] for side in SIDES},
         }
     return metrics
+
+
+def workload_entry(seeds: list[int], results: dict, end_to_end: list[dict]) -> dict:
+    """One workload's entry: its totals over each side's runs, the ops each
+    run attempted, and :func:`compare`'s metrics.
+
+    A faster side attempts more ops in a run of fixed length, and the
+    benchmark's memory grows with the ops it has seen, so ``attempted_runs``
+    lets a reader tell that from the program's own memory.
+    """
+    return {
+        "seeds": seeds,
+        "pairs": len(seeds),
+        "correct": {s: all(r["correct"] for r in results[s]) for s in SIDES},
+        "attempted": {s: sum(r["attempted"] for r in results[s]) for s in SIDES},
+        "attempted_runs": {s: [r["attempted"] for r in results[s]] for s in SIDES},
+        "failed": {s: sum(r["failed"] for r in results[s]) for s in SIDES},
+        "metrics": compare(results, end_to_end),
+    }
 
 
 def traced(roots: dict, workload: str) -> dict:
@@ -205,17 +225,8 @@ def main() -> int:
                          "known-defect ops each side reports as failing"),
                 **{w: traced(roots, w) for w in workloads},
             },
-            "workloads": {
-                w: {
-                    "seeds": args.seeds,
-                    "pairs": len(args.seeds),
-                    "correct": {s: all(r["correct"] for r in results[w][s]) for s in SIDES},
-                    "attempted": {s: sum(r["attempted"] for r in results[w][s]) for s in SIDES},
-                    "failed": {s: sum(r["failed"] for r in results[w][s]) for s in SIDES},
-                    "metrics": compare(results[w], spec["end_to_end"]),
-                }
-                for w in workloads
-            },
+            "workloads": {w: workload_entry(args.seeds, results[w], spec["end_to_end"])
+                          for w in workloads},
             "machine": machine,
         }
     out.parent.mkdir(parents=True, exist_ok=True)
