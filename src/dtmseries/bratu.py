@@ -274,28 +274,27 @@ def _regula_falsi(
 def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     """Find gamma so the truncated boundary residual vanishes.
 
-    Lowers :func:`bratu_plan` once, then steps it once for every trial
-    gamma and keeps the run, so the accepted gamma's series is not run again.
-    Walks [0, GAMMA_MAX] from the branch's end and stops at the first sign
-    change of the residual (or zero): the lower branch takes the
-    smallest-gamma root, the upper branch the largest. The lower branch
-    climbs from gamma = 0 by :func:`_climb`, a continuation by inverse
-    quadratic interpolation; the upper branch walks the grid (step
-    GAMMA_STEP) down from GAMMA_MAX by :func:`_scan`. A bracketed secant
-    (Pegasus regula falsi, :func:`_regula_falsi`) then refines the bracket
-    to |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for
-    a branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does
-    not support, :class:`BranchNotFoundError` when the walk finds no sign
-    change, e.g. for lambda beyond the critical value or where the climb
-    cannot step upward, or when the refinement stops with no gamma whose
-    |residual| is within RESIDUAL_TOL (a truncated series that does not
-    converge at x = 1 can change sign across a pole rather than a root),
-    and :class:`NonFiniteCoefficientError` (or :class:`DomainError`, when
-    the residual itself overflows) when a gamma either walk tries
-    overflows.
+    Lowers :func:`bratu_plan` once and steps it once per trial gamma,
+    keeping each run, so the accepted gamma's series is not run again. The
+    branch's walk, :func:`_climb` or :func:`_scan`, stops at the residual's
+    first sign change (or zero), the smallest-gamma root for "lower" and
+    the largest for "upper"; :func:`_regula_falsi` refines it to
+    |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for a
+    branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does not
+    support; :class:`BranchNotFoundError` before any run above the fold
+    lambda_c = 3.5138..., where no theta and so no solution exists (a
+    truncated residual may still have a root there), when the walk finds
+    no sign change, or when the refinement finds no gamma within
+    RESIDUAL_TOL (a truncation that diverges at x = 1 can change sign
+    across a pole); and :class:`NonFiniteCoefficientError` (or
+    :class:`DomainError`, when the residual itself overflows) when a gamma
+    either walk tries overflows.
     """
     _require_branch(branch)
     _require_lambda(lam)
+    if _theta_peak(lam)[3] < 0.0:
+        raise BranchNotFoundError(f"no solution above the fold: the theta condition has "
+                                  f"no root at lambda={lam!r}")
     plan = bratu_plan(lam, order)
     runs: dict[float, Series] = {}
 
@@ -324,31 +323,38 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     )
 
 
-def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
-    """Roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
-
-    g(t) = t - s cosh(t/4), s = sqrt(2 lambda), is concave with g(0) < 0 and
-    its maximum at t* = 4 asinh(4/s), so it has no root if g(t*) < 0 and
-    else one on each side of t*. :func:`_regula_falsi` with tol = 0.0 solves
-    [0, t*] and, if g(e) < 0, [t*, e], where e = 4 acosh(THETA_MAX/s) bounds
-    every root up to THETA_MAX, and g(e) is about e - THETA_MAX (t* and e
-    capped at THETA_MAX). Without a branch, returns all 0, 1 or 2 roots in
-    ascending order. With one, solves only the bracket of the root that
-    :meth:`AnalyticBratu.for_branch` takes, the smallest for "lower" and
-    the largest for "upper", and returns it alone (or no root). Raises
-    :class:`InvalidArgumentError` for an unknown branch or a lambda
-    outside [LAMBDA_MIN, LAMBDA_MAX].
-    """
-    if branch is not None:
-        _require_branch(branch)
-    _require_lambda(lam)
+def _theta_peak(lam: float) -> tuple[Callable[[float], float], float, float, float]:
+    """(g, s, t*, g(t*)): the theta condition g(t) = t - s cosh(t/4), s =
+    sqrt(2 lambda), and its peak t* = 4 asinh(4/s), capped at THETA_MAX. A
+    theta, and so either branch, exists iff g(t*) >= 0: at or below the fold."""
     s = math.sqrt(2.0 * lam)
 
     def g(t: float) -> float:
         return t - s * math.cosh(t / 4.0)
 
     top = min(4.0 * math.asinh(4.0 / s), THETA_MAX)
-    g_top = g(top)
+    return g, s, top, g(top)
+
+
+def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
+    """Roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
+
+    g of :func:`_theta_peak` is concave with g(0) < 0 and its maximum at
+    t*, so it has no root if g(t*) < 0 and else one on each side of t*.
+    :func:`_regula_falsi` with tol = 0.0 solves [0, t*] and, if g(e) < 0,
+    [t*, e], where e = 4 acosh(THETA_MAX/s) bounds every root up to
+    THETA_MAX, and g(e) is about e - THETA_MAX (e capped at THETA_MAX).
+    Without a branch, returns all 0, 1 or 2 roots in ascending order. With
+    one, solves only the bracket of the root that
+    :meth:`AnalyticBratu.for_branch` takes, the smallest for "lower" and
+    the largest for "upper", and returns it alone (or no root). Raises
+    :class:`InvalidArgumentError` for an unknown branch or a lambda outside
+    [LAMBDA_MIN, LAMBDA_MAX].
+    """
+    if branch is not None:
+        _require_branch(branch)
+    _require_lambda(lam)
+    g, s, top, g_top = _theta_peak(lam)
     if g_top < 0.0:
         return []
     # A root t <= THETA_MAX has s cosh(t/4) = t <= THETA_MAX. The lower

@@ -26,6 +26,8 @@ x^k of the right-hand side, then
 
     U(k+m) = R(k) / ((k+1)(k+2)...(k+m))
 
+and the quotient, like the product of a D(u,j), is rounded once at any order.
+
 An :class:`Equation` is checked and lowered when it is built, whether
 parsed or built by hand: one bottom-up walk of the right-hand side checks
 every node and builds an immutable program of slots in topological
@@ -102,7 +104,8 @@ from .errors import (
 from . import powers
 from .powers import power_chain
 from .series import (
-    OpCount, Series, _div_exact, _finite_float, _int, _mul_exact, mul_step, sq_step
+    _FLOAT_EXACT_INT, OpCount, Series, _div_exact, _finite_float, _int, _mul_exact, mul_step,
+    sq_step,
 )
 
 __all__ = [
@@ -666,6 +669,7 @@ _EXECUTOR_GLOBALS = {
     "NAN": math.nan,
     "ONE": 1.0,
     "ZERO": 0.0,
+    "FLOAT_EXACT_INT": _FLOAT_EXACT_INT,
     "NonFiniteCoefficientError": NonFiniteCoefficientError,
     "div_exact": _div_exact,
     "exp": math.exp,
@@ -705,10 +709,10 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     pow or a shift; u's is u itself, and an input's is its list) and
     ``r<i>`` newest first (the right operand of a product, a square's
     operand, the output of an exp or a pow), each shared by all its
-    readers. A D(u,j) is perm(k + j, j) * U(k+j), the exact product
-    rounded where perm has no float, as the division by perm(k + m, m) is
-    the exact quotient rounded there. A shift by x^p is the one line ``v =
-    (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else NaN``, which
+    readers. A D(u,j) is perm(k + j, j) * U(k+j) and U(k+m) is R(k) /
+    perm(k + m, m), each one line on FLOAT_EXACT_INT that rounds once (the
+    local ``f`` or ``d`` holds the integer). A shift by x^p is the one line
+    ``v = (0.0 + E(k-p) if k >= p else 0.0) if E(k) is finite else NaN``, which
     is the Cauchy coefficient's value where E(k) is finite and its NaN, 0 *
     E(k), where it is not; u needs no test, as every U(k) is checked finite
     before it is appended. An exp keeps dY in ``d<i>``. A pow keeps m in ``m<i>``,
@@ -766,10 +770,8 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
             body.append(f"{v} = ONE if k == {_int_source(p)} else ZERO")
         elif kind == "deriv":
             j = _int_source(p)
-            body += ["try:",  # multiplied exactly where perm has no float
-                     f"    {v} = perm(k + {j}, {j}) * u[k + {j}]",
-                     "except OverflowError:",
-                     f"    {v} = mul_exact(perm(k + {j}, {j}), u[k + {j}])"]
+            body.append(f"{v} = f * u[k + {j}] if (f := perm(k + {j}, {j})) <= FLOAT_EXACT_INT"
+                        f" else mul_exact(f, u[k + {j}])")
         elif kind == "add":
             body.append(f"{v} = {a} + v{args[1]}")
         elif kind == "sub":
@@ -811,13 +813,9 @@ def _source(shape: tuple[int, tuple[_Slot, ...]]) -> str:
     lhs = _int_source(m)
     if m == 0:  # U(k) = R(k) / perm(k, 0) is R(k) exactly, -0.0 included
         body.append(f"value = {root}")
-    else:  # U(k+m) = R(k) / perm(k+m, m), divided exactly where perm has no float
-        body += [
-            "try:",
-            f"    value = {root} / (d := perm(k + {lhs}, {lhs}))",
-            "except OverflowError:",
-            f"    value = div_exact({root}, d)",
-        ]
+    else:  # U(k+m) = R(k) / perm(k+m, m)
+        body.append(f"value = {root} / d if (d := perm(k + {lhs}, {lhs})) <= FLOAT_EXACT_INT"
+                    f" else div_exact({root}, d)")
     body += [
         "if not isfinite(value):",
         f"    raise NonFiniteCoefficientError(k + {lhs})",

@@ -251,7 +251,8 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
     exact to order N. Without the constant split no finite outer sum would
     be exact when a[0] != 0. The running power atil^m is the same left fold
     of convolutions that :func:`pow_naive` performs; when ``count`` is
-    given it accumulates those convolution multiplies.
+    given it accumulates those convolution multiplies. As an oracle it is
+    outside the rule of ``series._FLOAT_EXACT_INT``: up to 170 it keeps 1/m! rounded.
     """
     n = _series(a, "exp_naive").order
     total = [0.0] * (n + 1)

@@ -92,17 +92,20 @@ def _series(value: object, what: str) -> Series:
     return value
 
 
+#: The rule for every integer factor n > 0 of the transform: up to this bound
+#: n is a float exactly, so ``n * x`` and ``x / n`` round once; above it,
+#: :func:`_mul_exact` and :func:`_div_exact` round the exact value once.
+_FLOAT_EXACT_INT = 2**53
+
+
 def _div_exact(x: float, n: int) -> float:
-    """x / n correctly rounded where n > 0 has no float; zero or non-finite x as is."""
+    """x / n rounded once, for n > _FLOAT_EXACT_INT; zero or non-finite x as is."""
     return float(Fraction(x) / n) if x and math.isfinite(x) else x
 
 
 def _mul_exact(n: int, x: float) -> float:
-    """n * x correctly rounded where n > 0 has no float; zero x as is.
-
-    ``x`` must be finite. Raises ``OverflowError`` when the product has no
-    float either.
-    """
+    """n * x rounded once, for n > _FLOAT_EXACT_INT and a finite x; zero x as
+    is. Raises ``OverflowError`` when the product has no float."""
     return float(n * Fraction(x)) if x else x
 
 
@@ -299,10 +302,10 @@ def derivative_transform(a: Series, m: int) -> Series:
     """Coefficients of the m-th derivative: W(k) = (k+1)...(k+m) * Y(k+m).
 
     The result has order N - m. The factorial ratio (k+m)!/k! is the exact
-    integer ``math.perm(k + m, m)``, so large orders do not overflow: where
-    it has no float, the product is the exact one rounded, and it raises
-    :class:`~dtmseries.errors.NonFiniteCoefficientError` only if that has
-    no float either.
+    integer ``math.perm(k + m, m)``, so large orders do not overflow: each
+    product is the exact one rounded once (``_FLOAT_EXACT_INT``), and it
+    raises :class:`~dtmseries.errors.NonFiniteCoefficientError` only if
+    that has no float.
     """
     if _int(m, "derivative order") < 0:
         raise InvalidArgumentError("derivative order must be non-negative")
@@ -312,16 +315,8 @@ def derivative_transform(a: Series, m: int) -> Series:
         )
     if m == 0:
         return a
-    cs = a.coeffs
-
-    def term(k: int) -> float:
-        n = math.perm(k + m, m)
-        try:
-            return n * cs[k + m]
-        except OverflowError:  # n has no float
-            return _mul_exact(n, cs[k + m])
-
-    return collect(map(term, range(a.order - m + 1)))
+    return collect(f * c if (f := math.perm(k + m, m)) <= _FLOAT_EXACT_INT else _mul_exact(f, c)
+                   for k, c in enumerate(a.coeffs[m:]))
 
 
 def evaluate(a: Series, x: float) -> float:

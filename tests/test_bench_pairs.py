@@ -199,3 +199,18 @@ def test_traced_lists_the_defect_ops_whose_status_moves(monkeypatch):
     assert traced["defects_differ"] == ["bratu(3.5, 30, 'lower')", "bratu(3.5, 60, 'lower')"]
     assert traced["differs"] == ["defects.failing"]
     assert traced["parent"] == {"bratu.residual_evals": 80, "defects.failing": 3}
+
+
+def test_revisions_name_the_commits_of_this_checkout():
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+    head = git("rev-parse", "--verify", "HEAD")
+    if head.returncode:
+        pytest.skip("not a git checkout with a commit")
+    revs = _bench_pairs().revisions("HEAD")
+    assert revs["parent"] == revs["head"] == head.stdout.strip()
+    assert len(revs["head"]) == 40
+    assert revs["dirty"] == bool(git("status", "--porcelain").stdout.strip())
+    with pytest.raises(subprocess.CalledProcessError):
+        _bench_pairs().revisions("no-such-revision")

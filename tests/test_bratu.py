@@ -183,19 +183,20 @@ class TestShooting:
             assert part in message
 
     def test_no_sign_change(self):
-        # Above critical lambda at low order the truncated residual stays
-        # negative across the whole scan range.
+        # Below the fold at low order the climb cannot step upward.
         with pytest.raises(BranchNotFoundError, match="no sign change found on the lower branch"):
-            shoot(4.0, 4, "lower")
+            shoot(3.5, 4, "lower")
 
-    # No solution exists above the fold lambda_c = 3.5138, yet the truncated
-    # residual has a root there that the climb finds and refines to a tiny
-    # residual: 2.4197 at (4.0, 30). The fix is ROADMAP item 1's tail bound.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-    @pytest.mark.parametrize("lam, order", [(4.0, 30), (10.0, 10), (3.6, 60)])
-    def test_no_solution_above_the_fold(self, lam, order):
-        with pytest.raises(BranchNotFoundError):
-            shoot(lam, order, "lower")
+    # No solution exists above the fold lambda_c = 3.5138, though the
+    # truncated residual can have a root there (gamma = 2.4197 at (4.0, 30),
+    # residual -4.4e-16), so shoot refuses such a lambda before any run.
+    @pytest.mark.parametrize("lam, order", [(4.0, 30), (10.0, 10), (3.6, 60),
+                                            (3.51383072, 30)])
+    def test_no_solution_above_the_fold(self, lam, order, monkeypatch):
+        monkeypatch.setattr(bratu_module, "run", lambda *a: pytest.fail("a gamma was run"))
+        for branch in ("lower", "upper"):
+            with pytest.raises(BranchNotFoundError, match=f"above the fold.*lambda={lam!r}"):
+                shoot(lam, order, branch)
 
     def test_evaluation_budget(self, monkeypatch):
         calls = []

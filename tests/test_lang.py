@@ -961,6 +961,9 @@ ORACLE_CASES = {
     "overflow-shift": ("D(u,2) = x*(1e300*pow(u,2))", (1e10, 1e10)),
     "big-divisor": ("D(u,171) = u", (1.0,) * 171),
     "big-factor": ("D(u,172) = D(u,171)", tuple(1 / math.factorial(k) for k in range(172))),
+    # Factors and divisors above 2^53 that still have a float, which rounds them.
+    "mid-factor": ("D(u,25) = D(u,20)", tuple(1 / math.factorial(k) for k in range(25))),
+    "mid-divisor": ("D(u,23) = u", tuple(1 / math.factorial(k) for k in range(23))),
 }
 
 

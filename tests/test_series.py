@@ -165,13 +165,15 @@ class TestDerivativeTransform:
         k = 200
         assert out[k] == float((k + 1) * (k + 2) * (k + 3))
 
-    def test_factor_without_a_float_is_multiplied_exactly(self):
-        # perm(k + 171, 171) has no float; with Y(k) = 1/k! each product is
-        # about 1/k!, the exact product rounded.
-        cs = [1 / math.factorial(k) for k in range(175)]
-        out = derivative_transform(Series(cs), 171)
-        assert list(out) == [float(math.perm(k + 171, 171) * Fraction(cs[k + 171]))
-                             for k in range(4)]
+    @pytest.mark.parametrize("m", [19, 25, 171])
+    def test_factor_above_2_53_is_once_rounded(self, m):
+        # perm(k + m, m) is above 2^53: a float that rounds it for m = 19
+        # and 25, none for m = 171. With Y(k) = 1/k! each product is about
+        # 1/k!, the exact product rounded once.
+        cs = [1 / math.factorial(k) for k in range(m + 20)]
+        out = derivative_transform(Series(cs), m)
+        assert list(out) == [float(math.perm(k + m, m) * Fraction(c))
+                             for k, c in enumerate(cs[m:])]
         assert out[3] == pytest.approx(1 / 6, rel=1e-6)
 
 
@@ -182,7 +184,7 @@ class TestDerivativeTransform:
         (lambda: sub(Series([0.0, -1e308]), Series([0.0, 1e308])), 1),
         (lambda: scale(1e300, Series([1.0, 1e300])), 1),
         (lambda: derivative_transform(Series([0.0, 0.0, 1.0, 1e308]), 2), 1),
-        # 200! exceeds the float range: the int-to-float product overflows.
+        # 200! exceeds the float range, and so does the exact product.
         (lambda: derivative_transform(Series([1.0] * 201), 200), 0),
     ],
     ids=["add", "sub", "scale", "derivative_transform", "derivative_factorial"],

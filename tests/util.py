@@ -93,9 +93,6 @@ def slot_series(equation, sol: Series) -> list[Series]:
 
 
 def divide(r: float, d: int) -> float:
-    """r / d as the recurrence divides: the float quotient, or the exact
-    one rounded when the integer d has no float."""
-    try:
-        return r / d
-    except OverflowError:
-        return float(Fraction(r) / d) if r and math.isfinite(r) else r
+    """r / d as the recurrence must divide by its integer d > 0: the exact
+    quotient rounded once for a finite nonzero r, else r as it is."""
+    return float(Fraction(r) / d) if r and math.isfinite(r) else r

@@ -26,8 +26,10 @@ parent runs spread wider than the bound allows (q3 - q1 above ``bound``
 times the parent's median), unless every change run is better than every
 parent run: there, neither verdict tells a change from the spread. Per
 workload it also holds the ops each run attempted, beside the totals. It is
-written to ``.benchmarks/BENCH_<pr>.json``; if that file already exists,
-the script refuses to run, before the first pair.
+written to ``.benchmarks/BENCH_<pr>.json``, with the full sha of the
+parent, the sha of HEAD, whether the working tree differs from HEAD, and
+the script's own command line; if that file already exists, the script
+refuses to run, before the first pair.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import ast
 import json
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -157,6 +160,20 @@ def known_workloads() -> tuple[str, ...]:
     raise SystemExit("error: bench/run.py defines no WORKLOADS")
 
 
+def revisions(parent: str) -> dict:
+    """The full shas of the commit ``parent`` names and of HEAD, and
+    ``dirty``: whether the working tree, untracked files included, differs
+    from HEAD. Raises ``subprocess.CalledProcessError`` for a revision that
+    names no commit."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    return {"parent": git("rev-parse", "--verify", f"{parent}^{{commit}}"),
+            "head": git("rev-parse", "--verify", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -184,12 +201,18 @@ def main() -> int:
     if out.exists():
         print(f"error: {out} exists; move it away to run the pairs again", file=sys.stderr)
         return 2
-    if subprocess.run(["git", "diff", "--quiet", args.parent, "--", "bench"], cwd=ROOT).returncode:
+    try:
+        revs = revisions(args.parent)
+    except subprocess.CalledProcessError:
+        print(f"error: {args.parent!r} names no commit", file=sys.stderr)
+        return 2
+    if subprocess.run(["git", "diff", "--quiet", revs["parent"], "--", "bench"],
+                      cwd=ROOT).returncode:
         print(f"error: bench/ differs from {args.parent}; pairs need the same benchmark",
               file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
+        archive = subprocess.run(["git", "archive", revs["parent"]], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         roots = {"parent": Path(tmp), "change": ROOT}
@@ -206,6 +229,10 @@ def main() -> int:
                         flush=True)
         doc = {
             "title": args.title,
+            "command_line": shlex.join(sys.argv),
+            "parent_sha": revs["parent"],
+            "head_sha": revs["head"],
+            "dirty": revs["dirty"],
             "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
             "run_seconds": seconds,
             "method": ("parent and change each run from their own checkout with the same, "
