@@ -22,11 +22,14 @@ plan; the simplified recurrence is kept as the independent cross-check.
 First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 
 gamma is fixed by the x = 1 boundary: the truncated residual
-sum_{k=0}^{N} U(k) is driven to zero by shooting. A walk finds the
-branch's first sign change: the lower branch's climbs from gamma = 0 by
-inverse quadratic interpolation, and the upper branch's walks the gamma
-grid down from its top. A bracketed secant (Pegasus regula falsi) then
-refines the bracket.
+sum_{k=0}^{N} U(k) is driven to zero by shooting. That sum means something
+only where the series converges at x = 1. The closed form below has its
+nearest singularities at x = 1/2 +- i pi/theta, so the radius about 0 is
+sqrt(1/4 + pi^2/theta^2): at most 1 once theta >= 2 pi/sqrt(3), which is
+the whole upper branch and the lower branch from LAMBDA_RADIUS = 3.1722 on.
+:func:`shoot` refuses those inputs before any run. Elsewhere a climb from
+gamma = 0 by inverse quadratic interpolation finds the residual's first
+sign change, and a bracketed secant (Pegasus regula falsi) refines it.
 The closed-form reference solution is
 
     u(x) = -2 ln[ cosh((x - 1/2) theta/2) / cosh(theta/4) ]
@@ -68,10 +71,16 @@ __all__ = [
 LAMBDA_MIN = 1e-3
 LAMBDA_MAX = 10.0
 
-#: Shooting covers gamma in [0, GAMMA_MAX]: the upper branch's grid walk
-#: with step GAMMA_STEP, the lower branch's continuation from 0 and
-#: GAMMA_STEP. The upper-branch slope grows with theta, so the range is
-#: generous for lambda in [LAMBDA_MIN, LAMBDA_MAX].
+#: theta^2 / (2 cosh^2(theta/4)) at theta = 2 pi/sqrt(3), 3.1722028: from this
+#: lambda on, as on the whole upper branch, the radius sqrt(1/4 + pi^2/theta^2)
+#: of the series about x = 0 is at most 1, and :func:`shoot` refuses. The fold
+#: lambda_c = 3.5138 lies above it. Fixed by the closed form, not a knob.
+_THETA_RADIUS = 2.0 * math.pi / math.sqrt(3.0)
+LAMBDA_RADIUS = _THETA_RADIUS**2 / (2.0 * math.cosh(_THETA_RADIUS / 4.0) ** 2)
+
+#: The climb of :func:`shoot` tries gamma in [0, GAMMA_MAX], first 0 and
+#: GAMMA_STEP. Below LAMBDA_RADIUS the lower-branch slope is below 2.62, so
+#: the range is generous.
 GAMMA_MAX = 50.0
 GAMMA_STEP = 0.25
 RESIDUAL_TOL = 1e-12
@@ -151,24 +160,6 @@ def boundary_residual(coeffs: Series) -> float:
     return evaluate(coeffs, 1.0)
 
 
-def _scan(f: Callable[[float], float]) -> tuple[float, float, float, float] | None:
-    """The upper branch's first sign change of f on the gamma grid, as (a, fa, b, fb).
-
-    Walks gamma = i * GAMMA_STEP downward from GAMMA_MAX. Stops at the
-    first pair of neighbours whose residuals have a product <= 0: one is
-    zero, they differ in sign, or their product underflows, leaving an end
-    within RESIDUAL_TOL. Returns None when the walk reaches 0 first.
-    """
-    prev: tuple[float, float] | None = None
-    for i in range(int(round(GAMMA_MAX / GAMMA_STEP)), -1, -1):
-        g = i * GAMMA_STEP
-        r = f(g)
-        if prev is not None and prev[1] * r <= 0.0:
-            return prev[0], prev[1], g, r
-        prev = (g, r)
-    return None
-
-
 def _next_gamma(gs: list[float], rs: list[float]) -> float:
     """The next trial of :func:`_climb` after the points (gs[i], rs[i]).
 
@@ -197,7 +188,8 @@ def _climb(f: Callable[[float], float]) -> tuple[float, float, float, float] | N
     Evaluates f at 0 and GAMMA_STEP, then at each :func:`_next_gamma`.
     Returns (g, f(g), g, f(g)) for the first point with |f(g)| <=
     RESIDUAL_TOL, and (a, fa, b, fb) for the first pair of consecutive
-    points whose residuals have a product <= 0, as :func:`_scan` does.
+    points whose residuals have a product <= 0: they differ in sign, or
+    their product underflows.
     Returns None when the next trial does not lie in (b, GAMMA_MAX], b the
     last point, when the last two residuals are equal, and after as many
     trials as the grid has points. A trial that overflows raises its error.
@@ -274,27 +266,28 @@ def _regula_falsi(
 def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     """Find gamma so the truncated boundary residual vanishes.
 
-    Lowers :func:`bratu_plan` once and steps it once per trial gamma,
-    keeping each run, so the accepted gamma's series is not run again. The
-    branch's walk, :func:`_climb` or :func:`_scan`, stops at the residual's
-    first sign change (or zero), the smallest-gamma root for "lower" and
-    the largest for "upper"; :func:`_regula_falsi` refines it to
+    Refuses, with :class:`BranchNotFoundError` before any run, the upper
+    branch and every lambda >= LAMBDA_RADIUS (the fold included): there the
+    series about x = 0 cannot converge at x = 1, so a root of its truncated
+    residual is no answer. Otherwise lowers :func:`bratu_plan` once and
+    steps it once per trial gamma, keeping each run, so the accepted
+    gamma's series is not run again. :func:`_climb` stops at the residual's
+    first sign change (or zero), and :func:`_regula_falsi` refines it to
     |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for a
     branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does not
-    support; :class:`BranchNotFoundError` before any run above the fold
-    lambda_c = 3.5138..., where no theta and so no solution exists (a
-    truncated residual may still have a root there), when the walk finds
-    no sign change, or when the refinement finds no gamma within
-    RESIDUAL_TOL (a truncation that diverges at x = 1 can change sign
-    across a pole); and :class:`NonFiniteCoefficientError` (or
-    :class:`DomainError`, when the residual itself overflows) when a gamma
-    either walk tries overflows.
+    support; :class:`BranchNotFoundError` also when the climb finds no sign
+    change, or when the refinement finds no gamma within RESIDUAL_TOL; and
+    :class:`NonFiniteCoefficientError` (or :class:`DomainError`, when the
+    residual itself overflows) when a gamma the climb tries overflows.
     """
     _require_branch(branch)
     _require_lambda(lam)
-    if _theta_peak(lam)[3] < 0.0:
-        raise BranchNotFoundError(f"no solution above the fold: the theta condition has "
-                                  f"no root at lambda={lam!r}")
+    if branch == "upper" or lam >= LAMBDA_RADIUS:
+        raise BranchNotFoundError(
+            f"no series converges at x = 1 on the {branch} branch at lambda={lam!r}: "
+            f"its radius about x = 0 is at most 1 on the upper branch and for "
+            f"lambda >= {LAMBDA_RADIUS!r}"
+        )
     plan = bratu_plan(lam, order)
     runs: dict[float, Series] = {}
 
@@ -302,7 +295,7 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
         runs[g] = coeffs = run(plan, (0.0, g))
         return boundary_residual(coeffs)
 
-    bracket = _climb(trial) if branch == "lower" else _scan(trial)
+    bracket = _climb(trial)
     if bracket is None:
         raise BranchNotFoundError(
             f"no sign change found on the {branch} branch: the boundary residual "
@@ -323,24 +316,12 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     )
 
 
-def _theta_peak(lam: float) -> tuple[Callable[[float], float], float, float, float]:
-    """(g, s, t*, g(t*)): the theta condition g(t) = t - s cosh(t/4), s =
-    sqrt(2 lambda), and its peak t* = 4 asinh(4/s), capped at THETA_MAX. A
-    theta, and so either branch, exists iff g(t*) >= 0: at or below the fold."""
-    s = math.sqrt(2.0 * lam)
-
-    def g(t: float) -> float:
-        return t - s * math.cosh(t / 4.0)
-
-    top = min(4.0 * math.asinh(4.0 / s), THETA_MAX)
-    return g, s, top, g(top)
-
-
 def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
     """Roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
 
-    g of :func:`_theta_peak` is concave with g(0) < 0 and its maximum at
-    t*, so it has no root if g(t*) < 0 and else one on each side of t*.
+    g(t) = t - s cosh(t/4), s = sqrt(2 lambda), is concave with g(0) < 0
+    and its maximum at t* = 4 asinh(4/s) (capped at THETA_MAX), so it has
+    no root if g(t*) < 0, above the fold, and else one on each side of t*.
     :func:`_regula_falsi` with tol = 0.0 solves [0, t*] and, if g(e) < 0,
     [t*, e], where e = 4 acosh(THETA_MAX/s) bounds every root up to
     THETA_MAX, and g(e) is about e - THETA_MAX (e capped at THETA_MAX).
@@ -354,7 +335,13 @@ def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
     if branch is not None:
         _require_branch(branch)
     _require_lambda(lam)
-    g, s, top, g_top = _theta_peak(lam)
+    s = math.sqrt(2.0 * lam)
+
+    def g(t: float) -> float:
+        return t - s * math.cosh(t / 4.0)
+
+    top = min(4.0 * math.asinh(4.0 / s), THETA_MAX)
+    g_top = g(top)
     if g_top < 0.0:
         return []
     # A root t <= THETA_MAX has s cosh(t/4) = t <= THETA_MAX. The lower
@@ -437,9 +424,9 @@ def compare(lam: float, order: int, grid_points: int, branch: str) -> float:
     """Max absolute gap between the shot series and the analytic branch.
 
     Evaluated on the uniform grid {i/(grid_points-1)}, all points in one
-    blocked Horner pass whose values are bitwise :func:`evaluate`'s. The
-    lower-branch series converges on [0, 1] up to lambda = 3.172; above
-    that, and on the upper branch, it need not, so the returned error is
-    reported without any implied bound there.
+    blocked Horner pass whose values are bitwise :func:`evaluate`'s. Only
+    a lower branch below LAMBDA_RADIUS has a series that converges on
+    [0, 1]; :func:`shoot` refuses every other input with
+    :class:`BranchNotFoundError`.
     """
     return max(row[3] for row in _comparison(lam, order, grid_points, branch)[2])

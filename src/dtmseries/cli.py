@@ -15,7 +15,8 @@ round-trip formatting, so identical invocations produce byte-identical
 data files. A command exits 0 on success; a :class:`DtmError` prints
 ``error: ...`` to standard error and exits with the error's
 ``exit_code`` (2 malformed input or usage, 3 domain error, 4 requested
-solution branch does not exist or has no root within tolerance).
+solution branch does not exist, has no series that converges at x = 1,
+or has no root within tolerance).
 Argument values are checked once, by the library call that uses them;
 the CLI's own checks (flag combinations, ``--reps``, ``--ic`` syntax,
 unreadable or unwritable files) raise :class:`InvalidArgumentError`.

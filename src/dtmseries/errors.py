@@ -65,6 +65,7 @@ class NonFiniteCoefficientError(DtmError):
 
 class BranchNotFoundError(DtmError):
     """The requested solution branch does not exist at this parameter value,
-    or shooting found no point on it whose residual is within tolerance."""
+    its series cannot converge where the boundary condition is applied, or
+    shooting found no point on it whose residual is within tolerance."""
 
     exit_code = 4

@@ -28,7 +28,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -94,19 +93,26 @@ def _series(value: object, what: str) -> Series:
 
 #: The rule for every integer factor n > 0 of the transform: up to this bound
 #: n is a float exactly, so ``n * x`` and ``x / n`` round once; above it,
-#: :func:`_mul_exact` and :func:`_div_exact` round the exact value once.
+#: :func:`_mul_exact` and :func:`_div_exact` round the exact value once, as
+#: one int true division over ``x.as_integer_ratio()`` (correctly rounded).
 _FLOAT_EXACT_INT = 2**53
 
 
 def _div_exact(x: float, n: int) -> float:
     """x / n rounded once, for n > _FLOAT_EXACT_INT; zero or non-finite x as is."""
-    return float(Fraction(x) / n) if x and math.isfinite(x) else x
+    if not (x and math.isfinite(x)):
+        return x
+    p, q = x.as_integer_ratio()
+    return p / (q * n)
 
 
 def _mul_exact(n: int, x: float) -> float:
     """n * x rounded once, for n > _FLOAT_EXACT_INT and a finite x; zero x as
     is. Raises ``OverflowError`` when the product has no float."""
-    return float(n * Fraction(x)) if x else x
+    if not x:
+        return x
+    p, q = x.as_integer_ratio()
+    return n * p / q
 
 
 class Series:

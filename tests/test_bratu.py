@@ -128,8 +128,7 @@ class TestBoundaryResidual:
 
 def _grid_brackets(lam, order):
     """Oracle: every zero or sign change of the residual on the whole gamma
-    grid, in ascending order; the lower branch owns the first, the upper
-    branch the last."""
+    grid, in ascending order; the lower branch owns the first."""
     plan = bratu_plan(lam, order)
     step = bratu_module.GAMMA_STEP
     steps = int(round(bratu_module.GAMMA_MAX / step))
@@ -165,37 +164,60 @@ class TestShooting:
         assert abs(sol.residual) <= 1e-12
 
     def test_upper_branch_takes_largest_root(self):
-        # At N = 10 the upper-branch series still converges at x = 1.
-        lower = shoot(1.0, 10, "lower")
-        upper = shoot(1.0, 10, "upper")
-        assert upper.branch == "upper"
-        assert upper.gamma > lower.gamma
+        # The upper branch has theta >= 4.80, so the radius of its series
+        # about x = 0 is below 1: at N = 10 its residual's root had
+        # max_abs_err 2.67. shoot refuses it rather than return it.
+        with pytest.raises(BranchNotFoundError, match="no series converges at x = 1 on the upper"):
+            shoot(1.0, 10, "upper")
 
     def test_non_root_is_a_typed_error(self):
-        # At N = 30 the upper-branch series diverges at x = 1: the residual
-        # changes sign near gamma = 40.6 across a pole, where the refinement
-        # stops at residual -794 (the true slope is 10.847).
+        # The N = 30 truncated residual changes sign near gamma = 40.63
+        # across a pole (the true slope is 10.847); no gamma is run.
         with pytest.raises(BranchNotFoundError) as info:
             shoot(1.0, 30, "upper")
         message = str(info.value)
-        assert message.startswith("no root within tolerance")
-        for part in ("lambda=1.0", "order=30", "gamma=40.63", "-794.29"):
-            assert part in message
+        assert message.startswith("no series converges at x = 1 on the upper branch")
+        assert "lambda=1.0" in message and repr(bratu_module.LAMBDA_RADIUS) in message
 
     def test_no_sign_change(self):
-        # Below the fold at low order the climb cannot step upward.
+        # Below LAMBDA_RADIUS at low order the climb cannot step upward.
         with pytest.raises(BranchNotFoundError, match="no sign change found on the lower branch"):
-            shoot(3.5, 4, "lower")
+            shoot(3.0, 4, "lower")
 
     # No solution exists above the fold lambda_c = 3.5138, though the
     # truncated residual can have a root there (gamma = 2.4197 at (4.0, 30),
-    # residual -4.4e-16), so shoot refuses such a lambda before any run.
+    # residual -4.4e-16). The fold lies above LAMBDA_RADIUS, so shoot
+    # refuses such a lambda before any run.
     @pytest.mark.parametrize("lam, order", [(4.0, 30), (10.0, 10), (3.6, 60),
                                             (3.51383072, 30)])
     def test_no_solution_above_the_fold(self, lam, order, monkeypatch):
         monkeypatch.setattr(bratu_module, "run", lambda *a: pytest.fail("a gamma was run"))
         for branch in ("lower", "upper"):
-            with pytest.raises(BranchNotFoundError, match=f"above the fold.*lambda={lam!r}"):
+            with pytest.raises(BranchNotFoundError,
+                               match=f"no series converges at x = 1 .*lambda={lam!r}"):
+                shoot(lam, order, branch)
+
+    def test_radius_is_one_at_lambda_radius(self):
+        # The constant is where the lower branch's radius
+        # sqrt(1/4 + pi^2/theta^2) about x = 0 falls to 1.
+        theta, = analytic_theta_roots(bratu_module.LAMBDA_RADIUS, "lower")
+        assert abs(math.sqrt(0.25 + math.pi**2 / theta**2) - 1.0) <= 1e-12
+        assert abs(bratu_module.LAMBDA_RADIUS - 3.1722028) <= 1e-7
+
+    def test_just_below_lambda_radius_runs(self):
+        sol = shoot(math.nextafter(bratu_module.LAMBDA_RADIUS, 0.0), 30, "lower")
+        assert abs(sol.residual) <= bratu_module.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("order", [3, 10, 30, 600])
+    def test_refused_before_any_run(self, order, monkeypatch):
+        # Every upper input, and every lambda from LAMBDA_RADIUS up.
+        monkeypatch.setattr(bratu_module, "run", lambda *a: pytest.fail("a gamma was run"))
+        radius = bratu_module.LAMBDA_RADIUS
+        cases = [(lam, "upper") for lam in (bratu_module.LAMBDA_MIN, 0.1, 1.0, 3.0, radius,
+                                            3.5, bratu_module.LAMBDA_MAX)]
+        cases += [(lam, "lower") for lam in (radius, 3.3, 3.5, 4.0, 10.0)]
+        for lam, branch in cases:
+            with pytest.raises(BranchNotFoundError, match=f"lambda={lam!r}"):
                 shoot(lam, order, branch)
 
     def test_evaluation_budget(self, monkeypatch):
@@ -252,18 +274,18 @@ class TestShooting:
     @pytest.mark.parametrize("order", [10, 30])
     @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0, 3.0])
     def test_gamma_inside_full_scan_bracket(self, lam, order, branch):
-        # At N = 30 the upper bracket for lambda >= 1 holds no root (the
-        # series diverges at x = 1), so those cases raise.
+        # The upper-branch series diverges at x = 1, so every upper case
+        # is refused.
+        if branch == "upper":
+            with pytest.raises(BranchNotFoundError, match="no series converges at x = 1"):
+                shoot(lam, order, branch)
+            return
         brackets = _grid_brackets(lam, order)
         if not brackets:
             with pytest.raises(BranchNotFoundError):
                 shoot(lam, order, branch)
             return
-        if (lam, order, branch) in {(1.0, 30, "upper"), (2.0, 30, "upper"), (3.0, 30, "upper")}:
-            with pytest.raises(BranchNotFoundError, match="no root within tolerance"):
-                shoot(lam, order, branch)
-            return
-        lo, hi = brackets[0] if branch == "lower" else brackets[-1]
+        lo, hi = brackets[0]
         assert lo <= shoot(lam, order, branch).gamma <= hi
 
     @pytest.mark.parametrize("lam, order", [(1.75, 30), (1.0, 60), (2.0, 60), (2.4, 60),
@@ -457,43 +479,6 @@ class TestThetaRoots:
                 analytic_theta_roots(lam)
 
 
-class TestScan:
-    def test_sign_change_whose_product_underflows(self):
-        # -1e-200 * 1e-200 underflows to -0.0: still a bracket, one end of
-        # which lies within RESIDUAL_TOL.
-        def f(g):
-            return 1e-200 if g == bratu_module.GAMMA_MAX else -1e-200
-
-        assert bratu_module._scan(f) == (50.0, 1e-200, 49.75, -1e-200)
-
-    @pytest.mark.parametrize("zero, bracket", [
-        (50.0, (50.0, 0.0, 49.75, -0.25)),
-        (1.0, (1.25, 0.25, 1.0, 0.0)),
-        (0.0, (0.25, 0.25, 0.0, 0.0)),
-    ])
-    def test_grid_zero_is_an_end_that_refining_returns_at_once(self, zero, bracket):
-        calls = []
-
-        def f(g):
-            calls.append(g)
-            return g - zero
-
-        assert bratu_module._scan(f) == bracket
-        calls.clear()
-        assert bratu_module._regula_falsi(f, *bracket, bratu_module.RESIDUAL_TOL) == (zero, 0.0)
-        assert calls == []
-
-    def test_no_sign_change_walks_the_whole_grid(self):
-        calls = []
-
-        def f(g):
-            calls.append(g)
-            return -1.0 - g
-
-        assert bratu_module._scan(f) is None
-        assert calls == [0.25 * i for i in range(200, -1, -1)]
-
-
 class TestClimb:
     @staticmethod
     def counted(f):
@@ -557,6 +542,15 @@ class TestClimb:
         with pytest.raises(NonFiniteCoefficientError):
             bratu_module._climb(walk)
         assert calls[:2] == [0.0, 0.25] and len(calls) == 3 and calls[2] > 1.0
+
+    def test_sign_change_whose_product_underflows(self, monkeypatch):
+        # -1e-200 * 1e-200 underflows to -0.0: still a bracket. At the
+        # default tolerance either end would be accepted first, so the
+        # product rule is tested at tolerance 0.
+        monkeypatch.setattr(bratu_module, "RESIDUAL_TOL", 0.0)
+        walk, calls = self.counted(lambda g: 1e-200 if g == 0.0 else -1e-200)
+        assert bratu_module._climb(walk) == (0.0, 1e-200, 0.25, -1e-200)
+        assert calls == [0.0, 0.25]
 
     def test_zero_at_the_start_is_returned_at_once(self):
         f, calls = self.counted(lambda g: g)
@@ -690,10 +684,10 @@ class TestCompare:
             assert gap <= 2.0 * max_err + 1e-12
 
     def test_upper_branch_reports_without_bound(self):
-        # The upper-branch series need not converge on [0,1]; the comparison
-        # must still run and report a finite number.
-        err = compare(1.0, 10, 21, "upper")
-        assert math.isfinite(err)
+        # The upper-branch series cannot converge at x = 1: at N = 10 the
+        # root of its truncated residual is 2.67 off the closed form.
+        with pytest.raises(BranchNotFoundError, match="no series converges at x = 1"):
+            compare(1.0, 10, 21, "upper")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -702,7 +696,7 @@ class TestCompare:
     @pytest.mark.parametrize("lam, order, grid, branch", [
         (bratu_module.LAMBDA_MIN, 10, 2, "lower"),
         (1.0, 30, 101, "lower"),
-        (1.0, 10, 21, "upper"),
+        (1.0, 10, 21, "lower"),
         (2.4, 60, 37, "lower"),
         (1.0, 45, 101, "lower"),
     ])

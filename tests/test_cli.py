@@ -367,8 +367,11 @@ class TestBratu:
         assert json.loads(err)["order"] == 10
 
     def test_upper_branch_runs(self, capsys, tmp_path):
+        # The upper-branch series cannot converge at x = 1 (at N = 10 its
+        # answer had max_abs_err 2.67), so the command refuses and writes
+        # no output file.
         json_path = tmp_path / "upper.json"
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             [
                 "bratu", "--lambda", "1", "--order", "10", "--grid", "11",
                 "--branch", "upper", "--out-csv", str(tmp_path / "u.csv"),
@@ -376,21 +379,20 @@ class TestBratu:
             ],
             capsys,
         )
-        assert code == 0
-        upper = json.loads(json_path.read_text())
-        assert upper["gamma"] > 0.6
-        assert upper["theta"] > 10.0
+        assert code == 4 and out == ""
+        assert err.startswith("error: no series converges at x = 1 on the upper branch")
+        assert not json_path.exists()
 
     def test_upper_branch_non_root_exits_4(self, capsys):
-        # The N = 30 upper-branch series diverges at x = 1; its best gamma,
-        # 40.634 with residual -794, is not a root (the true slope is 10.847).
+        # The N = 30 truncated residual changes sign near gamma = 40.634
+        # across a pole (the true slope is 10.847); no gamma is run.
         code, out, err = run_cli(
             ["bratu", "--lambda", "1", "--order", "30", "--grid", "5", "--branch", "upper"],
             capsys,
         )
         assert code == 4
         assert out == ""
-        assert err.startswith("error: no root within tolerance")
+        assert err.startswith("error: no series converges at x = 1 on the upper branch")
         assert "Traceback" not in err
 
     def test_no_branch_exits_4(self, capsys):
@@ -401,21 +403,9 @@ class TestBratu:
         assert code == 4
         assert "no" in err
 
-    def test_overflow_exits_3(self, capsys):
-        # The upper-branch scan starts at gamma = 50, which overflows the
-        # order-600 series.
-        code, out, err = run_cli(
-            ["bratu", "--lambda", "1", "--order", "600", "--grid", "11", "--branch", "upper"],
-            capsys,
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: non-finite coefficient produced at order ")
-        assert "Traceback" not in err
-
     def test_lower_branch_at_order_600(self, capsys, tmp_path):
-        # The lower-branch scan stops at its first sign change, long before
-        # the gamma that overflows this order.
+        # The climb stops at its first sign change, long before the gamma
+        # that overflows this order.
         json_path = tmp_path / "summary.json"
         code, _, err = run_cli(
             ["bratu", "--lambda", "1", "--order", "600", "--grid", "11", "--branch", "lower",
@@ -430,7 +420,7 @@ class TestBratu:
         ("1", "30", "lower", "101"),
         ("0.001", "10", "lower", "2"),
         ("2.4", "60", "lower", "37"),
-        ("1", "10", "upper", "21"),
+        ("1", "10", "lower", "21"),
     ])
     def test_csv_bytes_are_the_repr_of_each_row(self, capsys, lam, order, branch, grid):
         code, out, _ = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", grid,
@@ -440,27 +430,29 @@ class TestBratu:
         want = ["x,u_dtm,u_analytic,abs_err"] + [",".join(map(repr, row)) for row in rows]
         assert out == "\n".join(want) + "\n"
 
-    # Past lambda = 3.172 the lower-branch series diverges at x = 1, so a
-    # root of its truncated residual is a wrong answer (max_abs_err 0.45,
-    # 0.58, 0.50 and 0.27 at these inputs). Here the climb stops before the
-    # residual changes sign, and the command exits 4.
+    # From lambda = 3.1722 (bratu.LAMBDA_RADIUS) the lower-branch series
+    # diverges at x = 1, so a root of its truncated residual is a wrong
+    # answer (max_abs_err 0.45, 0.58, 0.50 and 0.27 at these inputs). The
+    # command exits 4 before any gamma is run.
     @pytest.mark.parametrize("lam, order", [("3.5", "60"), ("3.5138307", "30"), ("3.3", "10"),
                                             ("3.5", "10")])
     def test_divergent_truncation_exits_4(self, capsys, lam, order):
         code, out, err = run_cli(["bratu", "--lambda", lam, "--order", order, "--grid", "101",
                                   "--branch", "lower"], capsys)
         assert code == 4 and out == ""
-        assert err.startswith("error: no sign change found on the lower branch")
+        assert err.startswith("error: no series converges at x = 1 on the lower branch "
+                              f"at lambda={float(lam)!r}")
 
     # Wrong answers with tiny residuals (ROADMAP item 1): the truncated
     # series converges too slowly at x = 1 (lower, lambda = 3.0) or not at
-    # all there (lambda above 3.172, or upper), yet each exits 0, with max_abs_err 0.024, 0.58,
-    # 0.17, 0.14, 228 and 3.57 in this order. The fix makes each a typed
-    # error or a right answer.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    # all there (lambda above 3.172, or upper). The first two still exit 0,
+    # with max_abs_err 0.024 and 0.58, until a tail bound refuses them; the
+    # other four (0.17, 0.14, 228 and 3.57) now exit 4 before any run.
+    _no_tail_bound = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
     @pytest.mark.parametrize("lam, order, branch", [
-        ("3.0", "30", "lower"),
-        ("3.0", "10", "lower"),
+        pytest.param("3.0", "30", "lower", marks=_no_tail_bound),
+        pytest.param("3.0", "10", "lower", marks=_no_tail_bound),
         ("3.3", "30", "lower"),
         ("3.3", "60", "lower"),
         ("2.0", "10", "upper"),

@@ -24,7 +24,8 @@ from dtmseries import (
     sub,
     zeros,
 )
-from dtmseries.series import _evaluate_grid
+from dtmseries.series import _div_exact, _evaluate_grid, _mul_exact
+from util import divide
 
 ULP = 2.0 * 2.2204460492503131e-16
 
@@ -175,6 +176,50 @@ class TestDerivativeTransform:
         assert list(out) == [float(math.perm(k + m, m) * Fraction(c))
                              for k, c in enumerate(cs[m:])]
         assert out[3] == pytest.approx(1 / 6, rel=1e-6)
+
+
+class TestExactFactors:
+    """The integer-ratio helpers against the ``Fraction`` spec, bitwise."""
+
+    NS = [2**53 + 1, math.factorial(25), math.factorial(170), math.factorial(171)]
+    NS_IDS = ["2^53+1", "25!", "170!", "171!"]
+    XS = [1.0, -1 / 3, 0.1, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+          1e-300, 1e300]
+
+    @pytest.mark.parametrize("n", NS, ids=NS_IDS)
+    def test_quotient_is_the_exact_one_rounded_once(self, n):
+        for x in self.XS:
+            assert _div_exact(x, n).hex() == divide(x, n).hex()
+
+    @pytest.mark.parametrize("n", NS, ids=NS_IDS)
+    def test_product_is_the_exact_one_rounded_once(self, n):
+        for x in self.XS:
+            try:
+                want = float(n * Fraction(x)).hex()
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _mul_exact(n, x)
+            else:
+                assert _mul_exact(n, x).hex() == want
+
+    def test_subnormal_quotient(self):
+        # 1 / 171! lies below the smallest normal float.
+        assert 0.0 < _div_exact(1.0, math.factorial(171)) < 2.2250738585072014e-308
+        assert _div_exact(5e-324, 2**53 + 1) == 0.0
+
+    def test_product_without_a_float_overflows(self):
+        with pytest.raises(OverflowError):
+            _mul_exact(math.factorial(171), 1.0)
+        with pytest.raises(OverflowError):
+            _mul_exact(math.factorial(25), 1e300)
+
+    def test_zero_and_non_finite_pass_through(self):
+        n = math.factorial(171)
+        for x in (0.0, -0.0, math.inf, -math.inf):
+            assert _div_exact(x, n).hex() == x.hex()
+        assert math.isnan(_div_exact(math.nan, n))
+        for x in (0.0, -0.0):
+            assert _mul_exact(n, x).hex() == x.hex()
 
 
 @pytest.mark.parametrize(
