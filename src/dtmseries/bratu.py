@@ -28,8 +28,22 @@ nearest singularities at x = 1/2 +- i pi/theta, so the radius about 0 is
 sqrt(1/4 + pi^2/theta^2): at most 1 once theta >= 2 pi/sqrt(3), which is
 the whole upper branch and the lower branch from LAMBDA_RADIUS = 3.1722 on.
 :func:`shoot` refuses those inputs before any run. Elsewhere a climb from
-gamma = 0 by inverse quadratic interpolation finds the residual's first
-sign change, and a bracketed secant (Pegasus regula falsi) refines it.
+gamma = 0 on the residual and its exact slope finds the residual's first
+root or sign change, and a bracketed secant (Pegasus regula falsi)
+refines a sign change.
+
+The slope comes from the equation's own symmetries. Translation and the
+scaling u(cx) + 2 ln c map solutions to solutions, so u' and x u' + 2
+solve the linearised equation v'' = -lambda e^u v (Olver, Applications of
+Lie Groups to Differential Equations, 1986, ch. 2), and the combination
+with v(0) = 0, v'(0) = 1 is du/dgamma = [gamma (x u' + 2) - 2 u'] /
+(2 lambda + gamma^2). Coefficient by coefficient, that is exact for the
+truncated residual R_N = sum_{k<=N} U(k) too:
+
+    R_N'(gamma) = [gamma (S_N + 2) - 2 S_{N+1}] / (2 lambda + gamma^2),
+    S_M = sum_{k=1}^{M} k U(k),
+
+so one run one order further gives the residual and its slope.
 The closed-form reference solution is
 
     u(x) = -2 ln[ cosh((x - 1/2) theta/2) / cosh(theta/4) ]
@@ -45,6 +59,7 @@ comparison with one branch solves only that branch's bracket.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -78,12 +93,12 @@ LAMBDA_MAX = 10.0
 _THETA_RADIUS = 2.0 * math.pi / math.sqrt(3.0)
 LAMBDA_RADIUS = _THETA_RADIUS**2 / (2.0 * math.cosh(_THETA_RADIUS / 4.0) ** 2)
 
-#: The climb of :func:`shoot` tries gamma in [0, GAMMA_MAX], first 0 and
-#: GAMMA_STEP. Below LAMBDA_RADIUS the lower-branch slope is below 2.62, so
-#: the range is generous.
+#: The climb of :func:`shoot` tries gamma in [0, GAMMA_MAX], first 0, then
+#: upward only. Below LAMBDA_RADIUS the lower-branch slope is below 2.62,
+#: so the range is generous.
 GAMMA_MAX = 50.0
-GAMMA_STEP = 0.25
 RESIDUAL_TOL = 1e-12
+#: The most trials of :func:`_climb` and steps of :func:`_regula_falsi`.
 MAX_BISECTIONS = 200
 
 #: Upper end of the theta search. Beyond 60, cosh(theta/4) exceeds 1e6 and
@@ -160,57 +175,50 @@ def boundary_residual(coeffs: Series) -> float:
     return evaluate(coeffs, 1.0)
 
 
-def _next_gamma(gs: list[float], rs: list[float]) -> float:
-    """The next trial of :func:`_climb` after the points (gs[i], rs[i]).
+def _climb(
+    f: Callable[[float], tuple[float, float]]
+) -> tuple[float, float, float, float] | None:
+    """The lower branch's first root of f, by continuation from gamma = 0.
 
-    The root of the inverse quadratic through the last three points, in
-    Newton's divided-difference form: the secant root of the last two plus
-    a correction (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4). The secant root alone where the quadratic is undefined
-    (two of the three residuals equal) or its root does not lie in
-    (gs[-1], GAMMA_MAX]. Raises ZeroDivisionError when the last two
-    residuals are equal.
+    f(g) returns the residual at g and its slope. The first trial is 0;
+    each next one is the root of the inverse cubic Hermite through the
+    last two points (g, residual, slope), where one exists and lies in
+    (g, GAMMA_MAX], g the last point, and else the Newton step from g.
+    Returns (g, r, g, r) for the first point with |r| <= RESIDUAL_TOL, and
+    (a, fa, b, fb) for the first pair of consecutive points whose residuals
+    have a product <= 0: they differ in sign, or their product underflows.
+
+    On its way to the first root the lower branch's residual rises and
+    bends down, so the slope is checked before a sign change is accepted:
+    the climb returns None at a slope that is not positive or is larger
+    than the last one. (A point within RESIDUAL_TOL is accepted first: on
+    a straight residual, such as order 3's, the slope of Newton's landing
+    point can exceed the first by rounding.) It also returns None when the
+    next trial does not lie in (g, GAMMA_MAX], and after MAX_BISECTIONS
+    trials. A trial that overflows raises its error.
     """
-    (g1, g2), (r1, r2) = gs[-2:], rs[-2:]
-    d1 = (g2 - g1) / (r2 - r1)
-    secant = g2 - d1 * r2
-    if len(gs) > 2 and rs[-3] != r1 and rs[-3] != r2:
-        d0 = (g1 - gs[-3]) / (r1 - rs[-3])
-        iqi = secant + (d1 - d0) / (r2 - rs[-3]) * r1 * r2
-        if g2 < iqi <= GAMMA_MAX:
-            return iqi
-    return secant
-
-
-def _climb(f: Callable[[float], float]) -> tuple[float, float, float, float] | None:
-    """The lower branch's first sign change of f, by continuation from gamma = 0.
-
-    Evaluates f at 0 and GAMMA_STEP, then at each :func:`_next_gamma`.
-    Returns (g, f(g), g, f(g)) for the first point with |f(g)| <=
-    RESIDUAL_TOL, and (a, fa, b, fb) for the first pair of consecutive
-    points whose residuals have a product <= 0: they differ in sign, or
-    their product underflows.
-    Returns None when the next trial does not lie in (b, GAMMA_MAX], b the
-    last point, when the last two residuals are equal, and after as many
-    trials as the grid has points. A trial that overflows raises its error.
-    """
-    gs: list[float] = []
-    rs: list[float] = []
-    g = 0.0
-    for _ in range(int(round(GAMMA_MAX / GAMMA_STEP)) + 1):
-        r = f(g)
+    g, last = 0.0, None
+    for _ in range(MAX_BISECTIONS):
+        r, s = f(g)
         if abs(r) <= RESIDUAL_TOL:
             return g, r, g, r
-        if rs and rs[-1] * r <= 0.0:
-            return gs[-1], rs[-1], g, r
-        gs.append(g)
-        rs.append(r)
-        try:
-            g = _next_gamma(gs, rs) if len(gs) > 1 else GAMMA_STEP
-        except ZeroDivisionError:
+        if not (0.0 < s and (last is None or s <= last[2])):
             return None
-        if not gs[-1] < g <= GAMMA_MAX:
+        if last is not None and last[1] * r <= 0.0:
+            return last[0], last[1], g, r
+        step = g - r / s
+        if last is not None and last[1] != r:
+            # The Newton step plus the Hermite correction: Newton's divided
+            # differences of the inverse, gamma(R), on the nodes r, r, r0, r0.
+            g0, r0, s0 = last
+            h, d, d0 = r0 - r, 1.0 / s, 1.0 / s0
+            q = (g0 - g) / h
+            hermite = step + r * r * ((q - d) - (d0 - 2.0 * q + d) * r0 / h) / h
+            if g < hermite <= GAMMA_MAX:
+                step = hermite
+        if not g < step <= GAMMA_MAX:
             return None
+        last, g = (g, r, s), step
     return None
 
 
@@ -269,10 +277,14 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
     Refuses, with :class:`BranchNotFoundError` before any run, the upper
     branch and every lambda >= LAMBDA_RADIUS (the fold included): there the
     series about x = 0 cannot converge at x = 1, so a root of its truncated
-    residual is no answer. Otherwise lowers :func:`bratu_plan` once and
-    steps it once per trial gamma, keeping each run, so the accepted
-    gamma's series is not run again. :func:`_climb` stops at the residual's
-    first sign change (or zero), and :func:`_regula_falsi` refines it to
+    residual is no answer. Otherwise lowers :func:`bratu_plan` once, one
+    order further, and steps it once per trial gamma. A trial's series is
+    the run's order-N prefix, bitwise the order-N run because each order
+    reads only lower ones; its residual goes through
+    :func:`boundary_residual`, and its slope R_N' (module docstring) is one
+    sum over the whole run. Each series is kept, so the accepted gamma's is
+    not run again. :func:`_climb` stops at the residual's first zero or
+    sign change, and :func:`_regula_falsi` refines a sign change to
     |residual| <= RESIDUAL_TOL. Raises :class:`InvalidArgumentError` for a
     branch, order or lambda (outside [LAMBDA_MIN, LAMBDA_MAX]) it does not
     support; :class:`BranchNotFoundError` also when the climb finds no sign
@@ -288,20 +300,25 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
             f"its radius about x = 0 is at most 1 on the upper branch and for "
             f"lambda >= {LAMBDA_RADIUS!r}"
         )
-    plan = bratu_plan(lam, order)
+    _require_order(order)
+    plan = bratu_plan(lam, order + 1)
     runs: dict[float, Series] = {}
 
-    def trial(g: float) -> float:
-        runs[g] = coeffs = run(plan, (0.0, g))
-        return boundary_residual(coeffs)
+    def trial(g: float) -> tuple[float, float]:
+        full = run(plan, (0.0, g)).coeffs
+        runs[g] = coeffs = Series._checked(full[:-1])
+        s_n = sum(map(operator.mul, range(order + 1), full))
+        s_next = s_n + (order + 1) * full[-1]
+        return boundary_residual(coeffs), (g * (s_n + 2.0) - 2.0 * s_next) / (2.0 * lam + g * g)
 
     bracket = _climb(trial)
     if bracket is None:
         raise BranchNotFoundError(
             f"no sign change found on the {branch} branch: the boundary residual "
-            f"crosses zero at no gamma its walk tried, at lambda={lam!r}, order={order}"
+            f"crosses zero at no gamma its climb tried while its slope stayed positive "
+            f"and did not grow, at lambda={lam!r}, order={order}"
         )
-    gamma, residual = _regula_falsi(trial, *bracket, RESIDUAL_TOL)
+    gamma, residual = _regula_falsi(lambda g: trial(g)[0], *bracket, RESIDUAL_TOL)
     if not abs(residual) <= RESIDUAL_TOL:
         raise BranchNotFoundError(
             f"no root within tolerance: the smallest boundary residual found is "
@@ -402,7 +419,8 @@ def _comparison(
     lam: float, order: int, grid_points: int, branch: str
 ) -> tuple[BratuSolution, AnalyticBratu, list[tuple[float, float, float, float]]]:
     """Shot solution, analytic branch, and rows (x, u_dtm, u_analytic, abs_err)
-    on the grid {i/(grid_points-1)}; checks the grid before either solve.
+    on the grid {i/(grid_points-1)}; checks the grid before either solve,
+    and shoots first, so an input :func:`shoot` refuses costs no theta solve.
 
     The u_dtm column is one blocked Horner pass over the grid,
     :func:`~dtmseries.series._evaluate_grid`, bitwise :func:`evaluate` at
@@ -411,8 +429,8 @@ def _comparison(
     """
     if _int(grid_points, "grid") < 2:
         raise InvalidArgumentError("grid must have at least 2 points")
-    ref = AnalyticBratu.for_branch(lam, branch)
     sol = shoot(lam, order, branch)
+    ref = AnalyticBratu.for_branch(lam, branch)
     xs = [i / (grid_points - 1) for i in range(grid_points)]
     u_refs = _analytic_values(ref.theta, xs)
     u_dtms = _evaluate_grid(sol.coeffs, xs)

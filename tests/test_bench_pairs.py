@@ -145,6 +145,24 @@ def test_workload_entry_keeps_each_runs_attempted_ops_beside_the_totals():
     assert entry["metrics"]["m"]["change_better_pairs"] == 3
 
 
+def test_verdicts_name_each_gain_and_each_metric_out_of_bound():
+    def metric(gain, within):
+        return {"gain_shown": gain, "within_bound": within, "unresolved": False}
+
+    workloads = {
+        "bratu": {"metrics": {"op_ms.p50": metric(True, True), "op_ms.p90": metric(True, True),
+                              "peak_rss_mb": metric(False, False)}},
+        "solve": {"metrics": {"op_ms.p50": metric(False, True)}},
+        "long_series": {"metrics": {"ok_per_s": metric(False, False)}},
+    }
+    assert _bench_pairs().verdicts(workloads) == {
+        "gain_shown": ["bratu op_ms.p50", "bratu op_ms.p90"],
+        "not_within_bound": ["bratu peak_rss_mb", "long_series ok_per_s"],
+    }
+    assert _bench_pairs().verdicts({"solve": workloads["solve"]}) == {
+        "gain_shown": [], "not_within_bound": []}
+
+
 def _traced_stdout(defect_lines):
     # The shape of a traced ``bench/run.py --workload bratu`` run's stdout.
     result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {

@@ -130,7 +130,7 @@ def _grid_brackets(lam, order):
     """Oracle: every zero or sign change of the residual on the whole gamma
     grid, in ascending order; the lower branch owns the first."""
     plan = bratu_plan(lam, order)
-    step = bratu_module.GAMMA_STEP
+    step = 0.25
     steps = int(round(bratu_module.GAMMA_MAX / step))
     gammas = [i * step for i in range(steps + 1)]
     residuals = [boundary_residual(run(plan, (0.0, g))) for g in gammas]
@@ -141,6 +141,53 @@ def _grid_brackets(lam, order):
         elif i < steps and r * residuals[i + 1] < 0.0:
             brackets.append((gammas[i], gammas[i + 1]))
     return brackets
+
+
+def _shoot_trial(lam, order, monkeypatch):
+    """The trial function shoot(lam, order, "lower") hands its climb."""
+    trials = []
+    monkeypatch.setattr(bratu_module, "_climb", trials.append)
+    with pytest.raises(BranchNotFoundError):
+        shoot(lam, order, "lower")
+    monkeypatch.undo()
+    return trials[0]
+
+
+class TestResidualSlope:
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 2.4, 3.1])
+    def test_order_three_slope_is_constant(self, lam, monkeypatch):
+        # R_3 = gamma (1 - lam/6) - lam/2, a line in gamma.
+        trial = _shoot_trial(lam, 3, monkeypatch)
+        for gamma in (0.0, 0.3, 1.0, 2.5, 7.0):
+            residual, slope = trial(gamma)
+            assert slope == pytest.approx(1.0 - lam / 6.0, rel=1e-14, abs=1e-15)
+            assert residual == pytest.approx(gamma * (1.0 - lam / 6.0) - lam / 2.0,
+                                             rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("order", [10, 30, 60])
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 1.75, 2.4])
+    def test_slope_matches_central_differences(self, lam, order, monkeypatch):
+        trial = _shoot_trial(lam, order, monkeypatch)
+        h = 1e-5
+        for gamma in (0.0, 0.5, 1.0, 1.6, 2.5):
+            slope = trial(gamma)[1]
+            central = (trial(gamma + h)[0] - trial(gamma - h)[0]) / (2.0 * h)
+            assert abs(slope - central) <= 1e-7 * abs(slope)
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 2.4, 3.1])
+    def test_order_three_root_despite_a_rounded_slope(self, lam):
+        # Newton from 0 lands on the root of the line R_3; the slope there
+        # may exceed the first by rounding, and the root is still taken.
+        sol = shoot(lam, 3, "lower")
+        assert sol.gamma == pytest.approx((lam / 2.0) / (1.0 - lam / 6.0), rel=1e-12)
+
+    @pytest.mark.parametrize("lam, order", [(0.05, 30), (1.0, 30), (2.4, 60), (1.0, 600)])
+    def test_accepted_series_is_the_order_n_run(self, lam, order):
+        # The trial runs one order further; its series is the order-N prefix.
+        sol = shoot(lam, order, "lower")
+        assert sol.coeffs.order == order
+        assert sol.coeffs == run(bratu_plan(lam, order), (0.0, sol.gamma))
+        assert sol.residual == boundary_residual(sol.coeffs)
 
 
 class TestShooting:
@@ -236,7 +283,7 @@ class TestShooting:
     def test_residual_evaluations_over_the_timed_range(self, monkeypatch):
         # 21 evenly spaced lambda each for N = 30 on [0.05, 1.75] and N = 60
         # on [0.05, 2.4], the ranges the benchmark draws from. The total is
-        # pinned, so a change to the scan or the refinement shows here.
+        # pinned, so a change to the climb or the refinement shows here.
         calls = []
         real = bratu_module.boundary_residual
 
@@ -249,7 +296,7 @@ class TestShooting:
             for i in range(21):
                 sol = shoot(0.05 + (top - 0.05) * i / 20, order, "lower")
                 assert abs(sol.residual) <= 1e-12
-        assert len(calls) == 243
+        assert len(calls) == 166
 
     def test_one_run_per_trial(self, monkeypatch):
         # The accepted gamma's series is the run its trial already made.
@@ -278,6 +325,12 @@ class TestShooting:
         # is refused.
         if branch == "upper":
             with pytest.raises(BranchNotFoundError, match="no series converges at x = 1"):
+                shoot(lam, order, branch)
+            return
+        if (lam, order) == (3.0, 10):
+            # The residual bends up before its first sign change, whose
+            # root had max_abs_err 0.58; the climb's slope check refuses it.
+            with pytest.raises(BranchNotFoundError, match="no sign change found"):
                 shoot(lam, order, branch)
             return
         brackets = _grid_brackets(lam, order)
@@ -491,71 +544,89 @@ class TestClimb:
         return g, calls
 
     @pytest.mark.parametrize("root", [0.6, 1.9, 7.3])
-    def test_linear_residual_in_three_evaluations(self, root):
-        f, calls = self.counted(lambda g: 0.8 * (g - root))
-        a, fa, b, fb = bratu_module._climb(f)
+    def test_linear_residual_in_two_evaluations(self, root):
+        # Newton from 0 lands on the root of a line.
+        walk, calls = self.counted(lambda g: (0.8 * (g - root), 0.8))
+        a, fa, b, fb = bratu_module._climb(walk)
         assert (a, fa) == (b, fb) and abs(fb) <= bratu_module.RESIDUAL_TOL
         assert abs(b - root) <= 1e-12
-        assert calls[:2] == [0.0, bratu_module.GAMMA_STEP] and len(calls) == 3
+        assert calls[0] == 0.0 and len(calls) == 2
 
-    def test_inverse_quadratic_beyond_gamma_max_takes_the_secant(self):
-        # Through (0, -1), (0.25, -0.5) and (0.5, -0.497) the inverse
-        # quadratic's root is 82.8, past GAMMA_MAX; the secant root of the
-        # last two, 41.92, is the root of the line beyond 0.25.
-        def f(g):
-            return -1.0 + 2.0 * g if g <= 0.25 else -0.5 + 0.012 * (g - 0.25)
+    def test_zero_at_the_start_is_returned_at_once(self):
+        walk, calls = self.counted(lambda g: (g, 1.0))
+        assert bratu_module._climb(walk) == (0.0, 0.0, 0.0, 0.0)
+        assert calls == [0.0]
 
-        walk, calls = self.counted(f)
+    def test_hermite_follows_a_concave_residual(self):
+        # r = 0.5 - e^(-g), concave and rising: Newton from 0 lands at 0.5,
+        # short of the root ln 2, and the Hermite step lands far closer
+        # than Newton's from 0.5 would.
+        walk, calls = self.counted(lambda g: (0.5 - math.exp(-g), math.exp(-g)))
         a, fa, b, fb = bratu_module._climb(walk)
-        assert (a, fa) == (b, fb) and abs(b - (0.25 + 0.5 / 0.012)) <= 1e-12
-        assert calls[:3] == [0.0, 0.25, 0.5] and len(calls) == 4
+        assert (a, fa) == (b, fb) and abs(b - math.log(2.0)) <= 1e-12
+        newton = 0.5 + (0.5 - math.exp(-0.5)) / math.exp(-0.5)
+        assert calls[:2] == [0.0, 0.5] and len(calls) == 5
+        assert abs(calls[2] - math.log(2.0)) < abs(newton - math.log(2.0)) / 10.0
 
-    def test_residual_turning_down_stops(self):
-        # The secant from (0, -1) and (0.25, -0.5) tries 0.5; f(0.5) = -0.75
-        # turns both the inverse quadratic and the secant below 0.5. The
-        # sign change at 1.33 is left unfound.
+    @pytest.mark.parametrize("slope, newton", [(0.02, 25.5), (0.01, None)])
+    def test_hermite_beyond_gamma_max_takes_newton(self, slope, newton):
+        # Through (0, -1, 2) and (0.5, -0.5, slope) the inverse Hermite's
+        # root lies past GAMMA_MAX (98.5 at slope 0.02), so the climb takes
+        # the Newton step from 0.5, and stops when that lies past it too.
         def f(g):
-            if g <= 0.25:
-                return -1.0 + 2.0 * g
-            if g <= 1.0:
-                return -0.25 - g
-            return -1.25 + 3.0 * (g - 1.0)
+            if g == 0.0:
+                return -1.0, 2.0
+            return (-0.5, slope) if g == 0.5 else (0.0, slope / 2.0)
 
         walk, calls = self.counted(f)
-        assert bratu_module._climb(walk) is None
-        assert calls == [0.0, 0.25, 0.5]
+        if newton is None:
+            assert bratu_module._climb(walk) is None
+            assert calls == [0.0, 0.5]
+        else:
+            assert bratu_module._climb(walk) == (newton, 0.0, newton, 0.0)
+            assert calls == [0.0, 0.5, newton]
 
-    def test_equal_residuals_stop(self):
-        walk, calls = self.counted(lambda g: -1.0)
-        assert bratu_module._climb(walk) is None
-        assert calls == [0.0, 0.25]
+    def test_sign_change_whose_product_underflows(self, monkeypatch):
+        # 1e-200 * -1e-200 underflows to -0.0: still a bracket. At the
+        # default tolerance either end would be accepted first, so the
+        # product rule is tested at tolerance 0.
+        monkeypatch.setattr(bratu_module, "RESIDUAL_TOL", 0.0)
+        walk, calls = self.counted(lambda g: (-1e-200 if g == 0.0 else 1e-200, 1.0))
+        assert bratu_module._climb(walk) == (0.0, -1e-200, 1e-200, 1e-200)
+        assert calls == [0.0, 1e-200]
 
     def test_overflowing_trial_raises(self):
-        # The secant from 0 and 0.25 jumps to 11.2, past the root at 0.888,
-        # where the run overflows.
+        # Newton from 0 jumps to 7, past the root at 0.888, where the run
+        # overflows.
         def f(g):
             if g > 1.0:
                 raise NonFiniteCoefficientError(7)
-            return g ** 3 - 0.7
+            return g ** 3 - 0.7, 0.1
 
         walk, calls = self.counted(f)
         with pytest.raises(NonFiniteCoefficientError):
             bratu_module._climb(walk)
-        assert calls[:2] == [0.0, 0.25] and len(calls) == 3 and calls[2] > 1.0
+        assert calls[0] == 0.0 and len(calls) == 2 and calls[1] > 1.0
 
-    def test_sign_change_whose_product_underflows(self, monkeypatch):
-        # -1e-200 * 1e-200 underflows to -0.0: still a bracket. At the
-        # default tolerance either end would be accepted first, so the
-        # product rule is tested at tolerance 0.
-        monkeypatch.setattr(bratu_module, "RESIDUAL_TOL", 0.0)
-        walk, calls = self.counted(lambda g: 1e-200 if g == 0.0 else -1e-200)
-        assert bratu_module._climb(walk) == (0.0, 1e-200, 0.25, -1e-200)
-        assert calls == [0.0, 0.25]
-
-    def test_zero_at_the_start_is_returned_at_once(self):
-        f, calls = self.counted(lambda g: g)
-        assert bratu_module._climb(f) == (0.0, 0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("slope", [0.0, -0.5, math.nan])
+    def test_non_positive_slope_stops(self, slope):
+        walk, calls = self.counted(lambda g: (-1.0, slope))
+        assert bratu_module._climb(walk) is None
         assert calls == [0.0]
+
+    def test_growing_slope_stops_before_its_sign_change(self):
+        # The second trial changes sign, but its slope grew from 1 to 3:
+        # the residual bent up, off the lower branch's shape, so no bracket
+        # is returned.
+        walk, calls = self.counted(lambda g: (-1.0, 1.0) if g == 0.0 else (2.0, 3.0))
+        assert bratu_module._climb(walk) is None
+        assert calls == [0.0, 1.0]
+
+    def test_growing_slope_refuses_the_lambda_3_1319_order_10_answer(self):
+        # Accepting this sign change before the slope check returned
+        # gamma = 3.9886, whose series is off the closed form by 0.57.
+        with pytest.raises(BranchNotFoundError, match="no sign change found"):
+            shoot(3.1319, 10, "lower")
 
 
 class TestRegulaFalsi:

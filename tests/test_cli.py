@@ -396,12 +396,15 @@ class TestBratu:
         assert "Traceback" not in err
 
     def test_no_branch_exits_4(self, capsys):
-        code, _, err = run_cli(
+        # Above the fold the refusal is shoot's, as in the library: the
+        # theta condition is not solved first.
+        code, out, err = run_cli(
             ["bratu", "--lambda", "5", "--order", "30", "--grid", "11", "--branch", "lower"],
             capsys,
         )
-        assert code == 4
-        assert "no" in err
+        assert code == 4 and out == ""
+        assert err.startswith("error: no series converges at x = 1 on the lower branch "
+                              "at lambda=5.0")
 
     def test_lower_branch_at_order_600(self, capsys, tmp_path):
         # The climb stops at its first sign change, long before the gamma
@@ -445,14 +448,16 @@ class TestBratu:
 
     # Wrong answers with tiny residuals (ROADMAP item 1): the truncated
     # series converges too slowly at x = 1 (lower, lambda = 3.0) or not at
-    # all there (lambda above 3.172, or upper). The first two still exit 0,
-    # with max_abs_err 0.024 and 0.58, until a tail bound refuses them; the
-    # other four (0.17, 0.14, 228 and 3.57) now exit 4 before any run.
+    # all there (lambda above 3.172, or upper). (3.0, 30) still exits 0,
+    # with max_abs_err 0.024, until a tail bound refuses it. (3.0, 10),
+    # max_abs_err 0.58, exits 4 because its residual's slope grows before
+    # the sign change; the other four (0.17, 0.14, 228 and 3.57) exit 4
+    # before any run.
     _no_tail_bound = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 
     @pytest.mark.parametrize("lam, order, branch", [
         pytest.param("3.0", "30", "lower", marks=_no_tail_bound),
-        pytest.param("3.0", "10", "lower", marks=_no_tail_bound),
+        ("3.0", "10", "lower"),
         ("3.3", "30", "lower"),
         ("3.3", "60", "lower"),
         ("2.0", "10", "upper"),

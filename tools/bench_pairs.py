@@ -29,7 +29,9 @@ workload it also holds the ops each run attempted, beside the totals. It is
 written to ``.benchmarks/BENCH_<pr>.json``, with the full sha of the
 parent, the sha of HEAD, whether the working tree differs from HEAD, and
 the script's own command line; if that file already exists, the script
-refuses to run, before the first pair.
+refuses to run, before the first pair. The file ends with ``summary``, the
+(workload, metric) pairs that show ``gain_shown`` and those that are not
+``within_bound``, and the script prints it as its last lines.
 """
 
 from __future__ import annotations
@@ -130,6 +132,16 @@ def workload_entry(seeds: list[int], results: dict, end_to_end: list[dict]) -> d
         "failed": {s: sum(r["failed"] for r in results[s]) for s in SIDES},
         "metrics": compare(results, end_to_end),
     }
+
+
+def verdicts(workloads: dict) -> dict:
+    """``{"gain_shown": [...], "not_within_bound": [...]}``, each a list of
+    ``"<workload> <metric>"`` over the :func:`workload_entry` of each
+    workload, in order."""
+    pairs = [(f"{w} {name}", m) for w, entry in workloads.items()
+             for name, m in entry["metrics"].items()]
+    return {"gain_shown": [key for key, m in pairs if m["gain_shown"]],
+            "not_within_bound": [key for key, m in pairs if not m["within_bound"]]}
 
 
 def traced(roots: dict, workload: str) -> dict:
@@ -256,9 +268,12 @@ def main() -> int:
                           for w in workloads},
             "machine": machine,
         }
+    doc["summary"] = verdicts(doc["workloads"])
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
+    for verdict, keys in doc["summary"].items():
+        print(f"{verdict}: {', '.join(keys) or 'none'}")
     return 0
 
 
