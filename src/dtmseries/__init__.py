@@ -18,7 +18,6 @@ coefficients. This package provides:
 """
 
 from .bratu import (
-    AnalyticBratu,
     BratuSolution,
     analytic_theta_roots,
     analytic_u,
@@ -121,7 +120,6 @@ __all__ = [
     "run",
     # bratu
     "BratuSolution",
-    "AnalyticBratu",
     "bratu_coeffs",
     "bratu_plan",
     "boundary_residual",

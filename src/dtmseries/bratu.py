@@ -71,7 +71,6 @@ from .series import Series, _evaluate_grid, _finite_float, _int, evaluate
 
 __all__ = [
     "BratuSolution",
-    "AnalyticBratu",
     "bratu_plan",
     "bratu_coeffs",
     "boundary_residual",
@@ -334,20 +333,20 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
 
 
 def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
-    """Roots of theta = sqrt(2 lambda) cosh(theta/4) on (0, THETA_MAX].
+    """Roots of theta = sqrt(2 lambda) cosh(theta/4), the closed form's theta.
 
     g(t) = t - s cosh(t/4), s = sqrt(2 lambda), is concave with g(0) < 0
-    and its maximum at t* = 4 asinh(4/s) (capped at THETA_MAX), so it has
-    no root if g(t*) < 0, above the fold, and else one on each side of t*.
-    :func:`_regula_falsi` with tol = 0.0 solves [0, t*] and, if g(e) < 0,
-    [t*, e], where e = 4 acosh(THETA_MAX/s) bounds every root up to
-    THETA_MAX, and g(e) is about e - THETA_MAX (e capped at THETA_MAX).
-    Without a branch, returns all 0, 1 or 2 roots in ascending order. With
-    one, solves only the bracket of the root that
-    :meth:`AnalyticBratu.for_branch` takes, the smallest for "lower" and
-    the largest for "upper", and returns it alone (or no root). Raises
-    :class:`InvalidArgumentError` for an unknown branch or a lambda outside
-    [LAMBDA_MIN, LAMBDA_MAX].
+    and its maximum at t* = 4 asinh(4/s), so it has no root if g(t*) < 0,
+    above the fold, and else one on each side of t*. :func:`_regula_falsi`
+    with tol = 0.0 solves [0, t*] for the lower root and [t*, e] for the
+    upper, where e = 4 acosh(THETA_MAX/s) bounds every root up to
+    THETA_MAX and g(e) is about e - THETA_MAX. On [LAMBDA_MIN, LAMBDA_MAX]
+    both t* and e lie below THETA_MAX, so g(e) < 0 and both brackets hold
+    their root. Without a branch, returns both roots in ascending order,
+    or none; with one, solves only that branch's bracket and returns its
+    root alone, the smaller for "lower" and the larger for "upper" (or no
+    root). Raises :class:`InvalidArgumentError` for an unknown branch or a
+    lambda outside [LAMBDA_MIN, LAMBDA_MAX].
     """
     if branch is not None:
         _require_branch(branch)
@@ -357,19 +356,17 @@ def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:
     def g(t: float) -> float:
         return t - s * math.cosh(t / 4.0)
 
-    top = min(4.0 * math.asinh(4.0 / s), THETA_MAX)
+    top = 4.0 * math.asinh(4.0 / s)
     g_top = g(top)
     if g_top < 0.0:
         return []
-    # A root t <= THETA_MAX has s cosh(t/4) = t <= THETA_MAX. The lower
-    # branch never needs the upper bracket, nor g at its far end.
-    end = min(4.0 * math.acosh(THETA_MAX / s), THETA_MAX)
-    g_end = g(end) if branch != "lower" else 0.0
     roots = []
-    if branch != "upper" or g_end >= 0.0:
+    if branch != "upper":
         roots.append(_regula_falsi(g, 0.0, -s, top, g_top, 0.0)[0])
-    if g_end < 0.0:
-        roots.append(_regula_falsi(g, top, g_top, end, g_end, 0.0)[0])
+    if branch != "lower":
+        # A root t <= THETA_MAX has s cosh(t/4) = t <= THETA_MAX.
+        end = 4.0 * math.acosh(THETA_MAX / s)
+        roots.append(_regula_falsi(g, top, g_top, end, g(end), 0.0)[0])
     return roots
 
 
@@ -393,34 +390,14 @@ def analytic_u(theta: float, x: float) -> float:
         raise DomainError(f"the closed form overflows at theta={theta!r}, x={x!r}") from None
 
 
-@dataclass(frozen=True)
-class AnalyticBratu:
-    """One analytic branch: theta paired with its lambda."""
-
-    theta: float
-    lam: float
-
-    @classmethod
-    def for_branch(cls, lam: float, branch: str) -> "AnalyticBratu":
-        """The smaller theta root for the lower branch, the larger for the upper."""
-        roots = analytic_theta_roots(lam, branch)
-        if not roots:
-            raise BranchNotFoundError(
-                f"theta condition has no roots at lambda={lam!r}; "
-                "no analytic branch exists"
-            )
-        return cls(theta=roots[0], lam=lam)
-
-    def u(self, x: float) -> float:
-        return analytic_u(self.theta, x)
-
-
 def _comparison(
     lam: float, order: int, grid_points: int, branch: str
-) -> tuple[BratuSolution, AnalyticBratu, list[tuple[float, float, float, float]]]:
-    """Shot solution, analytic branch, and rows (x, u_dtm, u_analytic, abs_err)
+) -> tuple[BratuSolution, float, list[tuple[float, float, float, float]]]:
+    """Shot solution, reference theta, and rows (x, u_dtm, u_analytic, abs_err)
     on the grid {i/(grid_points-1)}; checks the grid before either solve,
     and shoots first, so an input :func:`shoot` refuses costs no theta solve.
+    Every input :func:`shoot` answers lies below the fold, where
+    :func:`analytic_theta_roots` has the branch's root.
 
     The u_dtm column is one blocked Horner pass over the grid,
     :func:`~dtmseries.series._evaluate_grid`, bitwise :func:`evaluate` at
@@ -430,12 +407,12 @@ def _comparison(
     if _int(grid_points, "grid") < 2:
         raise InvalidArgumentError("grid must have at least 2 points")
     sol = shoot(lam, order, branch)
-    ref = AnalyticBratu.for_branch(lam, branch)
+    [theta] = analytic_theta_roots(lam, branch)
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    u_refs = _analytic_values(ref.theta, xs)
+    u_refs = _analytic_values(theta, xs)
     u_dtms = _evaluate_grid(sol.coeffs, xs)
-    return sol, ref, [(x, u_dtm, u_ref, abs(u_dtm - u_ref))
-                      for x, u_dtm, u_ref in zip(xs, u_dtms, u_refs)]
+    return sol, theta, [(x, u_dtm, u_ref, abs(u_dtm - u_ref))
+                        for x, u_dtm, u_ref in zip(xs, u_dtms, u_refs)]
 
 
 def compare(lam: float, order: int, grid_points: int, branch: str) -> float:

@@ -14,12 +14,13 @@ summaries go to standard error. Floating-point output uses shortest
 round-trip formatting, so identical invocations produce byte-identical
 data files. A command exits 0 on success; a :class:`DtmError` prints
 ``error: ...`` to standard error and exits with the error's
-``exit_code`` (2 malformed input or usage, 3 domain error, 4 requested
-solution branch does not exist, has no series that converges at x = 1,
-or has no root within tolerance).
+``exit_code`` (2 malformed input or usage, 3 domain error, 4 no series
+of the requested branch converges at x = 1, its climb finds no sign
+change, or it has no root within tolerance).
 Argument values are checked once, by the library call that uses them;
 the CLI's own checks (flag combinations, ``--reps``, ``--ic`` syntax,
-unreadable or unwritable files) raise :class:`InvalidArgumentError`.
+unreadable or unwritable files, two outputs naming one file) raise
+:class:`InvalidArgumentError`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from typing import Iterator, TextIO
@@ -35,7 +37,7 @@ from typing import Iterator, TextIO
 from .bratu import _comparison
 from .errors import DtmError, InvalidArgumentError
 from .lang import lower, parse, run
-from .powers import OpCount, _pow_miller, exp_naive, exp_series, pow_int, pow_naive
+from .powers import _pow_miller, exp_naive, exp_series, pow_int, pow_naive
 from .series import Series, format_series, load_series
 
 __all__ = ["main", "main_entry", "build_parser"]
@@ -123,7 +125,11 @@ def _write_outputs(*outputs: tuple[str, str | None, TextIO]) -> None:
     Every named file is opened before any text is written, and written
     before any stream is, so a file that cannot be opened leaves no output
     anywhere, and one that cannot be written leaves none on the streams.
+    Two paths that resolve to one file are refused before any is opened.
     """
+    paths = [os.path.realpath(path) for _, path, _ in outputs if path is not None]
+    if len(set(paths)) < len(paths):
+        raise InvalidArgumentError(f"two outputs name the same file {max(paths, key=paths.count)}")
     with contextlib.ExitStack() as stack:
         files = []
         for text, path, _ in outputs:
@@ -152,12 +158,10 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             result, count = pow_naive(series, args.m)
         else:
             result, count = pow_int(series, args.m)
+    elif args.naive:
+        result, count = exp_naive(series)
     else:
-        if args.naive:
-            count = OpCount()
-            result = exp_naive(series, count)
-        else:
-            result, count = exp_series(series)
+        result, count = exp_series(series)
     if args.count:
         print(f"multiplies: {count.multiplies}", file=sys.stderr)
     _write_outputs((format_series(result) + "\n", args.outfile, sys.stdout))
@@ -178,12 +182,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bratu(args: argparse.Namespace) -> int:
-    solution, reference, rows = _comparison(args.lam, args.order, args.grid, args.branch)
+    solution, theta, rows = _comparison(args.lam, args.order, args.grid, args.branch)
     csv = "x,u_dtm,u_analytic,abs_err\n" + "".join("%r,%r,%r,%r\n" % row for row in rows)
     summary = {
         "lambda": args.lam,
         "gamma": solution.gamma,
-        "theta": reference.theta,
+        "theta": theta,
         "residual": solution.residual,
         "max_abs_err": max(row[3] for row in rows),
         "order": args.order,
@@ -226,9 +230,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         m = None
         count_rec = exp_series(series)[1].multiplies
-        naive_count = OpCount()
-        exp_naive(series, naive_count)
-        count_naive = naive_count.multiplies
+        count_naive = exp_naive(series)[1].multiplies
         time_rec = _time_best(lambda: exp_series(series), args.reps)
         time_naive = _time_best(lambda: exp_naive(series), args.reps)
     report = {

@@ -2,8 +2,8 @@
 
 Each type carries the exit code of the CLI as ``exit_code``: 2 for any
 :class:`DtmError` (a bad argument, a malformed equation or series file),
-3 for a domain error or an overflowing coefficient, 4 for a missing
-solution branch.
+3 for a domain error or an overflowing coefficient, 4 when shooting has
+no answer on the requested solution branch.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ class NonFiniteCoefficientError(DtmError):
 
 
 class BranchNotFoundError(DtmError):
-    """The requested solution branch does not exist at this parameter value,
-    its series cannot converge where the boundary condition is applied, or
-    shooting found no point on it whose residual is within tolerance."""
+    """No series of the requested solution branch converges where the
+    boundary condition is applied (above the fold included), the shooting
+    climb found no sign change, or shooting found no point whose residual
+    is within tolerance."""
 
     exit_code = 4

@@ -240,7 +240,7 @@ def exp_series(a: Series) -> tuple[Series, OpCount]:
     return lang._apply("exp", (_series(a, "exp_series").coeffs,), count), count
 
 
-def exp_naive(a: Series, count: OpCount | None = None) -> Series:
+def exp_naive(a: Series) -> tuple[Series, OpCount]:
     """Oracle exponential via summed Taylor terms of exp.
 
     Splits a = a[0] + atil where atil has zero constant term, then returns
@@ -250,11 +250,12 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
     Because atil has valuation >= 1, truncating the outer sum at m = N is
     exact to order N. Without the constant split no finite outer sum would
     be exact when a[0] != 0. The running power atil^m is the same left fold
-    of convolutions that :func:`pow_naive` performs; when ``count`` is
-    given it accumulates those convolution multiplies. As an oracle it is
-    outside the rule of ``series._FLOAT_EXACT_INT``: up to 170 it keeps 1/m! rounded.
+    of convolutions that :func:`pow_naive` performs; the count returned is
+    their multiplies. As an oracle it is outside the rule of
+    ``series._FLOAT_EXACT_INT``: up to 170 it keeps 1/m! rounded.
     """
     n = _series(a, "exp_naive").order
+    count = OpCount()
     total = [0.0] * (n + 1)
     total[0] = 1.0
     if n >= 1:
@@ -270,4 +271,4 @@ def exp_naive(a: Series, count: OpCount | None = None) -> Series:
                 terms = [_div_exact(c, f) for c in power.coeffs[m:]]
             total[m:] = map(operator.add, total[m:], terms)
     # The generator evaluates exp, so collect also reports its overflow.
-    return collect(math.exp(a.coeffs[0]) * t for t in total)
+    return collect(math.exp(a.coeffs[0]) * t for t in total), count

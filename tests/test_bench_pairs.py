@@ -163,6 +163,20 @@ def test_verdicts_name_each_gain_and_each_metric_out_of_bound():
         "gain_shown": [], "not_within_bound": []}
 
 
+def test_src_lines_counts_the_python_lines_under_src(tmp_path):
+    # Each side's tree, as the parent's archive and the working tree are.
+    trees = {"parent": ("a\nb\nc\n", "d\n"), "change": ("a\n", "")}
+    for side, (top, nested) in trees.items():
+        package = tmp_path / side / "src" / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "top.py").write_text(top)
+        (package / "sub" / "nested.py").write_text(nested)
+        (package / "notes.txt").write_text("not\ncounted\n")
+        (tmp_path / side / "outside.py").write_text("not counted\n")
+    counts = {side: _bench_pairs().src_lines(tmp_path / side) for side in trees}
+    assert counts == {"parent": 4, "change": 1}
+
+
 def _traced_stdout(defect_lines):
     # The shape of a traced ``bench/run.py --workload bratu`` run's stdout.
     result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {

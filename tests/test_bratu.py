@@ -6,7 +6,6 @@ import pytest
 
 import dtmseries.bratu as bratu_module
 from dtmseries import (
-    AnalyticBratu,
     BranchNotFoundError,
     InvalidArgumentError,
     NonFiniteCoefficientError,
@@ -420,11 +419,7 @@ class TestThetaRoots:
         s = math.sqrt(2.0 * lam)
         for theta in roots:
             assert abs(theta - s * math.cosh(theta / 4.0)) <= 1e-12
-        AnalyticBratu.for_branch(lam, "lower")
-
-    def test_no_branch_message_prints_lambda_exactly(self):
-        with pytest.raises(BranchNotFoundError, match=r"lambda=3\.5138308;"):
-            AnalyticBratu.for_branch(3.5138308, "lower")
+        assert analytic_theta_roots(lam, "lower") == roots[:1]
 
     @pytest.mark.parametrize("lam", [0.05, 1.0, 2.0, 3.5])
     def test_evaluation_budget(self, monkeypatch, lam):
@@ -490,35 +485,35 @@ class TestThetaRoots:
     def test_branch_solves_its_own_root_bitwise(self, lam):
         roots = analytic_theta_roots(lam)
         assert len(roots) == 2
-        assert analytic_theta_roots(lam, "lower") == roots[:1]
-        assert analytic_theta_roots(lam, "upper") == roots[1:]
-        assert AnalyticBratu.for_branch(lam, "lower").theta == roots[0]
-        assert AnalyticBratu.for_branch(lam, "upper").theta == roots[-1]
+        lower, upper = roots
+        assert [r.hex() for r in analytic_theta_roots(lam, "lower")] == [lower.hex()]
+        assert [r.hex() for r in analytic_theta_roots(lam, "upper")] == [upper.hex()]
 
-    def test_single_root_serves_both_branches(self, monkeypatch):
-        # With the search cut at theta = 10, g(THETA_MAX) > 0 at lambda = 1:
-        # only the lower bracket exists, and both branches take its root.
-        monkeypatch.setattr(bratu_module, "THETA_MAX", 10.0)
-        roots = analytic_theta_roots(1.0)
-        assert len(roots) == 1
-        for branch in ("lower", "upper"):
-            assert analytic_theta_roots(1.0, branch) == roots
-            assert AnalyticBratu.for_branch(1.0, branch).theta == roots[0]
+    def test_both_brackets_lie_inside_the_search(self):
+        # Where the clamps at THETA_MAX used to stand: on the whole supported
+        # range the maximum t* and the upper bracket's end lie below
+        # THETA_MAX, and g is negative at that end, so each bracket holds
+        # its root. A LAMBDA_MIN lowered past about 7e-10 fails here.
+        lo, hi = bratu_module.LAMBDA_MIN, bratu_module.LAMBDA_MAX
+        theta_max = bratu_module.THETA_MAX
+        grid = [lo * (hi / lo) ** (i / 400) for i in range(401)]
+        for lam in [lo, *grid, hi]:
+            s = math.sqrt(2.0 * lam)
+            end = 4.0 * math.acosh(theta_max / s)
+            assert 4.0 * math.asinh(4.0 / s) < theta_max
+            assert end < theta_max
+            assert end - s * math.cosh(end / 4.0) < 0.0
 
     @pytest.mark.parametrize("branch", ["lower", "upper"])
     def test_no_root_for_either_branch(self, branch):
         lam = 3.5138308
         assert analytic_theta_roots(lam) == analytic_theta_roots(lam, branch) == []
-        with pytest.raises(BranchNotFoundError, match="no analytic branch"):
-            AnalyticBratu.for_branch(lam, branch)
 
     def test_branch_validation(self):
         # The branch is checked first, as in shoot.
         for lam in (1.0, math.nan):
             with pytest.raises(InvalidArgumentError, match="branch must be"):
                 analytic_theta_roots(lam, "middle")
-            with pytest.raises(InvalidArgumentError, match="branch must be"):
-                AnalyticBratu.for_branch(lam, "middle")
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -727,13 +722,12 @@ class TestAnalyticSolution:
             for x in (0.1, 0.25, 0.4, 0.8):
                 assert abs(analytic_u(theta, x) - analytic_u(theta, 1.0 - x)) <= 1e-12
 
-    def test_for_branch(self):
-        lower = AnalyticBratu.for_branch(1.0, "lower")
-        upper = AnalyticBratu.for_branch(1.0, "upper")
-        assert lower.theta < upper.theta
-        assert lower.u(0.5) > 0.0
-        with pytest.raises(BranchNotFoundError):
-            AnalyticBratu.for_branch(5.0, "lower")
+    def test_branch_thetas(self):
+        [lower] = analytic_theta_roots(1.0, "lower")
+        [upper] = analytic_theta_roots(1.0, "upper")
+        assert lower < upper
+        assert analytic_u(lower, 0.5) > 0.0
+        assert analytic_theta_roots(5.0, "lower") == []
 
 
 class TestCompare:
@@ -772,9 +766,10 @@ class TestCompare:
         (1.0, 45, 101, "lower"),
     ])
     def test_rows_use_the_closed_form_bitwise(self, lam, order, grid, branch):
-        sol, ref, rows = bratu_module._comparison(lam, order, grid, branch)
+        sol, theta, rows = bratu_module._comparison(lam, order, grid, branch)
+        assert theta.hex() == analytic_theta_roots(lam, branch)[0].hex()
         assert [row[0] for row in rows] == [i / (grid - 1) for i in range(grid)]
         for x, u_dtm, u_ref, err in rows:
             assert u_dtm.hex() == evaluate(sol.coeffs, x).hex()
-            assert u_ref == analytic_u(ref.theta, x) == ref.u(x)
+            assert u_ref == analytic_u(theta, x)
             assert err == abs(u_dtm - u_ref)

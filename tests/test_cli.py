@@ -517,6 +517,20 @@ class TestBratu:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write /dev/full: ")
 
+    def test_outputs_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch):
+        # The JSON summary once overwrote the head of the CSV and exited 0.
+        path = tmp_path / "out.txt"
+        path.write_text("kept\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["bratu", "--lambda", "1", "--order", "10", "--grid", "5", "--branch", "lower"]
+        for csv_name, json_name in (("out.txt", "out.txt"), (str(path), "./sub/../out.txt")):
+            (tmp_path / "sub").mkdir(exist_ok=True)
+            code, out, err = run_cli(argv + ["--out-csv", csv_name, "--out-json", json_name],
+                                     capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: two outputs name the same file {os.path.realpath(path)}\n"
+            assert path.read_text() == "kept\n"
+
     def test_invalid_branch_choice(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["bratu", "--lambda", "1", "--order", "30", "--grid", "11", "--branch", "mid"])

@@ -216,7 +216,7 @@ class TestExpSeries:
     def test_exp_of_x_squared(self):
         got, _ = exp_series(Series([0, 0, 1, 0, 0]))
         assert relgap(got, Series([1, 0, 1, 0, 0.5])) <= 1e-15
-        assert relgap(got, exp_naive(Series([0, 0, 1, 0, 0]))) <= 1e-15
+        assert relgap(got, exp_naive(Series([0, 0, 1, 0, 0]))[0]) <= 1e-15
 
     @pytest.mark.parametrize("n", (0, 1, 3, 64))
     def test_multiply_count(self, n):
@@ -231,14 +231,13 @@ class TestExpSeries:
 
 class TestExpNaive:
     def test_truncated_exp_of_x(self):
-        assert exp_naive(Series([0, 1, 0])) == Series([1, 1, 0.5])
+        assert exp_naive(Series([0, 1, 0]))[0] == Series([1, 1, 0.5])
 
     def test_constant_exponent(self):
-        assert exp_naive(Series([2, 0, 0])) == Series([math.exp(2.0), 0.0, 0.0])
+        assert exp_naive(Series([2, 0, 0]))[0] == Series([math.exp(2.0), 0.0, 0.0])
 
     def test_counts_convolution_multiplies(self):
-        count = OpCount()
-        exp_naive(oracle_series(random.Random(0), order=16), count)
+        _, count = exp_naive(oracle_series(random.Random(0), order=16))
         # m = 2..16 each cost one convolution of (17*18)/2 multiplies
         assert count.multiplies == 15 * (17 * 18 // 2)
 
@@ -246,7 +245,7 @@ class TestExpNaive:
         # From m = 171 on, m! has no float; e^{0.5 + 3x} has the normal
         # coefficient e^0.5 * 3^180 / 180! = 6.25e-244 at order 180.
         a = Series([0.5, 3.0] + [0.0] * 179)
-        got = exp_naive(a)
+        got, _ = exp_naive(a)
         assert relgap(got, exp_series(a)[0]) <= 1e-10
         want = math.exp(0.5) * float(Fraction(3) ** 180 / math.factorial(180))
         assert abs(got[180] - want) <= 1e-14 * want
@@ -280,7 +279,7 @@ class TestOracleEquivalence:
         rng = random.Random(34)
         for _ in range(100):
             a = oracle_series(rng)
-            assert relgap(exp_series(a)[0], exp_naive(a)) <= 1e-10
+            assert relgap(exp_series(a)[0], exp_naive(a)[0]) <= 1e-10
 
 
 class TestAlgebraicProperties:
@@ -317,6 +316,5 @@ class TestCostScaling:
     def test_exp_recurrence_is_cheaper(self):
         a = oracle_series(random.Random(0), order=64)
         _, rec = exp_series(a)
-        naive = OpCount()
-        exp_naive(a, naive)
+        _, naive = exp_naive(a)
         assert rec.multiplies <= naive.multiplies

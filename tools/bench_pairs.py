@@ -28,10 +28,12 @@ parent run: there, neither verdict tells a change from the spread. Per
 workload it also holds the ops each run attempted, beside the totals. It is
 written to ``.benchmarks/BENCH_<pr>.json``, with the full sha of the
 parent, the sha of HEAD, whether the working tree differs from HEAD, and
-the script's own command line; if that file already exists, the script
+the script's own command line, and ``src_lines``, the number of lines in
+``src/**/*.py`` on each side; if that file already exists, the script
 refuses to run, before the first pair. The file ends with ``summary``, the
 (workload, metric) pairs that show ``gain_shown`` and those that are not
-``within_bound``, and the script prints it as its last lines.
+``within_bound``, and the script prints it and ``src_lines`` as its last
+lines.
 """
 
 from __future__ import annotations
@@ -172,6 +174,11 @@ def known_workloads() -> tuple[str, ...]:
     raise SystemExit("error: bench/run.py defines no WORKLOADS")
 
 
+def src_lines(root: Path) -> int:
+    """The number of lines, as ``wc -l`` counts them, in ``src/**/*.py`` under ``root``."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+
+
 def revisions(parent: str) -> dict:
     """The full shas of the commit ``parent`` names and of HEAD, and
     ``dirty``: whether the working tree, untracked files included, differs
@@ -245,6 +252,7 @@ def main() -> int:
             "parent_sha": revs["parent"],
             "head_sha": revs["head"],
             "dirty": revs["dirty"],
+            "src_lines": {side: src_lines(roots[side]) for side in SIDES},
             "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
             "run_seconds": seconds,
             "method": ("parent and change each run from their own checkout with the same, "
@@ -274,6 +282,7 @@ def main() -> int:
     print(f"wrote {out}")
     for verdict, keys in doc["summary"].items():
         print(f"{verdict}: {', '.join(keys) or 'none'}")
+    print("src_lines: " + ", ".join(f"{side} {n}" for side, n in doc["src_lines"].items()))
     return 0
 
 
