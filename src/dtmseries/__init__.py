@@ -14,128 +14,22 @@ coefficients. This package provides:
   coefficient recurrence.
 - :mod:`dtmseries.bratu`: the planar Bratu boundary-value problem solved by
   shooting on the initial slope, with its closed-form reference.
+- :mod:`dtmseries.errors`: the typed errors, each with its CLI exit code.
 - :mod:`dtmseries.cli`: the ``dtmseries`` command-line tool.
+
+A public name is declared once, in its module's ``__all__``; the package
+re-exports each of those lists.
 """
 
-from .bratu import (
-    BratuSolution,
-    analytic_theta_roots,
-    analytic_u,
-    boundary_residual,
-    bratu_coeffs,
-    bratu_plan,
-    compare,
-    shoot,
-)
-from .errors import (
-    BranchNotFoundError,
-    DomainError,
-    DtmError,
-    EquationError,
-    EquationSyntaxError,
-    ImplicitFormError,
-    InvalidArgumentError,
-    NonFiniteCoefficientError,
-    OrderMismatchError,
-    SeriesFormatError,
-)
-from .lang import (
-    Add,
-    Const,
-    Deriv,
-    Equation,
-    Exp,
-    Expr,
-    Mul,
-    Pow,
-    RecurrencePlan,
-    Scale,
-    Sub,
-    U,
-    Var,
-    XPow,
-    format_equation,
-    format_expr,
-    lower,
-    parse,
-    run,
-)
-from .powers import exp_naive, exp_series, pow_int, pow_naive
-from .series import (
-    OpCount,
-    Series,
-    add,
-    derivative_transform,
-    evaluate,
-    format_series,
-    load_series,
-    monomial,
-    mul,
-    scale,
-    sub,
-    zeros,
-)
+# ``lang`` must load before ``series`` and ``powers`` (their imports of one
+# another resolve only in that order), and ``bratu`` imports it first.
+from .bratu import *
+from .errors import *
+from .lang import *
+from .powers import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # series
-    "Series",
-    "OpCount",
-    "zeros",
-    "monomial",
-    "add",
-    "sub",
-    "scale",
-    "mul",
-    "derivative_transform",
-    "evaluate",
-    "load_series",
-    "format_series",
-    # powers
-    "pow_int",
-    "pow_naive",
-    "exp_series",
-    "exp_naive",
-    # lang
-    "Const",
-    "Var",
-    "XPow",
-    "U",
-    "Deriv",
-    "Add",
-    "Sub",
-    "Mul",
-    "Scale",
-    "Pow",
-    "Exp",
-    "Expr",
-    "Equation",
-    "RecurrencePlan",
-    "parse",
-    "format_expr",
-    "format_equation",
-    "lower",
-    "run",
-    # bratu
-    "BratuSolution",
-    "bratu_coeffs",
-    "bratu_plan",
-    "boundary_residual",
-    "shoot",
-    "analytic_theta_roots",
-    "analytic_u",
-    "compare",
-    # errors
-    "DtmError",
-    "InvalidArgumentError",
-    "OrderMismatchError",
-    "SeriesFormatError",
-    "DomainError",
-    "EquationError",
-    "EquationSyntaxError",
-    "ImplicitFormError",
-    "NonFiniteCoefficientError",
-    "BranchNotFoundError",
-]
+__all__ = ["__version__", *dict.fromkeys(
+    series.__all__ + powers.__all__ + lang.__all__ + bratu.__all__ + errors.__all__)]

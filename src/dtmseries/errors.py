@@ -8,6 +8,19 @@ no answer on the requested solution branch.
 
 from __future__ import annotations
 
+__all__ = [
+    "DtmError",
+    "InvalidArgumentError",
+    "OrderMismatchError",
+    "SeriesFormatError",
+    "DomainError",
+    "EquationError",
+    "EquationSyntaxError",
+    "ImplicitFormError",
+    "NonFiniteCoefficientError",
+    "BranchNotFoundError",
+]
+
 
 class DtmError(Exception):
     """Base class for all errors raised by dtmseries."""

@@ -120,6 +120,7 @@ __all__ = [
     "Scale",
     "Pow",
     "Exp",
+    "Expr",
     "Equation",
     "RecurrencePlan",
     "parse",
@@ -620,6 +621,8 @@ def format_expr(e: Expr) -> str:
 
 
 def format_equation(eq: Equation) -> str:
+    if not isinstance(eq, Equation):
+        raise InvalidArgumentError(f"equation must be an Equation, got {type(eq).__name__}")
     return f"D(u,{eq.lhs_order}) = {format_expr(eq.rhs)}"
 
 
@@ -632,20 +635,26 @@ def format_equation(eq: Equation) -> str:
 class RecurrencePlan:
     """An equation and the truncation order it is solved to.
 
-    Building a plan checks the order, an int that must hold the
-    equation's lhs_order initial coefficients. The equation checked and
-    lowered itself when it was built, so every plan is causal (emitting
-    R(k) never reads a coefficient before it is produced) and shares its
-    equation's immutable program. :func:`run` keeps all stepping state in
-    the locals of one call, so one plan may be shared and run
-    concurrently. Plans are equal when their equations and orders are.
+    Building a plan checks that the equation is an :class:`Equation` and
+    the order an int that must hold its lhs_order initial coefficients.
+    The equation checked and lowered itself when it was built, so every
+    plan is causal (emitting R(k) never reads a coefficient before it is
+    produced) and shares its equation's immutable program. :func:`run`
+    keeps all stepping state in the locals of one call, so one plan may be
+    shared and run concurrently. Plans are equal when their equations and
+    orders are.
     """
 
     equation: Equation
     order: int
 
     def __post_init__(self) -> None:
-        m = self.equation.lhs_order
+        equation = self.equation
+        if not isinstance(equation, Equation):
+            raise InvalidArgumentError(
+                f"equation must be an Equation, got {type(equation).__name__}"
+            )
+        m = equation.lhs_order
         if _int(self.order, "order") < m - 1:
             raise InvalidArgumentError(
                 f"order {self.order} cannot hold the {m} initial coefficients U(0..{m - 1})"
@@ -852,6 +861,8 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
     Raises :class:`NonFiniteCoefficientError` naming the first order at
     which a coefficient stops being finite.
     """
+    if not isinstance(plan, RecurrencePlan):
+        raise InvalidArgumentError(f"plan must be a RecurrencePlan, got {type(plan).__name__}")
     m = plan.lhs_order
     try:
         given = len(initial)

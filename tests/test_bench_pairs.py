@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +177,40 @@ def test_src_lines_counts_the_python_lines_under_src(tmp_path):
         (tmp_path / side / "outside.py").write_text("not counted\n")
     counts = {side: _bench_pairs().src_lines(tmp_path / side) for side in trees}
     assert counts == {"parent": 4, "change": 1}
+
+
+def test_import_ms_times_cold_imports_taking_turns(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    roots = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for root in roots.values():
+        package = root / "src" / "dtmseries"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        # The cached bytecode of other code, stamped with the size and mtime
+        # of the source that replaces it: an import that reads it exits 3.
+        cli = package / "cli.py"
+        cli.write_text("raise SystemExit(3)\n")
+        py_compile.compile(str(cli), doraise=True)
+        stamp = cli.stat()
+        cli.write_text("raise SystemExit(0)\n")
+        os.utime(cli, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        stale = subprocess.run([sys.executable, "-c", "import dtmseries.cli"], cwd=root / "src")
+        assert stale.returncode == 3
+    tree = sorted(tmp_path.rglob("*"))
+    starts = []
+    real_run = subprocess.run
+
+    def run(argv, cwd, **kwargs):
+        starts.append(Path(cwd).name)
+        return real_run(argv, cwd=cwd, **kwargs)
+
+    monkeypatch.setattr(bench_pairs, "IMPORT_STARTS", 3)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    times = bench_pairs.import_ms(roots)
+    assert starts == ["parent", "change", "change", "parent", "parent", "change"]
+    assert times.keys() == roots.keys()
+    assert all(0 < t["min"] <= t["median"] for t in times.values())
+    assert sorted(tmp_path.rglob("*")) == tree
 
 
 def _traced_stdout(defect_lines):

@@ -28,6 +28,7 @@ from dtmseries import (
     derivative_transform,
     evaluate,
     exp_series,
+    format_equation,
     format_series,
     load_series,
     lower,
@@ -119,6 +120,14 @@ CHECKS = {
     "derivative_list": lambda: derivative_transform([1.0, 2.0], 1),
     "boundary_residual_list": lambda: boundary_residual([1.0, 2.0]),
     "pow_int_list": lambda: pow_int([1.0, 2.0], 1),
+    # An equation or plan of the wrong kind: text, None, or an Equation
+    # where a plan belongs.
+    "lower_text": lambda: lower("D(u,1) = u", 5),
+    "lower_none": lambda: lower(None, 5),
+    "plan_text": lambda: RecurrencePlan("x", 3),
+    "run_text": lambda: run("plan", [1.0]),
+    "run_equation": lambda: run(parse("D(u,1) = u"), [1.0]),
+    "format_equation_text": lambda: format_equation("D(u,1)=u"),
 }
 
 

@@ -262,7 +262,7 @@ class TestExpStep:
         assert count.multiplies == 2 + 3 + 4
 
 
-@pytest.mark.parametrize("module", ["series", "powers", "lang"])
+@pytest.mark.parametrize("module", ["series", "powers", "lang", "errors", "bratu", "cli"])
 def test_the_driver_is_reached_whichever_module_loads_first(module):
     # lang imports series and powers when it loads, so mul, pow_int and
     # exp_series import lang's executor when they run; a module-level import

@@ -28,12 +28,13 @@ parent run: there, neither verdict tells a change from the spread. Per
 workload it also holds the ops each run attempted, beside the totals. It is
 written to ``.benchmarks/BENCH_<pr>.json``, with the full sha of the
 parent, the sha of HEAD, whether the working tree differs from HEAD, and
-the script's own command line, and ``src_lines``, the number of lines in
-``src/**/*.py`` on each side; if that file already exists, the script
-refuses to run, before the first pair. The file ends with ``summary``, the
-(workload, metric) pairs that show ``gain_shown`` and those that are not
-``within_bound``, and the script prints it and ``src_lines`` as its last
-lines.
+the script's own command line, ``src_lines``, the number of lines in
+``src/**/*.py`` on each side, and ``import_ms``, each side's min and median
+time of a cold ``import dtmseries.cli`` (:func:`import_ms`); if that file
+already exists, the script refuses to run, before the first pair. The file
+ends with ``summary``, the (workload, metric) pairs that show
+``gain_shown`` and those that are not ``within_bound``, and the script
+prints it, ``src_lines`` and ``import_ms`` as its last lines.
 """
 
 from __future__ import annotations
@@ -43,16 +44,19 @@ import ast
 import json
 import re
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 3
 TRACE_SECONDS = 3
+IMPORT_STARTS = 30
 ENV_RE = re.compile(r"python=(\S+) nproc=(\d+) cpu='(.*)'")
 DEFECT_RE = re.compile(r"^#   defect op (.+?) status=(\S+)", re.MULTILINE)
 
@@ -179,6 +183,27 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
 
 
+def import_ms(roots: dict) -> dict:
+    """``{side: {"min": ms, "median": ms}}`` over ``IMPORT_STARTS`` wall times
+    of ``python -B -c "import dtmseries.cli"`` in a copy of each side's
+    ``src``, the sides taking turns as the pairs do. The copies leave out
+    every ``__pycache__`` and ``-B`` writes none, so no start reads the
+    package's bytecode from a cache."""
+    times = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: shutil.copytree(roots[side] / "src", Path(tmp, side),
+                                       ignore=shutil.ignore_patterns("__pycache__"))
+                 for side in SIDES}
+        for i in range(IMPORT_STARTS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-B", "-c", "import dtmseries.cli"],
+                               cwd=trees[side], capture_output=True, check=True)
+                times[side].append((time.perf_counter() - start) * 1e3)
+    return {side: {"min": round(min(t), 3), "median": round(statistics.median(t), 3)}
+            for side, t in times.items()}
+
+
 def revisions(parent: str) -> dict:
     """The full shas of the commit ``parent`` names and of HEAD, and
     ``dirty``: whether the working tree, untracked files included, differs
@@ -253,6 +278,7 @@ def main() -> int:
             "head_sha": revs["head"],
             "dirty": revs["dirty"],
             "src_lines": {side: src_lines(roots[side]) for side in SIDES},
+            "import_ms": import_ms(roots),
             "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
             "run_seconds": seconds,
             "method": ("parent and change each run from their own checkout with the same, "
@@ -283,6 +309,8 @@ def main() -> int:
     for verdict, keys in doc["summary"].items():
         print(f"{verdict}: {', '.join(keys) or 'none'}")
     print("src_lines: " + ", ".join(f"{side} {n}" for side, n in doc["src_lines"].items()))
+    print("import_ms: " + ", ".join(f"{side} min {t['min']} median {t['median']}"
+                                    for side, t in doc["import_ms"].items()))
     return 0
 
 
