@@ -113,6 +113,13 @@ CHECKS = {
     "parse_dict": lambda: parse({}),
     "series_int": lambda: Series(5),
     "series_of_none": lambda: Series(None),
+    # A mapping or a set: its iteration order is not its coefficients'.
+    "series_dict": lambda: Series({1: 2.0, 3: 4.0}),
+    "series_set": lambda: Series({1.0, 2.0}),
+    "series_frozenset": lambda: Series(frozenset([1.0])),
+    "series_dict_keys": lambda: Series({1.0: 0}.keys()),
+    "run_dict": lambda: run(PLAN, {0: 1.0, 1: 2.0}),
+    "run_set": lambda: run(PLAN, {1.0, 2.0}),
     "run_float": lambda: run(PLAN, 1.0),
     "mul_list": lambda: mul([1.0, 2.0], S),
     "exp_series_list": lambda: exp_series([1.0, 2.0]),

@@ -1,14 +1,17 @@
 """Equation DSL: grammar, printer, lowering, and stepping."""
 
 import dataclasses
+import importlib
 import io
 import math
 import random
 import sys
 import threading
 import tokenize
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +330,16 @@ class TestPrinter:
         back = parse(format_equation(Equation(1, e)))
         assert back.lhs_order == 1 and _same_tree(back.rhs, e)
 
+    @pytest.mark.parametrize("tree", [
+        "garbage", Add(U(), "x + 1"), Exp("u"), Pow("u", 2), Mul(U(), ("x",)),
+        Scale(2.0, Mul(U(), "x")), 5, None,
+    ], ids=["str", "str-in-sum", "str-in-exp", "str-in-pow", "tuple-in-product",
+            "str-in-scaled-chain", "int", "none"])
+    def test_a_non_node_anywhere_raises_type_error(self, tree):
+        # Text in a tree is not printed as it stands: a str is not a node.
+        with pytest.raises(TypeError, match="not an expression node"):
+            lang.format_expr(tree)
+
 
 def _same_tree(a, b) -> bool:
     """Whether two ASTs are equal, floats by their bits, walked with a stack
@@ -605,6 +618,7 @@ class TestSharedSlots:
             return exp_step(*args, **kwargs)
 
         monkeypatch.setattr(powers, "exp_step", counted)
+        lang._longest_run.cache_clear()  # so the runs step the executor
         n = 30
         shared = run(lower(parse("D(u,2) = -1*u*exp(u) + exp(u)"), n), [0.1, 0.2])
         assert calls == list(range(1, n - 1))
@@ -845,6 +859,7 @@ class TestExecutor:
         assert one.equation._shape == two.equation._shape
         assert _executor(one) is _executor(two)
         hits = lang._executor.cache_info().hits
+        lang._longest_run.cache_clear()  # so the run looks up its executor
         run(bratu_plan(3.0, 10), (0.0, 1.0))
         assert lang._executor.cache_info().hits == hits + 1
 
@@ -895,7 +910,10 @@ class TestReentrant:
     INITIAL = [(0.1 * i, 0.2) for i in range(8)]
 
     def _want(self, plan):
-        return [_hex(run(plan, ic)) for ic in self.INITIAL]
+        # Cleared after, so the runs under test step the executor.
+        want = [_hex(run(plan, ic)) for ic in self.INITIAL]
+        lang._longest_run.cache_clear()
+        return want
 
     def test_four_threads_match_sequential_runs(self):
         plan = lower(parse(self.TEXT), 200)
@@ -927,6 +945,7 @@ class TestReentrant:
         def nested(*args, **kwargs):
             if not running:  # inside the outer run, not an inner one
                 running.append(True)
+                lang._longest_run.cache_clear()  # so the inner run steps too
                 i = len(inner) % 8
                 inner.append(_hex(run(plan, self.INITIAL[i])) == want[i])
                 running.pop()
@@ -1062,3 +1081,146 @@ class TestParseCache:
         for n in sorted({len(initial) - 1, 10, 80}):
             if n >= len(initial) - 1:
                 assert _counted_outcome(cached, initial, n) == _counted_outcome(fresh, initial, n)
+
+
+def _bench_module(name):
+    """A module of the benchmark, imported from bench/ as its own files import it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        return importlib.import_module(name)
+
+
+ARRANGEMENTS = {
+    "ascending": lambda runs: sorted(runs, key=lambda r: r[2]),
+    "descending": lambda runs: sorted(runs, key=lambda r: -r[2]),
+    "shuffled": lambda runs: random.Random(30).sample(runs, len(runs)),
+}
+
+
+class TestRunCache:
+    """run keeps the longest run of each (equation, initial bits) and
+    returns a shorter one as its prefix, bitwise the run it would step."""
+
+    @staticmethod
+    def _check(runs, arrangement):
+        # Each (equation, initial, order) against its run with the cache cleared.
+        checked = []
+        for equation, initial, n in runs:
+            lang._longest_run.cache_clear()
+            checked.append((equation, initial, n, _outcome(equation, initial, n)))
+        lang._longest_run.cache_clear()
+        for equation, initial, n, want in ARRANGEMENTS[arrangement](checked):
+            assert _outcome(equation, initial, n) == want, (equation, initial, n)
+
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
+    def test_solve_pool_runs_are_bitwise_fresh_runs(self, arrangement):
+        pool = _bench_module("workloads").SOLVE_POOL
+        self._check([(parse(text), ic, n)
+                     for text, _, _, ic, top in pool for n in range(10, top + 1)], arrangement)
+
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
+    def test_oracle_case_runs_are_bitwise_fresh_runs(self, arrangement):
+        # Overflowing cases included: a run above the order that overflows
+        # raises, and one below is served.
+        runs = []
+        for text, initial in ORACLE_CASES.values():
+            eq = parse(text)
+            runs += [(eq, initial, n) for n in (len(initial) - 1, 10, 30, 80, 400)
+                     if n >= len(initial) - 1]
+        self._check(runs, arrangement)
+
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
+    def test_long_series_plan_runs_are_bitwise_fresh_runs(self, arrangement):
+        workloads = _bench_module("workloads")
+        self._check([(parse(text), ic, n)
+                     for text, _, _, choices in workloads.LONG_PLANS for ic in choices
+                     for n in workloads.LONG_ORDERS], arrangement)
+
+    def test_a_kept_run_calls_no_kernel(self, monkeypatch):
+        eq, initial = parse("D(u,2) = -1*u*exp(u) + exp(u)"), (0.1, 0.2)
+        lang._longest_run.cache_clear()
+        kept = run(lower(eq, 40), initial)
+        monkeypatch.setattr(powers, "exp_step", lambda *args: pytest.fail("a kernel ran"))
+        assert run(lower(eq, 40), list(initial)) is kept
+        assert run(lower(eq, 25), initial).coeffs == kept.coeffs[:26]
+        assert run(lower(eq, 1), initial).coeffs == initial
+        with pytest.raises(pytest.fail.Exception, match="a kernel ran"):
+            run(lower(eq, 41), initial)  # a longer run steps
+
+    def test_signed_zero_initial_coefficients_are_two_keys(self):
+        plan = lower(parse("D(u,1) = u"), 3)
+        for first, second in [(-0.0, 0.0), (0.0, -0.0)]:
+            lang._longest_run.cache_clear()
+            runs = run(plan, (first,)), run(plan, (second,))
+            assert [_hex(r) for r in runs] == [[first.hex()] * 4, [second.hex()] * 4]
+
+    def test_a_run_that_raises_keeps_nothing(self):
+        eq, initial = parse("D(u,1) = pow(u,2)"), (1e10,)
+        lang._longest_run.cache_clear()
+        with pytest.raises(NonFiniteCoefficientError) as first:
+            run(lower(eq, 80), initial)
+        k = first.value.order
+        shorter = run(lower(eq, k - 1), initial)
+        with pytest.raises(NonFiniteCoefficientError) as again:
+            run(lower(eq, 80), initial)
+        assert again.value is not first.value and again.value.order == k
+        assert run(lower(eq, k - 1), initial) is shorter
+        assert run(lower(eq, k - 2), initial).coeffs == shorter.coeffs[:-1]
+
+    def test_the_last_128_keys_are_kept(self):
+        assert lang._longest_run.cache_info().maxsize == 128
+        plan = lower(parse("D(u,1) = -1*u"), 5)
+        lang._longest_run.cache_clear()
+        runs = [run(plan, (float(i),)) for i in range(129)]
+        assert all(run(plan, (float(i),)) is runs[i] for i in range(1, 129))
+        assert run(plan, (0.0,)) is not runs[0]  # the oldest key went first
+        assert run(plan, (0.0,)) == runs[0]
+
+    def test_a_shorter_run_that_returns_last_is_not_kept(self, monkeypatch):
+        # A run to 20 is held in its first exp step until a run to 40 of
+        # the same pair has returned; the run to 40 stays kept.
+        eq, initial = parse("D(u,2) = -1*u*exp(u) + exp(u)"), (0.1, 0.2)
+        exp_step, main = powers.exp_step, threading.current_thread()
+        paused, resume = threading.Event(), threading.Event()
+
+        def pausing(*args):
+            if threading.current_thread() is not main and not paused.is_set():
+                paused.set()
+                resume.wait(30)
+            return exp_step(*args)
+
+        monkeypatch.setattr(powers, "exp_step", pausing)
+        lang._longest_run.cache_clear()
+        with ThreadPoolExecutor(1) as pool:
+            shorter = pool.submit(run, lower(eq, 20), initial)
+            assert paused.wait(30)
+            longer = run(lower(eq, 40), initial)
+            resume.set()
+            assert shorter.result(timeout=30).coeffs == longer.coeffs[:21]
+        assert run(lower(eq, 40), initial) is longer
+
+    def test_the_kept_run_only_grows_under_threads(self):
+        # Eight threads on two cores each run one pair at every order, in
+        # an order of their own, switching within runs; the pair's box is
+        # made first, so that every thread replaces the run in one box.
+        eq, initial = parse("D(u,2) = -1*u*exp(u) + exp(u)"), (0.1, 0.2)
+        plans = [lower(eq, n) for n in range(10, 90)]
+        lang._longest_run.cache_clear()
+        want = _hex(run(plans[-1], initial))
+        lang._longest_run.cache_clear()
+        run(lower(eq, 1), initial)
+        box = lang._longest_run(eq, array("d", initial).tobytes())
+
+        def job(seed):
+            return all(_hex(run(plan, initial)) == want[:plan.order + 1]
+                       for plan in random.Random(seed).sample(plans, len(plans)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(job, seed) for seed in range(8)]
+                assert all(future.result(timeout=60) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _hex(box[0]) == want

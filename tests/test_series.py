@@ -59,6 +59,14 @@ class TestSeriesType:
         with pytest.raises(SeriesFormatError, match="empty series input"):
             load_series(text)
 
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, 2.0], (1.0, 2.0), (c for c in (1.0, 2.0)), {0: 1.0, 1: 2.0}.values(),
+        Series([1.0, 2.0]),
+    ], ids=["list", "tuple", "generator", "dict-values", "series"])
+    def test_an_ordered_iterable_is_accepted(self, coeffs):
+        # A mapping or a set is refused (tests/test_errors.py); these are not.
+        assert Series(coeffs).coeffs == (1.0, 2.0)
+
     def test_immutable_value_semantics(self):
         s = Series([1, 2])
         assert s == Series([1.0, 2.0])
