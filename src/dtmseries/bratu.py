@@ -61,13 +61,12 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 from .errors import (
     BranchNotFoundError, DomainError, InvalidArgumentError, NonFiniteCoefficientError
 )
 from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
-from .series import Series, _evaluate_grid, _finite_float, _int, evaluate
+from .series import Series, _evaluate_grid, _finite_float, _int, _Record, evaluate
 
 __all__ = [
     "BratuSolution",
@@ -126,14 +125,10 @@ def _require_branch(branch: str) -> None:
         raise InvalidArgumentError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
-@dataclass(frozen=True)
-class BratuSolution:
-    """A shot solution: slope gamma, coefficients, boundary residual, branch."""
+class BratuSolution(_Record):
+    """A shot solution, a record: slope gamma, coefficients, boundary residual, branch."""
 
-    gamma: float
-    coeffs: Series
-    residual: float
-    branch: str
+    __slots__ = _fields = ("gamma", "coeffs", "residual", "branch")
 
 
 def bratu_plan(lam: float, order: int) -> RecurrencePlan:
@@ -324,12 +319,7 @@ def shoot(lam: float, order: int, branch: str) -> BratuSolution:
             f"{residual!r} at gamma={gamma!r}, above {RESIDUAL_TOL:g}, at "
             f"lambda={lam!r}, order={order}"
         )
-    return BratuSolution(
-        gamma=gamma,
-        coeffs=runs[gamma],
-        residual=residual,
-        branch=branch,
-    )
+    return BratuSolution(gamma, runs[gamma], residual, branch)
 
 
 def analytic_theta_roots(lam: float, branch: str | None = None) -> list[float]:

@@ -32,7 +32,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterator, TextIO
+from collections.abc import Iterator
 
 from .bratu import _comparison
 from .errors import DtmError, InvalidArgumentError

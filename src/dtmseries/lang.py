@@ -34,8 +34,8 @@ every node and builds an immutable program of slots in topological
 order, in which structurally equal subtrees share one slot (floats
 compared by their bits, so 0.0 and -0.0 stay apart), and, in the same
 walk, its shape and literals (below). The program's keys are the
-equation's equality and hash. :func:`lower` only pairs the equation with
-a truncation order, checked by the plan.
+equation's equality and its hash, computed once. :func:`lower` only pairs
+the equation with a truncation order, checked by the plan.
 
 A product of a slot with itself is its square, at about half the
 multiplies. ``pow(e, m)`` is the slots of the stages that
@@ -99,9 +99,10 @@ are. A longer plan steps from k = 0 and its run replaces the kept one; a
 run that raises keeps nothing and raises afresh on every call. Two
 threads may both step a run not yet kept, to the same bits; a lock lets
 only the longer be kept. Every trial gamma of a Bratu shoot is new, so
-its runs only miss; a miss adds one hash, one insert and the lock, about
-2 us to a run of 35 us at N = 31. The whole-series operators (``series.mul``, ``pow_int``,
-``exp_series``) keep nothing: the ``OpCount`` of a call reports the
+its runs only miss; a miss adds one insert, the lock and a look-up of the
+equation's hash, which it computed when it was built, about 2 us to a
+run of 35 us at N = 31. The whole-series operators (``series.mul``,
+``pow_int``, ``exp_series``) keep nothing: the ``OpCount`` of a call reports the
 multiplies it performed.
 """
 
@@ -112,8 +113,7 @@ import math
 import re
 import threading
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from collections.abc import Callable, Sequence
 
 from .errors import (
     EquationSyntaxError,
@@ -124,8 +124,8 @@ from .errors import (
 from . import powers
 from .powers import power_chain
 from .series import (
-    _FLOAT_EXACT_INT, OpCount, Series, _div_exact, _finite_float, _int, _mul_exact, mul_step,
-    sq_step,
+    _FLOAT_EXACT_INT, OpCount, Series, _div_exact, _finite_float, _floats, _int, _mul_exact,
+    _Record, mul_step, sq_step,
 )
 
 __all__ = [
@@ -156,67 +156,25 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+def _node(name: str, *fields: str, doc: str | None = None) -> type:
+    """An AST node class: the record (``series._Record``) of ``fields``, so
+    two nodes are equal when their types and fields are."""
+    namespace = {"__slots__": fields, "_fields": fields, "__doc__": doc, "__module__": __name__}
+    return type(name, (_Record,), namespace)
 
 
-@dataclass(frozen=True)
-class Var:
-    """The independent variable x."""
-
-
-@dataclass(frozen=True)
-class XPow:
-    power: int
-
-
-@dataclass(frozen=True)
-class U:
-    """The dependent variable u."""
-
-
-@dataclass(frozen=True)
-class Deriv:
-    order: int
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: float
-    child: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    child: "Expr"
-    power: int
-
-
-@dataclass(frozen=True)
-class Exp:
-    child: "Expr"
-
-
-Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
+Const = _node("Const", "value")
+Var = _node("Var", doc="The independent variable x.")
+XPow = _node("XPow", "power")
+U = _node("U", doc="The dependent variable u.")
+Deriv = _node("Deriv", "order")
+Add = _node("Add", "left", "right")
+Sub = _node("Sub", "left", "right")
+Mul = _node("Mul", "left", "right")
+Scale = _node("Scale", "factor", "child")
+Pow = _node("Pow", "child", "power")
+Exp = _node("Exp", "child")
+Expr = Const | Var | XPow | U | Deriv | Add | Sub | Mul | Scale | Pow | Exp
 
 
 # A slot of a lowered equation is a tuple (kind, param, args): ``kind`` is
@@ -225,7 +183,7 @@ Expr = Union[Const, Var, XPow, U, Deriv, Add, Sub, Mul, Scale, Pow, Exp]
 # the literal, power, derivative order or factor (None when there is
 # none); ``args`` are the indices of the operand slots, all below the
 # slot's own index.
-_Slot = tuple[str, Union[float, int, None], tuple[int, ...]]
+_Slot = tuple[str, float | int | None, tuple[int, ...]]
 
 #: Slot kinds whose parameter is left out of a program's shape and passed
 #: to its executor as an argument: a float literal, or an input's list.
@@ -331,8 +289,7 @@ def _program(rhs: Expr) -> tuple:
     return tuple(index), tuple(shape), tuple(literals), top
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Record):
     """Explicit equation D(u, lhs_order) = rhs, checked and lowered when it is built.
 
     Raises :class:`InvalidArgumentError` for an ``lhs_order`` that is not
@@ -350,30 +307,35 @@ class Equation:
     the equation runs. The equation keeps the program as its shape (the
     slots with their float literals left out, and lhs_order), which selects
     the compiled executor, and the tuple of those literals, which the
-    executor takes as an argument. Equations are equal, and hash equal,
-    when their orders and slot keys are: floats compare by their bits, so
-    ``-0.0 * u`` and ``0.0 * u`` differ, while ``pow(u, 1)`` and ``u`` are
-    one equation.
+    executor takes as an argument. It is the record of ``lhs_order`` and
+    ``rhs``, but equal, and hashed, by its order and slot keys, its hash
+    computed once: ``rhs``'s spelling is ignored and floats compare by their
+    bits, so ``-0.0 * u`` and ``0.0 * u`` differ, while ``pow(u, 1)`` and
+    ``u`` are one equation.
     """
 
-    lhs_order: int
-    rhs: Expr = field(compare=False)
-    _keys: tuple[tuple, ...] = field(init=False, repr=False)
-    _shape: tuple[int, tuple[_Slot, ...]] = field(init=False, repr=False, compare=False)
-    _literals: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("lhs_order", "rhs")
+    __slots__ = (*_fields, "_key", "_shape", "_literals", "_hash")
 
-    def __post_init__(self) -> None:
-        m = _int(self.lhs_order, "equation order")
+    def __init__(self, lhs_order: int, rhs: Expr):
+        m = _int(lhs_order, "equation order")
         if m < 1:
             raise InvalidArgumentError("equation must isolate a derivative of order >= 1")
-        keys, shape, literals, top = _program(self.rhs)
+        keys, shape, literals, top = _program(rhs)
         if top >= m:
             raise ImplicitFormError(
                 f"implicit form: right-hand side contains D(u,{top}) but the "
                 f"left-hand side isolates order {m}"
             )
-        # One update sets the derived fields past the frozen __setattr__.
-        self.__dict__.update(_keys=keys, _shape=(m, shape), _literals=literals)
+        super().__init__(m, rhs, (m, keys), (m, shape), literals, hash((m, keys)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Equation:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # ----------------------------------------------------------------------
@@ -653,9 +615,8 @@ def format_equation(eq: Equation) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrencePlan:
-    """An equation and the truncation order it is solved to.
+class RecurrencePlan(_Record):
+    """An equation and the truncation order it is solved to, a record.
 
     Building a plan checks that the equation is an :class:`Equation` and
     the order an int that must hold its lhs_order initial coefficients.
@@ -664,27 +625,30 @@ class RecurrencePlan:
     produced) and shares its equation's immutable program. :func:`run`
     keeps all stepping state in the locals of one call, and shares only
     finished runs, so one plan may be shared and run concurrently. Plans
-    are equal when their equations and orders are.
+    are equal, and hash equal, when their equations and orders are.
     """
 
-    equation: Equation
-    order: int
+    __slots__ = _fields = ("equation", "order")
 
-    def __post_init__(self) -> None:
-        equation = self.equation
+    def __init__(self, equation: Equation, order: int):
         if not isinstance(equation, Equation):
             raise InvalidArgumentError(
                 f"equation must be an Equation, got {type(equation).__name__}"
             )
         m = equation.lhs_order
-        if _int(self.order, "order") < m - 1:
+        if _int(order, "order") < m - 1:
             raise InvalidArgumentError(
-                f"order {self.order} cannot hold the {m} initial coefficients U(0..{m - 1})"
+                f"order {order} cannot hold the {m} initial coefficients U(0..{m - 1})"
             )
+        _set_equation(self, equation)
+        _set_order(self, order)
 
     @property
     def lhs_order(self) -> int:
         return self.equation.lhs_order
+
+
+_set_equation, _set_order = RecurrencePlan._setters  # every lower builds a plan
 
 
 def lower(equation: Equation, order: int) -> RecurrencePlan:
@@ -917,7 +881,7 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
         ) from None
     if given != m:
         raise InvalidArgumentError(f"need {m} initial coefficients U(0..{m - 1}), got {given}")
-    u = list(Series(initial).coeffs)
+    u = list(_floats(initial))
     equation, n = plan.equation, plan.order
     box = _longest_run(equation, array("d", u).tobytes())
     if box and len(longest := box[0]) > n:

@@ -84,7 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, InvalidArgumentError
 from . import lang  # circular: lang loads first, imports this module, and is in sys.modules

@@ -27,9 +27,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Mapping, Set
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import (
     DomainError, InvalidArgumentError, NonFiniteCoefficientError, OrderMismatchError,
@@ -53,7 +51,50 @@ __all__ = [
 ]
 
 
-@dataclass
+class _Record:
+    """An immutable value: the fields named by ``_fields``, held in ``__slots__``
+    (after them, any slots derived from them) and taken by position.
+
+    Assignment and deletion raise ``AttributeError``. Records are equal, and
+    hash equal, when their types and fields are; the ``repr`` evaluates back
+    to an equal record, and pickling and copying call the constructor. A
+    constructor of a subclass sets its slots in order by ``_Record.__init__``
+    or, faster, by the slots' own stores, ``_setters``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values: object):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} values, got {len(values)}")
+        for set_slot, value in zip(setters, values):
+            set_slot(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class OpCount:
     """Tally of scalar (coefficient-level) multiplications performed.
 
@@ -62,7 +103,16 @@ class OpCount:
     Divisions and integer index arithmetic are not tallied.
     """
 
-    multiplies: int = 0
+    __slots__ = ("multiplies",)  # mutable, so its __eq__ leaves it unhashable
+
+    def __init__(self, multiplies: int = 0):
+        self.multiplies = multiplies
+
+    def __eq__(self, other: object) -> bool:
+        return self.multiplies == other.multiplies if type(other) is OpCount else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"OpCount(multiplies={self.multiplies!r})"
 
 
 def _finite_float(value: object, what: str) -> float:
@@ -116,8 +166,33 @@ def _mul_exact(n: int, x: float) -> float:
     return n * p / q
 
 
-class Series:
-    """Immutable truncated power series about x = 0.
+def _floats(coeffs: Iterable[float]) -> tuple[float, ...]:
+    """``coeffs`` as a tuple of floats, checked as :class:`Series` checks them."""
+    # A list or a tuple skips the ABC check, about 0.4 us (CPython 3.11).
+    if type(coeffs) not in (list, tuple) and isinstance(coeffs, (Mapping, Set)):
+        raise InvalidArgumentError(
+            f"series coefficients must be in order, not a {type(coeffs).__name__}"
+        )
+    try:
+        cs = list(coeffs)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"series coefficients must be an iterable of numbers, got {coeffs!r}"
+        ) from None
+    if not cs:
+        raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
+    try:
+        finite = all(map(math.isfinite, cs))  # as in _finite_float
+    except (OverflowError, TypeError, ValueError):
+        finite = False
+    if not finite:  # raise, naming the first coefficient that is not a finite number
+        for k, c in enumerate(cs):
+            _finite_float(c, f"coefficient at index {k}")
+    return tuple(map(float, cs))
+
+
+class Series(_Record):
+    """Immutable truncated power series about x = 0, the record of its ``coeffs``.
 
     ``coeffs[k]`` holds the coefficient of x^k; the order N is the highest
     retained index, so there are exactly N + 1 coefficients. Every stored
@@ -128,66 +203,34 @@ class Series:
     iteration order is not the order of its coefficients.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        # A list or a tuple skips the ABC check, about 0.4 us (CPython 3.11).
-        if type(coeffs) not in (list, tuple) and isinstance(coeffs, (Mapping, Set)):
-            raise InvalidArgumentError(
-                f"series coefficients must be in order, not a {type(coeffs).__name__}"
-            )
-        try:
-            cs = list(coeffs)
-        except TypeError:
-            raise InvalidArgumentError(
-                f"series coefficients must be an iterable of numbers, got {coeffs!r}"
-            ) from None
-        if not cs:
-            raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
-        try:
-            finite = all(map(math.isfinite, cs))  # as in _finite_float
-        except (OverflowError, TypeError, ValueError):
-            finite = False
-        if not finite:  # raise, naming the first coefficient that is not a finite number
-            for k, c in enumerate(cs):
-                _finite_float(c, f"coefficient at index {k}")
-        self._coeffs = tuple(map(float, cs))
+        _set_coeffs(self, _floats(coeffs))
 
-    @classmethod
-    def _checked(cls, coeffs: list[float]) -> Series:
+    @staticmethod
+    def _checked(coeffs: list[float]) -> Series:
         """A series of floats the caller has already checked to be finite."""
-        s = object.__new__(cls)
-        s._coeffs = tuple(coeffs)
+        s = object.__new__(Series)
+        _set_coeffs(s, tuple(coeffs))
         return s
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        return self._coeffs
 
     @property
     def order(self) -> int:
         """Highest retained index N."""
-        return len(self._coeffs) - 1
+        return len(self.coeffs) - 1
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self.coeffs)
 
     def __getitem__(self, k: int) -> float:
-        return self._coeffs[k]
+        return self.coeffs[k]
 
     def __iter__(self):
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"Series({list(self._coeffs)!r})"
+[_set_coeffs] = Series._setters
 
 
 def zeros(order: int) -> Series:

@@ -205,7 +205,7 @@ class TestSolve:
 
     def test_signed_zero_scales_stay_apart(self, capsys):
         # -0.0*u + 0.0*u is 0.0 at every order; a plan that merged the two
-        # Scale nodes (equal as dataclasses) would print -0.0.
+        # Scale nodes (equal records, as -0.0 == 0.0) would print -0.0.
         code, out, _ = run_cli(
             ["solve", "--eq", "D(u,1) = -0.0*u + 0.0*u", "--ic", "1", "--order", "2"],
             capsys,

@@ -1,6 +1,5 @@
 """Equation DSL: grammar, printer, lowering, and stepping."""
 
-import dataclasses
 import importlib
 import io
 import math
@@ -51,6 +50,7 @@ from dtmseries import (
     powers,
     run,
 )
+from dtmseries.series import _Record
 from util import divide, program, relgap, slot_series
 
 
@@ -349,8 +349,8 @@ def _same_tree(a, b) -> bool:
         a, b = todo.pop()
         if type(a) is not type(b):
             return False
-        if dataclasses.is_dataclass(a):
-            todo += [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)]
+        if isinstance(a, _Record):
+            todo += zip(a._values(), b._values())
         elif a.hex() != b.hex() if type(a) is float else a != b:
             return False
     return True
@@ -576,7 +576,7 @@ class TestSharedSlots:
         ids=["scale", "const"],
     )
     def test_signed_zeros_get_separate_slots(self, rhs):
-        # The dataclasses compare -0.0 equal to 0.0; the slots must not.
+        # The nodes compare -0.0 equal to 0.0; the slots must not.
         assert rhs.left == rhs.right
         slots = program(lower(Equation(1, rhs), 3).equation)
         kind, _, (left, right) = slots[-1]
@@ -732,8 +732,8 @@ def _without_monomials(e):
     # Every x^p node as x^p + 0.0, so each of its products is a Cauchy sum.
     if isinstance(e, (Var, XPow)):
         return _no_monomial(e)
-    return type(e)(*(_without_monomials(v) if dataclasses.is_dataclass(v) else v
-                     for v in vars(e).values()))
+    return type(e)(*(_without_monomials(v) if isinstance(v, _Record) else v
+                     for v in e._values()))
 
 
 def _outcome(equation, initial, n):

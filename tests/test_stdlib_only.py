@@ -1,8 +1,10 @@
 """The package is standard-library only: no import outside it, no dependency,
-and no import inside a function."""
+no import inside a function, and no heavy standard module at import time."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +51,12 @@ def test_the_package_has_no_dependencies():
     else:
         with project.open("rb") as fh:
             assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: site's own imports (a .pth file may import typing) are not the package's.
+    code = "import sys, dtmseries.cli; print(*sorted({'dataclasses', 'inspect', 'typing'} & {*sys.modules}))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.split() == []
