@@ -124,7 +124,7 @@ from .errors import (
 from . import powers
 from .powers import power_chain
 from .series import (
-    _FLOAT_EXACT_INT, OpCount, Series, _div_exact, _finite_float, _floats, _int, _mul_exact,
+    _FLOAT_EXACT_INT, OpCount, Series, _div_exact, _finite_float, _int, _mul_exact,
     _Record, mul_step, sq_step,
 )
 
@@ -881,7 +881,7 @@ def run(plan: RecurrencePlan, initial: Sequence[float]) -> Series:
         ) from None
     if given != m:
         raise InvalidArgumentError(f"need {m} initial coefficients U(0..{m - 1}), got {given}")
-    u = list(_floats(initial))
+    u = list(Series(initial).coeffs)
     equation, n = plan.equation, plan.order
     box = _longest_run(equation, array("d", u).tobytes())
     if box and len(longest := box[0]) > n:

@@ -166,31 +166,6 @@ def _mul_exact(n: int, x: float) -> float:
     return n * p / q
 
 
-def _floats(coeffs: Iterable[float]) -> tuple[float, ...]:
-    """``coeffs`` as a tuple of floats, checked as :class:`Series` checks them."""
-    # A list or a tuple skips the ABC check, about 0.4 us (CPython 3.11).
-    if type(coeffs) not in (list, tuple) and isinstance(coeffs, (Mapping, Set)):
-        raise InvalidArgumentError(
-            f"series coefficients must be in order, not a {type(coeffs).__name__}"
-        )
-    try:
-        cs = list(coeffs)
-    except TypeError:
-        raise InvalidArgumentError(
-            f"series coefficients must be an iterable of numbers, got {coeffs!r}"
-        ) from None
-    if not cs:
-        raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
-    try:
-        finite = all(map(math.isfinite, cs))  # as in _finite_float
-    except (OverflowError, TypeError, ValueError):
-        finite = False
-    if not finite:  # raise, naming the first coefficient that is not a finite number
-        for k, c in enumerate(cs):
-            _finite_float(c, f"coefficient at index {k}")
-    return tuple(map(float, cs))
-
-
 class Series(_Record):
     """Immutable truncated power series about x = 0, the record of its ``coeffs``.
 
@@ -206,7 +181,27 @@ class Series(_Record):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        _set_coeffs(self, _floats(coeffs))
+        # A list or a tuple skips the ABC check, about 0.4 us (CPython 3.11).
+        if type(coeffs) not in (list, tuple) and isinstance(coeffs, (Mapping, Set)):
+            raise InvalidArgumentError(
+                f"series coefficients must be in order, not a {type(coeffs).__name__}"
+            )
+        try:
+            cs = list(coeffs)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"series coefficients must be an iterable of numbers, got {coeffs!r}"
+            ) from None
+        if not cs:
+            raise InvalidArgumentError("a series needs at least one coefficient (order >= 0)")
+        try:
+            finite = all(map(math.isfinite, cs))  # as in _finite_float
+        except (OverflowError, TypeError, ValueError):
+            finite = False
+        if not finite:  # raise, naming the first coefficient that is not a finite number
+            for k, c in enumerate(cs):
+                _finite_float(c, f"coefficient at index {k}")
+        _set_coeffs(self, tuple(map(float, cs)))
 
     @staticmethod
     def _checked(coeffs: list[float]) -> Series:

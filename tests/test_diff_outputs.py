@@ -4,7 +4,6 @@ and reports the invocations whose output differs."""
 import importlib.util
 import json
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -14,15 +13,17 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "diff_outputs.py"
 
 
-def _diff_outputs():
+@pytest.fixture
+def tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))  # it imports bench_pairs beside it
     spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_the_grid_is_fixed():
-    invocations = _diff_outputs().grid()
+def test_the_grid_is_fixed(tool):
+    invocations = tool.grid()
     kinds = [argv[0] for argv, _ in invocations]
     assert [kinds.count(k) for k in ("bratu", "solve", "ops")] == [200, 32, 24]
     assert invocations[0] == (["bratu", "--lambda", "0.001", "--order", "3", "--grid", "101",
@@ -30,21 +31,29 @@ def test_the_grid_is_fixed():
     assert invocations[199][0][:3] == ["bratu", "--lambda", "10.0"]
 
 
-@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
-def test_two_point_grid_against_head_reports_no_difference(tmp_path):
+@pytest.mark.skipif(not ((ROOT / ".git").exists() and shutil.which("git")
+                         and shutil.which("tar")), reason="needs a git checkout, git and tar")
+def test_two_point_grid_against_head_reports_no_difference(tool, tmp_path, monkeypatch,
+                                                           capsys):
+    # Both sides are HEAD's tree, so uncommitted edits do not reach the result.
+    head = tmp_path / "head"
+    head.mkdir()
+    tool.export("HEAD", head)
+    two = tool.grid()[:2]
+    monkeypatch.setattr(tool, "ROOT", head)
+    monkeypatch.setattr(tool, "grid", lambda: two)
     out = tmp_path / "diff.json"
-    proc = subprocess.run([sys.executable, str(TOOL), "--parent", "HEAD", "--first", "2",
-                           "--out", str(out)], cwd=ROOT, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(sys, "argv", ["diff_outputs.py", "--parent", "HEAD", "--out", str(out)])
+    assert tool.main() == 0
     doc = json.loads(out.read_text())
     assert doc["invocations"] == 2
+    assert doc["exit_codes"] == {"parent": {"0": 1, "4": 1}, "change": {"0": 1, "4": 1}}
     assert doc["differ"] == []
-    assert "0 of 2 invocations differ" in proc.stdout
+    assert "0 of 2 invocations differ" in capsys.readouterr().out
 
 
-def test_a_changed_digit_is_reported(tmp_path):
+def test_a_changed_digit_is_reported(tool, tmp_path):
     # The summary's lambda, 0.001, printed as 0.01 on stderr by a copy of src.
-    tool = _diff_outputs()
     src = shutil.copytree(ROOT / "src", tmp_path / "src",
                           ignore=shutil.ignore_patterns("__pycache__"))
     cli = src / "dtmseries" / "cli.py"

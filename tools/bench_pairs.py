@@ -218,6 +218,14 @@ def revisions(parent: str) -> dict:
             "dirty": bool(git("status", "--porcelain"))}
 
 
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of the commit ``rev`` into the directory ``dest``, by
+    ``git archive`` piped into ``tar -x``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -256,9 +264,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", revs["parent"]], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        export(revs["parent"], Path(tmp))
         roots = {"parent": Path(tmp), "change": ROOT}
         results = {w: {side: [] for side in SIDES} for w in workloads}
         machine = {}

@@ -1,10 +1,10 @@
 """One fixed grid of ``dtmseries`` invocations, run on a parent commit and on
 the working tree; the invocations whose output differs, as one JSON file.
 
-    python3 tools/diff_outputs.py --parent REV [--first K] [--out FILE]
+    python3 tools/diff_outputs.py --parent REV --out FILE
 
-Run from the root of a checkout. The parent commit is exported with ``git
-archive`` into a temporary directory, as ``tools/bench_pairs.py`` does; the
+Run from the root of a checkout. The parent commit is exported into a
+temporary directory by ``tools/bench_pairs.py``'s :func:`export`; the
 change is the working tree. Each side runs the whole grid in one
 subprocess, ``python3 -B tools/diff_outputs.py --side SRC``, which imports
 ``dtmseries.cli`` from that side's ``src`` and calls ``cli.main`` once per
@@ -24,10 +24,9 @@ The grid (:func:`grid`), in order:
   ``ops exp --count [--naive]``, each on the two series of ``OPS_INPUTS``
   read from standard input; 24 invocations.
 
-``--first K`` runs only the first K invocations. The output (default
-``diff_outputs.json``) holds both shas, whether the working tree differs
-from HEAD, the command line, the number of invocations, each side's count
-of invocations per exit code, and ``differ``: each invocation whose exit
+The output holds both shas, whether the working tree differs from HEAD,
+the command line, the number of invocations, each side's count of
+invocations per exit code, and ``differ``: each invocation whose exit
 code, stdout or stderr differs, with both sides' records. The script
 prints how many differ, and each of them, and exits 0 either way.
 """
@@ -45,6 +44,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+from bench_pairs import export, revisions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,38 +135,29 @@ def differing(invocations: list, parent: list[dict], change: list[dict]) -> list
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", help="git revision of the parent commit")
-    ap.add_argument("--first", type=int, default=None, metavar="K",
-                    help="run only the first K invocations of the grid")
-    ap.add_argument("--out", type=Path, default=Path("diff_outputs.json"))
+    ap.add_argument("--out", type=Path, help="the JSON file to write")
     ap.add_argument("--side", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.side is not None:
         run_side(args.side)
         return 0
-    if args.parent is None:
-        ap.error("--parent is required")
-
-    def git(*argv: str) -> str:
-        return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True,
-                              check=True).stdout.strip()
-
+    if args.parent is None or args.out is None:
+        ap.error("--parent and --out are required")
     try:
-        parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        revs = revisions(args.parent)
     except subprocess.CalledProcessError:
         print(f"error: {args.parent!r} names no commit", file=sys.stderr)
         return 2
-    invocations = grid()[:args.first]
+    invocations = grid()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        export(revs["parent"], Path(tmp))
         records = {"parent": side_records(Path(tmp, "src"), invocations),
                    "change": side_records(ROOT / "src", invocations)}
     differ = differing(invocations, records["parent"], records["change"])
     doc = {
-        "parent_sha": parent,
-        "head_sha": git("rev-parse", "--verify", "HEAD"),
-        "dirty": bool(git("status", "--porcelain")),
+        "parent_sha": revs["parent"],
+        "head_sha": revs["head"],
+        "dirty": revs["dirty"],
         "command_line": shlex.join(sys.argv),
         "invocations": len(invocations),
         "exit_codes": {side: dict(Counter(str(r["exit"]) for r in rs))
