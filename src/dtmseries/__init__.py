@@ -31,5 +31,5 @@ from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *dict.fromkeys(
-    series.__all__ + powers.__all__ + lang.__all__ + bratu.__all__ + errors.__all__)]
+__all__ = ["__version__", *series.__all__, *powers.__all__, *lang.__all__, *bratu.__all__,
+           *errors.__all__]

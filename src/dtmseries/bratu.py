@@ -4,21 +4,16 @@
 
 With U(k) the Taylor coefficients of u about 0, U(0) = 0 and U(1) = gamma
 (the unknown initial slope), the equation turns into a recurrence. The
-explicit-exponential form is the DSL equation D(u,2) = -lambda * exp(u);
-:func:`bratu_plan` lowers it, and stepping the plan carries W = e^u:
+explicit-exponential form is the DSL equation D(u,2) = -lambda * exp(u),
+which :func:`bratu_plan` lowers. Differentiating it once eliminates the
+exponential, u''' = -lambda e^u u' = u'' u', the DSL equation
+D(u,3) = D(u,2)*D(u,1) run from U(2) = -lambda/2 (:func:`bratu_coeffs`).
+Its step at order k,
 
-    W(0) = e^{U(0)}
-    W(k) = (1/k) * sum_{j=1}^{k} j * U(j) * W(k-j)
-    U(k+2) = -lambda * W(k) / ((k+1)(k+2))
+    (k+1)(k+2)(k+3) U(k+3) = sum_{l=0}^{k} (l+1)(l+2) U(l+2) (k+1-l) U(k+1-l),
 
-Substituting W(k) = -(k+1)(k+2) U(k+2) / lambda eliminates W (the
-simplified form, :func:`bratu_coeffs`):
-
-    U(2)   = -(lambda/2) * e^{U(0)}
-    U(k+2) = 1/(k(k+1)(k+2)) * sum_{j=1}^{k} j (k-j+1)(k-j+2) U(j) U(k-j+2),  k >= 1
-
-The two forms are algebraically identical. Shooting steps the lowered exp
-plan; the simplified recurrence is kept as the independent cross-check.
+is the classical two-term recurrence for U(k+3) with j = k+1-l.
+Shooting steps the exp form; the eliminated form cross-checks it.
 First values: U(2) = -lambda/2, U(3) = -gamma*lambda/6.
 
 gamma is fixed by the x = 1 boundary: the truncated residual
@@ -62,10 +57,8 @@ import math
 import operator
 from collections.abc import Callable, Iterable
 
-from .errors import (
-    BranchNotFoundError, DomainError, InvalidArgumentError, NonFiniteCoefficientError
-)
-from .lang import Equation, Exp, RecurrencePlan, Scale, U, lower, run
+from .errors import BranchNotFoundError, DomainError, InvalidArgumentError
+from .lang import Deriv, Equation, Exp, Mul, RecurrencePlan, Scale, U, lower, run
 from .series import Series, _evaluate_grid, _finite_float, _int, _Record, evaluate
 
 __all__ = [
@@ -138,8 +131,12 @@ def bratu_plan(lam: float, order: int) -> RecurrencePlan:
     return lower(Equation(2, Scale(-lam, Exp(U()))), order)
 
 
+#: The eliminated form u''' = u'' u' (module docstring).
+_ELIMINATED = Equation(3, Mul(Deriv(2), Deriv(1)))
+
+
 def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
-    """Coefficients by the simplified recurrence (exponential eliminated).
+    """Coefficients by the eliminated form, a run from (0.0, gamma, -lam/2).
 
     Raises :class:`InvalidArgumentError` for a lambda or gamma that is not
     a finite number, as a run of :func:`bratu_plan` does, and
@@ -147,17 +144,8 @@ def bratu_coeffs(lam: float, gamma: float, order: int) -> Series:
     """
     _require_order(order)
     lam = _finite_float(lam, "lambda")
-    u = [0.0] * (order + 1)
-    u[1] = _finite_float(gamma, "gamma")
-    u[2] = -(lam / 2.0) * math.exp(u[0])
-    for k in range(1, order - 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (j * (k - j + 1) * (k - j + 2)) * (u[j] * u[k - j + 2])
-        u[k + 2] = acc / (k * (k + 1) * (k + 2))
-        if not math.isfinite(u[k + 2]):
-            raise NonFiniteCoefficientError(k + 2)
-    return Series(u)
+    gamma = _finite_float(gamma, "gamma")
+    return run(lower(_ELIMINATED, order), (0.0, gamma, -lam / 2.0))
 
 
 def boundary_residual(coeffs: Series) -> float:

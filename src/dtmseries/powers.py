@@ -90,7 +90,7 @@ from .errors import DomainError, InvalidArgumentError
 from . import lang  # circular: lang loads first, imports this module, and is in sys.modules
 from .series import OpCount, Series, _div_exact, _int, _series, collect, monomial, mul
 
-__all__ = ["OpCount", "pow_int", "pow_naive", "exp_series", "exp_naive"]
+__all__ = ["pow_int", "pow_naive", "exp_series", "exp_naive"]
 
 #: Largest exponent raised by binary powering; Miller's recurrence above it.
 #: Up to 8 the chain costs 0.25-1.0x Miller's multiplies, except m = 7

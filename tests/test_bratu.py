@@ -1,10 +1,12 @@
 """Bratu problem: recurrences, shooting, and the analytic reference."""
 
 import math
+from array import array
 
 import pytest
 
 import dtmseries.bratu as bratu_module
+from dtmseries import lang
 from dtmseries import (
     BranchNotFoundError,
     InvalidArgumentError,
@@ -16,10 +18,12 @@ from dtmseries import (
     bratu_plan,
     compare,
     evaluate,
+    lower,
+    parse,
     run,
     shoot,
 )
-from util import relgap
+from util import bratu_coeffs_loop, relgap
 
 # Frozen independently (40-digit Newton iterations on the theta condition).
 THETA_LOWER_L1 = 1.5171645990507544
@@ -85,6 +89,50 @@ class TestCoefficients:
             run(bratu_plan(1.0, 2), (0.0, 0.5))
         with pytest.raises(ValueError):
             bratu_plan(1.0, 2)
+
+
+def _outcome(call):
+    """``call``'s series, or the type and order of the error it raises."""
+    try:
+        return call()
+    except NonFiniteCoefficientError as err:
+        return type(err), err.order
+
+
+class TestEliminatedForm:
+    """``bratu_coeffs`` runs the DSL equation D(u,3) = D(u,2)*D(u,1), checked
+    against the hand-stepped two-term recurrence ``util.bratu_coeffs_loop``."""
+
+    @pytest.mark.parametrize("lam,gamma,order", [
+        (0.001, 0.0, 3), (0.5, 0.55, 10), (1.0, 1.0, 30), (3.0, 2.6, 60), (10.0, 3.0, 200),
+    ])
+    def test_is_a_run_of_the_parsed_equation_bitwise(self, lam, gamma, order):
+        lang._longest_run.cache_clear()  # so each side steps its own run
+        got = bratu_coeffs(lam, gamma, order)
+        lang._longest_run.cache_clear()
+        want = run(lower(parse("D(u,3) = D(u,2)*D(u,1)"), order), (0.0, gamma, -lam / 2))
+        assert array("d", got.coeffs).tobytes() == array("d", want.coeffs).tobytes()
+
+    @pytest.mark.parametrize("order", [3, 10, 30, 60, 200])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 3.0, 3.17])
+    def test_matches_the_hand_recurrence(self, lam, order):
+        for gamma in (0.0, 0.1, 0.55, 1.0, 2.0, 2.6):
+            got = bratu_coeffs(lam, gamma, order)
+            assert relgap(got, bratu_coeffs_loop(lam, gamma, order)) <= 1e-15
+
+    @pytest.mark.parametrize("order", [30, 60, 200])
+    @pytest.mark.parametrize("lam", [0.001, 0.5, 1.0, 3.0, 10.0])
+    def test_overflows_where_the_hand_recurrence_does(self, lam, order):
+        raised = 0
+        for gamma in (0.0, 1.0, 3.0, 10.0, 1e3, 1e100, 1e200, 1e300):
+            got = _outcome(lambda: bratu_coeffs(lam, gamma, order))
+            want = _outcome(lambda: bratu_coeffs_loop(lam, gamma, order))
+            if isinstance(want, tuple):
+                raised += 1
+                assert got == want
+            else:
+                assert not isinstance(got, tuple)
+        assert raised >= 3  # gamma = 1e100, 1e200 and 1e300 overflow by order 30
 
 
 class TestPlan:

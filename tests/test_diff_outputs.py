@@ -48,6 +48,11 @@ def test_two_point_grid_against_head_reports_no_difference(tool, tmp_path, monke
     doc = json.loads(out.read_text())
     assert doc["invocations"] == 2
     assert doc["exit_codes"] == {"parent": {"0": 1, "4": 1}, "change": {"0": 1, "4": 1}}
+    # The lower point, lambda 1e-3 at N = 3, exits 0 with a small error.
+    ok = doc["bratu_exit_0"]
+    assert ok["parent"] == ok["change"]
+    assert ok["parent"]["invocations"] == 1
+    assert 0.0 < ok["parent"]["max_abs_err"] < 1e-6
     assert doc["differ"] == []
     assert "0 of 2 invocations differ" in capsys.readouterr().out
 

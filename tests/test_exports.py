@@ -35,3 +35,11 @@ def test_the_package_exports_its_modules_all_and_defines_only_its_version():
     public = {name for name, value in vars(dtmseries).items()
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == names.keys()
+
+
+def test_no_name_is_in_two_modules_all():
+    owners = {}
+    for module in (series, powers, lang, bratu, errors):
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}

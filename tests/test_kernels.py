@@ -264,9 +264,9 @@ class TestExpStep:
 
 @pytest.mark.parametrize("module", ["series", "powers", "lang", "errors", "bratu", "cli"])
 def test_the_driver_is_reached_whichever_module_loads_first(module):
-    # lang imports series and powers when it loads, so mul, pow_int and
-    # exp_series import lang's executor when they run; a module-level import
-    # would be a load-order cycle.
+    # series, powers and lang import one another at module top. Whichever
+    # module a fresh process loads first, mul, pow_int and exp_series reach
+    # lang's executor and return the values they return in this process.
     code = (f"import dtmseries.{module}\n"
             "from dtmseries.series import Series, mul\n"
             "from dtmseries.powers import exp_series, pow_int\n"

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from dtmseries import (
+    NonFiniteCoefficientError,
     Series,
     add,
     derivative_transform,
@@ -96,3 +97,28 @@ def divide(r: float, d: int) -> float:
     """r / d as the recurrence must divide by its integer d > 0: the exact
     quotient rounded once for a finite nonzero r, else r as it is."""
     return float(Fraction(r) / d) if r and math.isfinite(r) else r
+
+
+def bratu_coeffs_loop(lam: float, gamma: float, order: int) -> Series:
+    """Bratu's coefficients by the simplified two-term recurrence, stepped
+    by hand: the independent reference for :func:`~dtmseries.bratu_coeffs`.
+
+    Substituting W(k) = -(k+1)(k+2) U(k+2) / lambda into the exp form's
+    W(k) = (1/k) sum_{j=1}^{k} j U(j) W(k-j), W = e^u, eliminates W:
+
+        U(2)   = -(lambda/2) * e^{U(0)}
+        U(k+2) = 1/(k(k+1)(k+2)) * sum_{j=1}^{k} j (k-j+1)(k-j+2) U(j) U(k-j+2),  k >= 1
+
+    Raises :class:`NonFiniteCoefficientError` naming the order that overflows.
+    """
+    u = [0.0] * (order + 1)
+    u[1] = gamma
+    u[2] = -(lam / 2.0) * math.exp(u[0])
+    for k in range(1, order - 1):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += (j * (k - j + 1) * (k - j + 2)) * (u[j] * u[k - j + 2])
+        u[k + 2] = acc / (k * (k + 1) * (k + 2))
+        if not math.isfinite(u[k + 2]):
+            raise NonFiniteCoefficientError(k + 2)
+    return Series(u)

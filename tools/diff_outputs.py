@@ -10,7 +10,10 @@ subprocess, ``python3 -B tools/diff_outputs.py --side SRC``, which imports
 ``dtmseries.cli`` from that side's ``src`` and calls ``cli.main`` once per
 invocation, with standard input, output and error in memory. Per
 invocation it records the exit code (or the name of an exception that
-escaped) and the SHA-256 of stdout and of stderr.
+escaped) and the SHA-256 of stdout and of stderr; a ``bratu`` invocation
+that exits 0 also records the ``max_abs_err`` of its JSON summary on
+stderr. The working tree's script runs both sides, so the parent needs
+no copy of it.
 
 The grid (:func:`grid`), in order:
 
@@ -26,9 +29,11 @@ The grid (:func:`grid`), in order:
 
 The output holds both shas, whether the working tree differs from HEAD,
 the command line, the number of invocations, each side's count of
-invocations per exit code, and ``differ``: each invocation whose exit
-code, stdout or stderr differs, with both sides' records. The script
-prints how many differ, and each of them, and exits 0 either way.
+invocations per exit code, each side's ``bratu_exit_0``: the number of
+``bratu`` invocations that exit 0 and the largest ``max_abs_err`` among
+them (None for none), and ``differ``: each invocation whose exit code,
+stdout or stderr differs, with both sides' records. The script prints
+how many differ, and each of them, and exits 0 either way.
 """
 
 from __future__ import annotations
@@ -108,8 +113,10 @@ def run_side(src: Path) -> None:
             code = exc.code
         except Exception as exc:  # an escape is a result too, compared by its type
             code = f"raised {type(exc).__name__}"
-        records.append({"exit": code, "stdout": _sha(out.getvalue()),
-                        "stderr": _sha(err.getvalue())})
+        record = {"exit": code, "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())}
+        if argv[0] == "bratu" and code == 0:
+            record["max_abs_err"] = json.loads(err.getvalue())["max_abs_err"]
+        records.append(record)
     sys.stdin = stdin
     json.dump(records, sys.stdout)
 
@@ -130,6 +137,13 @@ def differing(invocations: list, parent: list[dict], change: list[dict]) -> list
     """Each invocation whose two records differ, with both records."""
     return [{"argv": argv, "stdin": text, "parent": p, "change": c}
             for (argv, text), p, c in zip(invocations, parent, change) if p != c]
+
+
+def bratu_exit_0(records: list[dict]) -> dict:
+    """The number of ``bratu`` records that exit 0, and their largest
+    ``max_abs_err`` (None for none)."""
+    errs = [r["max_abs_err"] for r in records if "max_abs_err" in r]
+    return {"invocations": len(errs), "max_abs_err": max(errs, default=None)}
 
 
 def main() -> int:
@@ -162,6 +176,7 @@ def main() -> int:
         "invocations": len(invocations),
         "exit_codes": {side: dict(Counter(str(r["exit"]) for r in rs))
                        for side, rs in records.items()},
+        "bratu_exit_0": {side: bratu_exit_0(rs) for side, rs in records.items()},
         "differ": differ,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
